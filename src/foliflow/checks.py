@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import fiber as fb
 from . import geometry as geo
@@ -128,18 +127,18 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     if f.shape != state.shape:
         raise InputError(f"f shape {f.shape} != state shape {state.shape}")
-    grad = geo.grad_perp(f, state)
+    partials = fb.gradient_values(f, state.fiber)
+    grad = state.exp_neg2psi * partials      # grad_perp f
     zeta = f * grad
     weight = geo.volume_form_weight(state)
     div_full = sum(
-        fb.gradient_values(weight * zeta[i], state.fiber)[i] for i in range(state.p)
+        fb.gradient_values(weight * zeta[i], state.fiber, axis=i) for i in range(state.p)
     ) / weight
     h = geo.twisted_mean_curvature(state)
     h_of_f = np.zeros(state.shape)
-    partials = fb.gradient_values(f, state.fiber)
     for i in range(state.p):
         h_of_f += h[i] * partials[i]
-    lap = geo.laplacian_perp(f, state)
+    lap = geo.div_perp(grad, state)          # Lap_perp f
     grad_sq = np.exp(2.0 * state.psi) * np.sum(grad ** 2, axis=0)
     residual = float(np.max(np.abs(div_full + f * (h_of_f - lap) - grad_sq)))
     return CheckReport("harmonic_rigidity", residual, tolerance, state.t)
@@ -244,6 +243,20 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None,
     return CheckReport("volume_ode", abs(lhs - rhs) / scale, tolerance, t)
 
 
+def _simpson_weights(t: float, nodes: int) -> np.ndarray:
+    """Composite Simpson weights h/3 * (1, 4, 2, ..., 2, 4, 1) on [0, t].
+
+    ``nodes`` equally spaced nodes must be odd and at least 3, so that
+    the panels pair up exactly.
+    """
+    if nodes < 3 or nodes % 2 == 0:
+        raise InputError(f"Simpson quadrature needs an odd node count >= 3, got {nodes}")
+    weights = np.full(nodes, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return weights * (t / (nodes - 1) / 3.0)
+
+
 def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
                         quad_nodes: int = 513,
                         tolerance: float = SPECTRAL_TOL) -> CheckReport:
@@ -253,28 +266,29 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     scales by exp(-int_0^t s), i.e. by exp((2/n) int_0^t Div_perp(H - X))
     with the -r correction under the normalized variant.  The exponent
     is recomputed here by Simpson quadrature over sampled states, fully
-    independent of the engine's closed-form reconstruction.
+    independent of the engine's closed-form reconstruction; the weighted
+    sum is accumulated node by node, so memory stays at a few grid fields.
     """
     config = trajectory.config
     if t is None:
         t = config.t_end
     if t <= 0:
         raise InputError("bperp scaling needs t > 0")
+    weights = _simpson_weights(t, quad_nodes)
     x = _broadcast_x(config.x_field, trajectory.initial)
     nodes = np.linspace(0.0, t, quad_nodes)
     normalized = config.variant == "normalized"
     if normalized:
         from .flows import normalization_rate
 
-    speeds = []
-    for tau in nodes:
+    exponent = np.zeros(trajectory.initial.shape)
+    for tau, weight in zip(nodes, weights):
         s_state = trajectory.evaluate(float(tau))
         driving = geo.div_perp(geo.twisted_mean_curvature(s_state) - x, s_state)
         s_val = -(2.0 / s_state.n) * driving
         if normalized:
             s_val = s_val - normalization_rate(s_state)
-        speeds.append(s_val)
-    exponent = -simpson(np.stack(speeds), x=nodes, axis=0)
+        exponent -= weight * s_val
 
     start = trajectory.evaluate(0.0)
     end = trajectory.evaluate(t)

@@ -14,8 +14,6 @@ Config errors are detected before any output file is created.
 
 All CSV output uses 17 significant digits and newline-only line
 endings, so reruns of one config on one version are byte-identical.
-The engine's fiber-level parallelism is controlled by the
-FOLIFLOW_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -201,9 +199,12 @@ def _write_diagnostics(path: Path, traj: fl.Trajectory) -> None:
 
 def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
     base_size = int(np.prod(traj.initial.base.shape))
+    fiber_size = int(np.prod(traj.initial.fiber.shape))
+    # One %-format per row writes the same text as _fmt on each value.
+    row_format = ",".join(["%.17g"] * fiber_size)
     for i, state in enumerate(traj.states):
-        table = state.phi.reshape(base_size, -1)
-        lines = [",".join(_fmt(v) for v in row) for row in table]
+        table = state.phi.reshape(base_size, fiber_size)
+        lines = [row_format % tuple(row) for row in table.tolist()]
         (out_dir / f"phi_{i:03d}.csv").write_text(
             "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
         )
@@ -309,8 +310,7 @@ def _run_command(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="foliflow",
-        description="Flow a foliated periodic product and audit its invariants "
-                    "(set FOLIFLOW_THREADS to parallelize fiber batches).",
+        description="Flow a foliated periodic product and audit its invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a JSON scenario config")

@@ -216,17 +216,28 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     return _apply_multiplier(values, grid, mult)
 
 
-def gradient_values(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
+def gradient_values(values: np.ndarray, grid: FiberGrid,
+                    axis: int | None = None) -> np.ndarray:
     """Flat spectral partial derivatives along the trailing grid axes.
 
-    Returns an array of shape (grid.dim,) + values.shape.
+    Returns an array of shape (grid.dim,) + values.shape, or with ``axis``
+    only the partial along that grid axis, shape values.shape, at the
+    cost of one inverse transform instead of grid.dim.
     """
     values = np.asarray(values, dtype=float)
     axes = _rfft_axes(values, grid)
+    if axis is not None and axis not in range(grid.dim):
+        raise InputError(f"axis must be in range({grid.dim}), got {axis}")
     spectrum = np.fft.rfftn(values, axes=axes)
+
+    def partial(k: int) -> np.ndarray:
+        return np.fft.irfftn(spectrum * _wavenumbers_rfft(grid, k), s=grid.shape, axes=axes)
+
+    if axis is not None:
+        return partial(axis)
     out = np.empty((grid.dim,) + values.shape)
     for k in range(grid.dim):
-        out[k] = np.fft.irfftn(spectrum * _wavenumbers_rfft(grid, k), s=grid.shape, axes=axes)
+        out[k] = partial(k)
     return out
 
 
@@ -445,14 +456,14 @@ def d_perp(w: OneFormField) -> SpectralField:
     """
     if w.grid.dim == 1:
         return SpectralField.zeros(w.grid)
-    g1 = gradient_values(w.components[1], w.grid)[0]
-    g2 = gradient_values(w.components[0], w.grid)[1]
+    g1 = gradient_values(w.components[1], w.grid, axis=0)
+    g2 = gradient_values(w.components[0], w.grid, axis=1)
     return SpectralField(w.grid, g1 - g2)
 
 
 def delta_perp(w: OneFormField) -> SpectralField:
     """Codifferential on the flat fiber: minus the flat divergence of w."""
-    grads = [gradient_values(w.components[k], w.grid)[k] for k in range(w.grid.dim)]
+    grads = [gradient_values(w.components[k], w.grid, axis=k) for k in range(w.grid.dim)]
     return SpectralField(w.grid, -sum(grads))
 
 

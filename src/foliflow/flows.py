@@ -37,7 +37,6 @@ flow cannot converge to H = X unless that component vanishes.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -56,14 +55,6 @@ VARIANTS = ("plain", "normalized", "prescribed")
 # Driving fields with sup norm at or below this are treated as absent:
 # the trajectory short-circuits to a constant metric.
 ZERO_FIELD_TOL = 0.0
-
-
-def _thread_workers() -> int:
-    raw = os.environ.get("FOLIFLOW_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -199,8 +190,7 @@ def _fd_march(phi_vals: np.ndarray, state0: ProductState, dt_scheme: FdScheme,
     """Advance a full stack of fibers by the finite-difference heat march.
 
     Fibers sharing a psi profile are marched together through one
-    factorization; distinct profiles may run on a small thread pool sized
-    by the FOLIFLOW_THREADS environment variable.
+    factorization, one profile after another.
     """
     fiber_grid = state0.fiber
     fiber_size = int(np.prod(fiber_grid.shape))
@@ -208,23 +198,12 @@ def _fd_march(phi_vals: np.ndarray, state0: ProductState, dt_scheme: FdScheme,
     flat_psi = state0.psi.reshape(-1, fiber_size)
     profiles, inverse = np.unique(flat_psi, axis=0, return_inverse=True)
     out = np.empty_like(flat_phi)
-
-    def march_group(k: int):
+    for k in range(len(profiles)):
         members = np.nonzero(inverse == k)[0]
         stack = flat_phi[members].reshape((-1,) + fiber_grid.shape)
         evolved = fd_heat_run(stack, profiles[k].reshape(fiber_grid.shape),
                               fiber_grid, span, dt_scheme)
         out[members] = evolved.reshape(len(members), fiber_size)
-
-    workers = min(_thread_workers(), len(profiles))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(march_group, range(len(profiles))))
-    else:
-        for k in range(len(profiles)):
-            march_group(k)
     return out.reshape(phi_vals.shape)
 
 
@@ -306,7 +285,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     h0 = geo.twisted_mean_curvature(initial)
 
     if initial.p == 2:
-        closed_sup = _d_theta_sup_of(initial, h0 - x)
+        closed_sup = geo.d_theta_sup(initial, h0 - x)
         if closed_sup > config.closedness_tol:
             raise HypothesisViolationError(
                 f"mean-curvature 1-form (minus X) is not closed: sup |d theta| = "
@@ -330,9 +309,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
 
     if config.variant == "normalized":
         def evaluate(t: float) -> ProductState:
-            state = evaluate_plain(t)
-            shift = math.log(geo.volume(state)) / state.n
-            return state.replace_phi(state.phi - shift, t)
+            return project_unit_volume(evaluate_plain(t))
     else:
         evaluate = evaluate_plain
 
@@ -356,15 +333,6 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         evaluate=evaluate,
         exact_path=exact,
     )
-
-
-def _d_theta_sup_of(state: ProductState, h_like: np.ndarray) -> float:
-    if state.p == 1:
-        return 0.0
-    theta = geo.theta_h(state, h_like)
-    d1 = fb.gradient_values(theta[1], state.fiber)[0]
-    d2 = fb.gradient_values(theta[0], state.fiber)[1]
-    return float(np.max(np.abs(d1 - d2)))
 
 
 def run_normalized(initial: ProductState, config: FlowConfig) -> Trajectory:

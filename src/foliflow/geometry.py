@@ -27,7 +27,7 @@ fiber axes trailing so the fiber-spectral helpers apply directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class ProductState:
 
     phi and psi live on the combined grid (base axes first).  Treat the
     arrays as immutable once the state is built.
+
+    Fields that depend on psi alone (exp(-2 psi) and the fiber and base
+    gradients of psi) are computed on first use and kept in a store that
+    ``replace_phi`` hands on, so every state of one trajectory shares
+    them; a state built any other way starts with an empty store.
     """
 
     base: FiberGrid
@@ -53,6 +58,7 @@ class ProductState:
     phi: np.ndarray
     psi: np.ndarray
     t: float = 0.0
+    _psi_fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.base.shape + self.fiber.shape
@@ -99,7 +105,30 @@ class ProductState:
         return cls(base, fiber_grid, phi, psi, t)
 
     def replace_phi(self, phi: np.ndarray, t: float) -> "ProductState":
-        return ProductState(self.base, self.fiber, phi, self.psi, t)
+        state = ProductState(self.base, self.fiber, phi, self.psi, t)
+        object.__setattr__(state, "_psi_fields", self._psi_fields)
+        return state
+
+    def _psi_field(self, name: str, compute) -> np.ndarray:
+        if name not in self._psi_fields:
+            self._psi_fields[name] = compute()
+        return self._psi_fields[name]
+
+    @property
+    def exp_neg2psi(self) -> np.ndarray:
+        """exp(-2 psi), the inverse of the leaf conformal factor."""
+        return self._psi_field("exp_neg2psi", lambda: np.exp(-2.0 * self.psi))
+
+    @property
+    def psi_fiber_gradient(self) -> np.ndarray:
+        """Flat fiber partials of psi, shape (p,) + shape."""
+        return self._psi_field("fiber_gradient",
+                               lambda: fb.gradient_values(self.psi, self.fiber))
+
+    @property
+    def psi_base_gradient(self) -> np.ndarray:
+        """Flat base partials of psi, shape (n,) + shape."""
+        return self._psi_field("base_gradient", lambda: base_gradient(self.psi, self))
 
 
 def psi_fiber_mean(state: ProductState) -> np.ndarray:
@@ -130,7 +159,7 @@ def _check_fiber_vector(xi: np.ndarray, state: ProductState) -> np.ndarray:
 def grad_perp(u: np.ndarray, state: ProductState) -> np.ndarray:
     """Leafwise gradient of u: exp(-2*psi) times the flat fiber partials."""
     flat = fb.gradient_values(np.asarray(u, dtype=float), state.fiber)
-    return np.exp(-2.0 * state.psi) * flat
+    return state.exp_neg2psi * flat
 
 
 def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
@@ -140,10 +169,10 @@ def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
     conformal correction p * sum_i (d_i psi) xi^i.
     """
     xi = _check_fiber_vector(xi, state)
-    psi_grad = fb.gradient_values(state.psi, state.fiber)
+    psi_grad = state.psi_fiber_gradient
     out = np.zeros(state.shape)
     for k in range(state.p):
-        out += fb.gradient_values(xi[k], state.fiber)[k]
+        out += fb.gradient_values(xi[k], state.fiber, axis=k)
         out += state.p * psi_grad[k] * xi[k]
     return out
 
@@ -204,7 +233,7 @@ class SecondFundamentalData:
 def second_fundamental(state: ProductState) -> SecondFundamentalData:
     """Closed-form second fundamental data of the twisted product."""
     h = twisted_mean_curvature(state)
-    hperp = -state.p * np.exp(-2.0 * state.phi) * base_gradient(state.psi, state)
+    hperp = -state.p * np.exp(-2.0 * state.phi) * state.psi_base_gradient
     return SecondFundamentalData(
         h=h,
         b_residual=np.zeros_like(h),
@@ -299,8 +328,8 @@ def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
     if state.p == 1:
         return 0.0
     theta = theta_h(state, h)
-    d1 = fb.gradient_values(theta[1], state.fiber)[0]
-    d2 = fb.gradient_values(theta[0], state.fiber)[1]
+    d1 = fb.gradient_values(theta[1], state.fiber, axis=0)
+    d2 = fb.gradient_values(theta[0], state.fiber, axis=1)
     return float(np.max(np.abs(d1 - d2)))
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 import foliflow as ff
 from foliflow import checks
@@ -212,6 +212,36 @@ class TestBperpScaling:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(InputError):
             checks.check_bperp_scaling(self.base_twisted_traj(), t=0.0)
+
+    @pytest.mark.parametrize("nodes", [3, 5, 17, 513])
+    def test_streamed_simpson_matches_scipy(self, nodes):
+        t = 1.7
+        taus = np.linspace(0.0, t, nodes)
+        field = 1.0 + np.random.default_rng(nodes).random((4, 64))
+        samples = [field * (1.5 + np.sin(3.0 * tau)) for tau in taus]
+        streamed = np.zeros_like(field)
+        for weight, sample in zip(checks._simpson_weights(t, nodes), samples):
+            streamed += weight * sample
+        expected = simpson(np.stack(samples), x=taus, axis=0)
+        np.testing.assert_allclose(streamed, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("nodes", [0, 1, 2, 4, 512])
+    def test_even_or_too_few_nodes_rejected(self, nodes):
+        with pytest.raises(InputError):
+            checks.check_bperp_scaling(self.base_twisted_traj(), quad_nodes=nodes)
+
+    def test_matches_stacked_quadrature(self):
+        """The streamed exponent agrees with a stacked scipy Simpson rule."""
+        traj = self.base_twisted_traj()
+        nodes = np.linspace(0.0, 1.0, 65)
+        speeds = [-2.0 * geo.div_perp(geo.twisted_mean_curvature(s), s)
+                  for s in map(traj.evaluate, nodes)]
+        exponent = -simpson(np.stack(speeds), x=nodes, axis=0)
+        b0 = geo.second_fundamental(traj.evaluate(0.0)).bperp_coeff
+        bt = geo.second_fundamental(traj.evaluate(1.0)).bperp_coeff
+        stacked = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
+        report = checks.check_bperp_scaling(traj, quad_nodes=65)
+        assert report.residual == pytest.approx(stacked, rel=0.0, abs=1e-14)
 
 
 class TestUniformEquivalence:

@@ -8,11 +8,14 @@ and the flag surface (--grid, --no-oracle, --plot, --out).
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from foliflow.cli import DIAG_COLUMNS, main
+from foliflow.cli import DIAG_COLUMNS, _write_snapshots, main
+from foliflow.fiber import FiberGrid
+from foliflow.geometry import ProductState
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -134,6 +137,25 @@ class TestOutputs:
         y = np.arange(64) * 2.0 * math.pi / 64
         np.testing.assert_allclose(got, 0.2 * math.exp(-1.0) * np.cos(y),
                                    atol=1e-12)
+
+    def test_snapshot_text_matches_per_value_format(self, tmp_path):
+        """Row-formatted snapshots equal the per-value f"{x:.17g}" text."""
+        base = FiberGrid(1, (1.0,), (4,))
+        fiber = FiberGrid(2, (1.0, 2.0), (4, 8))
+        rng = np.random.default_rng(3)
+        phi = rng.normal(scale=10.0, size=(4, 4, 8))
+        phi[0, 0, :5] = [-0.0, 5e-324, 1e16, 1.0 / 3.0, -1.0 / 3.0]
+        states = [ProductState(base, fiber, phi, 0.0),
+                  ProductState(base, fiber, rng.normal(size=phi.shape), 0.0)]
+        _write_snapshots(tmp_path, SimpleNamespace(initial=states[0], states=states))
+        for i, state in enumerate(states):
+            table = state.phi.reshape(4, 32)
+            expected = "".join(",".join(f"{float(x):.17g}" for x in row) + "\n"
+                               for row in table)
+            assert (tmp_path / f"phi_{i:03d}.csv").read_bytes() == expected.encode()
+        first = (tmp_path / "phi_000.csv").read_text().split("\n")[0].split(",")
+        assert first[:5] == ["-0", "4.9406564584124654e-324", "10000000000000000",
+                             "0.33333333333333331", "-0.33333333333333331"]
 
     def test_converged_line_for_static_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phi0={}, checks=[])

@@ -339,3 +339,23 @@ class TestResampleAndAntiderivative:
         back = fb.resample_values(fb.resample_values(vals, CIRCLE, 256),
                                   ff.FiberGrid(1, CIRCLE.sides, (256,)), 64)
         np.testing.assert_allclose(back, vals, atol=1e-12)
+
+
+class TestSingleAxisGradient:
+    """gradient_values(..., axis=k) is component k of the full result, bit for bit."""
+
+    @pytest.mark.parametrize("grid, lead", [(CIRCLE, ()), (CIRCLE, (3, 2)),
+                                            (TORUS, ()), (TORUS, (4,))])
+    def test_matches_full_component(self, grid, lead):
+        values = np.random.default_rng(11).normal(size=lead + grid.shape)
+        full = fb.gradient_values(values, grid)
+        for k in range(grid.dim):
+            single = fb.gradient_values(values, grid, axis=k)
+            assert single.shape == values.shape
+            np.testing.assert_array_equal(single, full[k])
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(InputError):
+            fb.gradient_values(np.zeros(TORUS.shape), TORUS, axis=axis)
+

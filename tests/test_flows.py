@@ -347,17 +347,6 @@ class TestFiniteDifferencePath:
             traj.limit.phi,
             np.broadcast_to(mean.reshape(4, 1), state.shape), atol=1e-14)
 
-    def test_thread_pool_reproduces_serial_run(self, monkeypatch):
-        state = ff.ProductState.from_harmonics(
-            BASE4, CIRCLE, {(0, 1): 0.2},
-            {(0, 1): 0.1, (1, 1): 0.025, (1, -1): 0.025})
-        config = plain_config(samples=(0.0, 0.4))
-        monkeypatch.setenv("FOLIFLOW_THREADS", "1")
-        serial = ff.run_extrinsic_flow(state, config).states[1].phi
-        monkeypatch.setenv("FOLIFLOW_THREADS", "2")
-        pooled = ff.run_extrinsic_flow(state, config).states[1].phi
-        np.testing.assert_array_equal(serial, pooled)
-
     def test_prescribed_needs_exact_path(self):
         x = np.full((1,) + CIRCLE.shape, 0.1)
         with pytest.raises(UnsupportedScenarioError):

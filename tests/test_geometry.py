@@ -6,6 +6,7 @@ scipy quadrature and modified Bessel functions for volume integrals
 parts identity, which pins the weight convention of every operator.
 """
 
+import dataclasses
 import math
 
 import hypothesis as hyp
@@ -76,6 +77,52 @@ class TestProductState:
         assert geo.psi_is_fiber_constant(state)
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {}, {(0, 1): 0.2})
         assert not geo.psi_is_fiber_constant(state)
+
+
+class TestPsiFields:
+    """exp(-2 psi) and the psi gradients are computed once per psi."""
+
+    def test_replace_phi_reuses_cached_fields(self):
+        state = random_state(7, fiber=TORUS)
+        fields = (state.exp_neg2psi, state.psi_fiber_gradient, state.psi_base_gradient)
+        later = state.replace_phi(state.phi * 0.5, 1.0)
+        assert later.exp_neg2psi is fields[0]
+        assert later.psi_fiber_gradient is fields[1]
+        assert later.psi_base_gradient is fields[2]
+
+    def test_cached_fields_match_direct_computation(self):
+        state = random_state(8, fiber=TORUS)
+        np.testing.assert_array_equal(state.exp_neg2psi, np.exp(-2.0 * state.psi))
+        np.testing.assert_array_equal(state.psi_fiber_gradient,
+                                      fb.gradient_values(state.psi, TORUS))
+        np.testing.assert_array_equal(state.psi_base_gradient,
+                                      geo.base_gradient(state.psi, state))
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda s, psi: ff.ProductState(s.base, s.fiber, s.phi, psi, s.t),
+        lambda s, psi: dataclasses.replace(s, psi=psi),
+    ])
+    def test_new_psi_never_sees_stale_fields(self, rebuild):
+        old = random_state(9, fiber=TORUS)
+        xi = np.stack([fb.harmonic_field((BASE4, TORUS), {(0, 1, 2): (0.1, 0.3)}),
+                       fb.harmonic_field((BASE4, TORUS), {(1, 2, 1): (0.2, 0.1)})])
+        geo.div_perp(xi, old)      # fills the old state's store
+        old.psi_base_gradient
+        psi = 0.1 * fb.harmonic_field((BASE4, TORUS), {(1, 1, 3): (0.4, 0.2)})
+        new = rebuild(old, psi)
+        psi_grad = fb.gradient_values(psi, TORUS)
+        direct = np.zeros(new.shape)
+        for k in range(2):
+            direct += fb.gradient_values(xi[k], TORUS)[k]
+            direct += 2 * psi_grad[k] * xi[k]
+        np.testing.assert_array_equal(geo.div_perp(xi, new), direct)
+        np.testing.assert_array_equal(new.psi_base_gradient,
+                                      geo.base_gradient(psi, new))
+
+    def test_cache_is_not_part_of_repr(self):
+        state = twisted_circle()
+        state.exp_neg2psi
+        assert "_psi_fields" not in repr(state)
 
 
 class TestConformalOperators:
