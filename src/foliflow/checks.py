@@ -23,7 +23,7 @@ from . import geometry as geo
 from .errors import DegenerateTrajectoryError, InputError, UnsupportedScenarioError
 from .fdref import FdScheme, fd_heat_run
 from .fiber import FiberGrid
-from .flows import Trajectory, _broadcast_x
+from .flows import Trajectory, normalization_rate, tau_of_state
 from .geometry import ProductState
 
 SPECTRAL_TOL = 1e-8
@@ -87,13 +87,6 @@ def check_divergence_identity(state: ProductState, xi: np.ndarray | None = None,
     return CheckReport("divergence_identity", abs(lhs - rhs), tolerance, state.t)
 
 
-def codim1_tau(state: ProductState) -> np.ndarray:
-    """Leafwise mean-curvature scalar g(N, H) for one-dimensional fibers."""
-    if state.p != 1:
-        raise InputError("tau needs one-dimensional fibers")
-    return np.exp(state.psi) * geo.twisted_mean_curvature(state)[0]
-
-
 def check_codim1_identity(state: ProductState, f: np.ndarray | None = None,
                           tolerance: float = SPECTRAL_TOL) -> CheckReport:
     """int N(f) dvol = int tau f dvol along the unit fiber normal N.
@@ -109,7 +102,7 @@ def check_codim1_identity(state: ProductState, f: np.ndarray | None = None,
     if f.shape != state.shape:
         raise InputError(f"f shape {f.shape} != state shape {state.shape}")
     n_of_f = np.exp(-state.psi) * fb.gradient_values(f, state.fiber)[0]
-    residual = abs(geo.integrate(state, n_of_f - codim1_tau(state) * f))
+    residual = abs(geo.integrate(state, n_of_f - tau_of_state(state) * f))
     return CheckReport("codim1_identity", residual, tolerance, state.t)
 
 
@@ -166,9 +159,22 @@ def check_preservation(trajectory: Trajectory,
     return reports
 
 
-def _driving_theta(state: ProductState, x: np.ndarray) -> np.ndarray:
-    h = geo.twisted_mean_curvature(state)
-    return np.exp(2.0 * state.psi) * (h - x)
+def _driving(state: ProductState, x: np.ndarray) -> np.ndarray:
+    """The driving scalar Div_perp(H - X) of one state."""
+    return geo.div_perp(geo.twisted_mean_curvature(state) - x, state)
+
+
+def _speed(state: ProductState, x: np.ndarray, normalized: bool) -> np.ndarray:
+    """Conformal speed s = -(2/n) Div_perp(H - X) - r of the leaf factor.
+
+    r enters only under the normalized variant, where X = 0 and the
+    driving scalar is Div_perp H itself.
+    """
+    driving = _driving(state, x)
+    s = -(2.0 / state.n) * driving
+    if normalized:
+        s = s - normalization_rate(state, driving)
+    return s
 
 
 def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
@@ -177,7 +183,7 @@ def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
     The leaf measure exp(p psi) dy and the leaf metric are frozen in
     time, so these norms see only the evolving 1-form.
     """
-    theta = _driving_theta(state, x)
+    theta = geo.theta_h(state, geo.twisted_mean_curvature(state) - x)
     leaf_weight = np.exp(state.p * state.psi)
     flat_vol = state.base.volume * state.fiber.volume
     theta_sq = np.exp(-2.0 * state.psi) * np.sum(theta ** 2, axis=0)
@@ -197,7 +203,7 @@ def check_monotonicity(trajectory: Trajectory, h: float = 1e-4,
     evaluator (one-sided at t = 0), the codifferential term is evaluated
     at the sample itself.
     """
-    x = _broadcast_x(trajectory.config.x_field, trajectory.initial)
+    x = trajectory.x
 
     def energy(t: float) -> float:
         return _theta_norms(trajectory.evaluate(t), x)[0]
@@ -229,13 +235,7 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None,
         t = trajectory.sample_times[len(trajectory.sample_times) // 2]
         t = min(max(t, spacing), config.t_end - spacing)
     state = trajectory.evaluate(t)
-    x = _broadcast_x(config.x_field, trajectory.initial)
-    driving = geo.div_perp(geo.twisted_mean_curvature(state) - x, state)
-    s = -(2.0 / state.n) * driving
-    if config.variant == "normalized":
-        from .flows import normalization_rate
-
-        s = s - normalization_rate(state)
+    s = _speed(state, trajectory.x, config.variant == "normalized")
     rhs = (state.n / 2.0) * geo.integrate(state, s)
     lhs = (geo.volume(trajectory.evaluate(t + spacing))
            - geo.volume(trajectory.evaluate(t - spacing))) / (2.0 * spacing)
@@ -275,20 +275,12 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     if t <= 0:
         raise InputError("bperp scaling needs t > 0")
     weights = _simpson_weights(t, quad_nodes)
-    x = _broadcast_x(config.x_field, trajectory.initial)
     nodes = np.linspace(0.0, t, quad_nodes)
     normalized = config.variant == "normalized"
-    if normalized:
-        from .flows import normalization_rate
-
     exponent = np.zeros(trajectory.initial.shape)
     for tau, weight in zip(nodes, weights):
         s_state = trajectory.evaluate(float(tau))
-        driving = geo.div_perp(geo.twisted_mean_curvature(s_state) - x, s_state)
-        s_val = -(2.0 / s_state.n) * driving
-        if normalized:
-            s_val = s_val - normalization_rate(s_state)
-        exponent -= weight * s_val
+        exponent -= weight * _speed(s_state, trajectory.x, normalized)
 
     start = trajectory.evaluate(0.0)
     end = trajectory.evaluate(t)
@@ -318,9 +310,8 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
             "the spectral certificate needs a fiber-constant psi"
         )
     initial = trajectory.initial
-    x = _broadcast_x(trajectory.config.x_field, initial)
-    driving0 = geo.div_perp(geo.twisted_mean_curvature(initial) - x, initial)
-    axes = tuple(range(initial.n, initial.n + initial.p))
+    driving0 = _driving(initial, trajectory.x)
+    axes = initial.fiber_axes
     coeffs = np.fft.fftn(driving0, axes=axes) / np.prod(initial.fiber.shape)
     mags = np.abs(coeffs)
     zero = (slice(None),) * initial.n + (0,) * initial.p

@@ -51,14 +51,14 @@ def _as_positive_floats(raw, count: int, label: str) -> tuple[float, ...]:
     if np.isscalar(raw):
         raw = [raw] * count
     vals = tuple(float(v) for v in raw)
-    if len(vals) != count or any(v <= 0 for v in vals):
-        raise InputError(f"{label} must be {count} positive length(s), got {raw!r}")
+    if len(vals) != count or not all(np.isfinite(v) and v > 0 for v in vals):
+        raise InputError(f"{label} must be {count} finite positive length(s), got {raw!r}")
     return vals
 
 
 def _as_points(raw, count: int, label: str) -> tuple[int, ...]:
     if raw is None:
-        raw = 64
+        raw = fb.DEFAULT_POINTS
     if np.isscalar(raw):
         raw = [raw] * count
     pts = tuple(int(v) for v in raw)
@@ -129,19 +129,16 @@ def _load_config(path: Path, args) -> dict:
         raise InputError("samples must be a nonempty list of times")
     scheme = FdScheme(dt=float(cfg.get("dt", 1e-3)), theta=float(cfg.get("theta", 0.5)))
     flow_cfg = fl.FlowConfig(
-        n=n,
-        p=p,
-        t_end=float(cfg.get("t_end", samples[-1] if samples else 1.0)),
+        t_end=float(cfg.get("t_end", samples[-1])),
         samples=tuple(float(s) for s in samples),
         variant=variant,
         x_field=x_field,
         tol_converge=float(cfg.get("tol_converge", 1e-10)),
-        oracle_check=bool(cfg.get("oracle_check", False)),
         fd_scheme=scheme,
     )
 
     checks = list(cfg.get("checks", []))
-    if (flow_cfg.oracle_check and not args.no_oracle
+    if (cfg.get("oracle_check", False) and not args.no_oracle
             and "oracle_agreement" not in checks):
         checks.append("oracle_agreement")
     if args.no_oracle:

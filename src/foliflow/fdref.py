@@ -33,15 +33,12 @@ class FdScheme:
 
     dt: float = 1e-3
     theta: float = 0.5
-    grid_points: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InputError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise InputError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 <= self.theta <= 1.0:
             raise InputError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.grid_points is not None and self.grid_points < 4:
-            raise InputError("grid_points must be at least 4")
 
 
 def _roll_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:

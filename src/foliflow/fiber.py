@@ -57,8 +57,8 @@ class FiberGrid:
         sides = tuple(float(s) for s in np.atleast_1d(self.sides))
         if len(sides) != self.dim:
             raise InputError(f"expected {self.dim} side lengths, got {len(sides)}")
-        if any(s <= 0 for s in sides):
-            raise InputError(f"side lengths must be positive, got {sides}")
+        if not all(math.isfinite(s) and s > 0 for s in sides):
+            raise InputError(f"side lengths must be finite and positive, got {sides}")
         pts = self.points
         if pts is None:
             pts = (DEFAULT_POINTS,) * self.dim

@@ -52,36 +52,32 @@ from .geometry import ProductState
 
 VARIANTS = ("plain", "normalized", "prescribed")
 
-# Driving fields with sup norm at or below this are treated as absent:
-# the trajectory short-circuits to a constant metric.
-ZERO_FIELD_TOL = 0.0
-
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Run parameters shared by every flow variant."""
+    """Run parameters shared by every flow variant.
 
-    n: int
-    p: int
+    The dimensions n and p are those of the state the run starts from.
+    """
+
     t_end: float
     samples: tuple[float, ...]
     variant: str = "plain"
     x_field: np.ndarray | None = None
     tol_converge: float = 1e-10
-    oracle_check: bool = False
     closedness_tol: float = 1e-9
     fd_scheme: FdScheme = field(default_factory=FdScheme)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.n not in (1, 2) or self.p not in (1, 2):
-            raise InputError(f"dimensions n, p must be 1 or 2, got n={self.n}, p={self.p}")
-        if not self.t_end > 0:
-            raise InputError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise InputError(f"t_end must be finite and positive, got {self.t_end}")
         samples = tuple(float(s) for s in self.samples)
         if not samples:
             raise InputError("at least one sample time is required")
+        if not all(math.isfinite(s) for s in samples):
+            raise InputError(f"samples must be finite, got {samples}")
         if list(samples) != sorted(samples):
             raise InputError("sample times must be sorted ascending")
         if samples[0] < 0 or samples[-1] > self.t_end + 1e-12:
@@ -126,6 +122,7 @@ class Trajectory:
     initial: ProductState
     evaluate: Callable[[float], ProductState]
     exact_path: bool
+    x: np.ndarray            # target field X on the full grid; zero unless prescribed
 
     @property
     def sample_times(self) -> tuple[float, ...]:
@@ -148,13 +145,15 @@ def _broadcast_x(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
     return x
 
 
-def normalization_rate(state: ProductState) -> float:
+def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> float:
     """r(t) = -(2/n) int Div_perp H dvol / vol of one state.
 
     By the divergence identity this equals -(2/n) int |H|^2 dvol / vol,
-    so it is nonpositive and vanishes exactly on product metrics.
+    so it is nonpositive and vanishes exactly on product metrics.  A
+    caller that already holds Div_perp H passes it as ``div_h``.
     """
-    div_h = geo.div_perp(geo.twisted_mean_curvature(state), state)
+    if div_h is None:
+        div_h = geo.div_perp(geo.twisted_mean_curvature(state), state)
     return float(-(2.0 / state.n) * geo.integrate(state, div_h) / geo.volume(state))
 
 
@@ -162,27 +161,6 @@ def project_unit_volume(state: ProductState) -> ProductState:
     """Rescale ghat conformally (fiber-constant) to unit total volume."""
     shift = math.log(geo.volume(state)) / state.n
     return state.replace_phi(state.phi - shift, state.t)
-
-
-def reconstruct_metric(initial: ProductState, divh0: np.ndarray, t: float) -> ProductState:
-    """State at time t from the initial driving scalar Div_perp H.
-
-    Exact-path reconstruction: the driving scalar obeys the leafwise heat
-    equation, so its running time integral is a closed-form multiplier and
-    phi(t) = phi(0) - (1/n) * that integral.  The exponent is uniformly
-    bounded by sum_{l /= 0} |mode_l| / lambda_1 per fiber, which certifies
-    uniform metric equivalence along the whole flow.
-    """
-    if not geo.psi_is_fiber_constant(initial):
-        raise UnsupportedScenarioError(
-            "spectral reconstruction requires psi constant along each fiber"
-        )
-    divh0 = np.asarray(divh0, dtype=float)
-    if divh0.shape != initial.shape:
-        raise InputError(f"driving scalar shape {divh0.shape} != state shape {initial.shape}")
-    rate = np.exp(-2.0 * geo.psi_fiber_mean(initial))
-    integral = fb.time_integral_values(divh0, initial.fiber, t, rate_scale=rate)
-    return initial.replace_phi(initial.phi - integral / initial.n, t)
 
 
 def _fd_march(phi_vals: np.ndarray, state0: ProductState, dt_scheme: FdScheme,
@@ -251,15 +229,14 @@ def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRe
         driving = geo.div_perp(data.h - x, state)
     else:
         driving = div_h
-    vol = geo.volume(state)
     h_sq = np.exp(2.0 * state.psi) * np.sum(data.h ** 2, axis=0)
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
         t=state.t,
-        vol=vol,
+        vol=geo.volume(state),
         int_h2=geo.integrate(state, h_sq),
         max_div_h=float(np.max(np.abs(div_h))),
-        rate=float(-(2.0 / state.n) * geo.integrate(state, div_h) / vol),
+        rate=normalization_rate(state, div_h),
         max_driving=float(np.max(np.abs(driving))),
         umbilical_residual=report.umbilical_residual,
         d_theta_sup=geo.d_theta_sup(state, data.h),
@@ -276,11 +253,6 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     always emits the analytic t -> inf limit.  A zero driving field
     short-circuits to a constant trajectory.
     """
-    if (initial.n, initial.p) != (config.n, config.p):
-        raise InputError(
-            f"config dimensions (n={config.n}, p={config.p}) do not match the state "
-            f"(n={initial.n}, p={initial.p})"
-        )
     x = _broadcast_x(config.x_field, initial)
     h0 = geo.twisted_mean_curvature(initial)
 
@@ -295,7 +267,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     driving0 = geo.div_perp(h0 - x, initial)
     exact = geo.psi_is_fiber_constant(initial)
 
-    if float(np.max(np.abs(driving0))) <= ZERO_FIELD_TOL:
+    if not np.any(driving0):
         def evaluate_plain(t: float) -> ProductState:
             if t < 0:
                 raise InputError(f"trajectory time must be >= 0, got {t}")
@@ -332,6 +304,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         initial=initial,
         evaluate=evaluate,
         exact_path=exact,
+        x=x,
     )
 
 
@@ -381,9 +354,7 @@ def run_codim1(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid,
 
 
 def tau_of_state(state: ProductState) -> np.ndarray:
-    """Leafwise mean-curvature scalar g(N, H) of a codimension-one state."""
+    """Leafwise mean-curvature scalar g(N, H) = exp(psi) H of a p = 1 state."""
     if state.p != 1:
         raise InputError("tau is defined for one-dimensional fibers only")
-    if float(np.max(np.abs(state.psi))) > 1e-13:
-        raise UnsupportedScenarioError("codimension-one states use a flat fiber metric")
-    return geo.twisted_mean_curvature(state)[0]
+    return np.exp(state.psi) * geo.twisted_mean_curvature(state)[0]

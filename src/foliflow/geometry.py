@@ -362,9 +362,6 @@ class ClassificationReport:
     umbilical_residual: float       # sup |b - (H/n) ghat| coefficient norm
     normal_residual: float
 
-    def as_tuple(self) -> tuple[str, str]:
-        return self.tangent.label, self.normal.label
-
 
 def classify(state: ProductState, tol: float = 1e-10,
              data: SecondFundamentalData | None = None) -> ClassificationReport:

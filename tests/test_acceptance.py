@@ -22,7 +22,6 @@ import pytest
 import foliflow as ff
 from foliflow import checks
 from foliflow import fiber as fb
-from foliflow import flows
 from foliflow import geometry as geo
 
 BASE = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
@@ -37,7 +36,7 @@ def verdict(num: int, label: str, ok: bool) -> None:
 
 def single_mode_traj(samples, variant="plain", x_field=None):
     state = ff.ProductState.from_harmonics(BASE, CIRCLE, {(0, 1): 0.2})
-    config = ff.FlowConfig(n=1, p=1, t_end=max(samples), samples=samples,
+    config = ff.FlowConfig(t_end=max(samples), samples=samples,
                            variant=variant, x_field=x_field)
     return ff.run_extrinsic_flow(state, config)
 
@@ -54,7 +53,7 @@ def test_c01_single_mode_decay_on_circle():
 def test_c02_torus_eigenvalue_decay():
     """Mode (1, 2) on the square torus decays as exp(-5 t), 1e-6 relative."""
     state = ff.ProductState.from_harmonics(BASE, TORUS, {(0, 1, 2): 0.1})
-    config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(0.0, 1.0))
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
     traj = ff.run_extrinsic_flow(state, config)
     d0, d1 = traj.diagnostics
     rel = abs(d1.max_div_h / d0.max_div_h - math.exp(-5.0)) / math.exp(-5.0)
@@ -99,7 +98,7 @@ def test_c05_reeb_total_curvature():
     x = BASE64.coordinates()[0]
     y = CIRCLE.coordinates()[0]
     tau0 = (1.0 + 0.3 * np.cos(x))[:, None] * np.cos(y)[None, :]
-    config = ff.FlowConfig(n=1, p=1, t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
+    config = ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
     traj = ff.run_codim1(tau0, BASE64, CIRCLE, config)
     totals = [
         abs(geo.integrate(s, np.exp(s.psi) * ff.twisted_mean_curvature(s)[0]))
@@ -154,14 +153,14 @@ def test_c08_preservation_suite():
 
     torus_state = ff.ProductState.from_harmonics(BASE, TORUS, {(0, 1, 2): 0.1})
     torus_traj = ff.run_extrinsic_flow(
-        torus_state, ff.FlowConfig(n=1, p=2, t_end=1.0, samples=samples))
+        torus_state, ff.FlowConfig(t_end=1.0, samples=samples))
     closed = max(d.d_theta_sup for d in torus_traj.diagnostics)
 
     # psi = 0.1 cos x keeps the exact path but bends the base distribution
     bent = ff.ProductState.from_harmonics(BASE, CIRCLE, {(0, 1): 0.2},
                                           {(1, 0): 0.1})
     bent_traj = ff.run_extrinsic_flow(
-        bent, ff.FlowConfig(n=1, p=1, t_end=1.0, samples=samples))
+        bent, ff.FlowConfig(t_end=1.0, samples=samples))
     assert np.max(np.abs(geo.second_fundamental(bent).bperp_coeff)) > 0.05
     scaling = checks.check_bperp_scaling(bent_traj).residual
 
@@ -187,7 +186,7 @@ def test_c10_prescribed_limit():
     traj = single_mode_traj((0.0, 1.0, 2.0), variant="prescribed", x_field=x)
     limit = traj.limit
     h_inf = ff.twisted_mean_curvature(limit)
-    x_full = flows._broadcast_x(x, limit)
+    x_full = traj.x
     div_res = float(np.max(np.abs(geo.div_perp(h_inf - x_full, limit))))
     h_res = float(np.max(np.abs(h_inf)))
     ok = div_res < 1e-8 and h_res < 1e-8
@@ -214,7 +213,7 @@ def test_c12_twisted_limit_average():
     """
     state = ff.ProductState.from_harmonics(BASE64, CIRCLE,
                                            {(0, 1): 0.2, (1, 0): 0.1})
-    config = ff.FlowConfig(n=1, p=1, t_end=1.0, samples=(0.0, 1.0))
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
     traj = ff.run_extrinsic_flow(state, config)
     weights = np.exp(state.p * state.psi)
     oracle = (state.phi * weights).sum(axis=-1) / weights.sum(axis=-1)

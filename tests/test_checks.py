@@ -28,7 +28,7 @@ TORUS = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (32, 32))
 
 def single_mode_traj(samples=(0.0, 0.5, 1.0, 2.0), variant="plain"):
     state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2})
-    config = ff.FlowConfig(n=1, p=1, t_end=max(samples), samples=samples,
+    config = ff.FlowConfig(t_end=max(samples), samples=samples,
                            variant=variant)
     return ff.run_extrinsic_flow(state, config)
 
@@ -36,7 +36,7 @@ def single_mode_traj(samples=(0.0, 0.5, 1.0, 2.0), variant="plain"):
 def fd_path_traj():
     state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2},
                                            {(0, 1): 0.1})
-    config = ff.FlowConfig(n=1, p=1, t_end=1.0, samples=(0.0, 0.5, 1.0))
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
     return ff.run_extrinsic_flow(state, config)
 
 
@@ -91,7 +91,7 @@ class TestCodim1Identity:
         y = CIRCLE.coordinates()[0]
         tau0 = np.broadcast_to(np.cos(y), (8, 64))
         traj = ff.run_codim1(tau0, BASE8, CIRCLE,
-                             ff.FlowConfig(n=1, p=1, t_end=1.0, samples=(0.0, 1.0)))
+                             ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0)))
         for state in traj.states:
             assert checks.check_codim1_identity(state).residual < 1e-13
 
@@ -100,9 +100,9 @@ class TestCodim1Identity:
         y = CIRCLE.coordinates()[0]
         tau0 = np.broadcast_to(np.cos(y), (8, 64))
         traj = ff.run_codim1(tau0, BASE8, CIRCLE,
-                             ff.FlowConfig(n=1, p=1, t_end=1.0, samples=(0.5,)))
+                             ff.FlowConfig(t_end=1.0, samples=(0.5,)))
         state = traj.states[0]
-        tau = checks.codim1_tau(state)
+        tau = ff.tau_of_state(state)
         assert checks.check_codim1_identity(state, tau).residual < 1e-12
         assert geo.integrate(state, tau * tau) > 0.0
 
@@ -170,7 +170,7 @@ class TestMonotonicity:
     def test_prescribed_driving_form(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2})
         x = np.full((1,) + CIRCLE.shape, 0.1)
-        config = ff.FlowConfig(n=1, p=1, t_end=1.0, samples=(0.0, 0.5, 1.0))
+        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
         traj = ff.run_prescribed(state, x, config)
         assert all(r.passed for r in checks.check_monotonicity(traj))
 
@@ -194,7 +194,7 @@ class TestBperpScaling:
         # psi = 0.1 cos x is fiber-constant but bends the base distribution
         state = ff.ProductState.from_harmonics(
             BASE4, CIRCLE, {(0, 1): 0.2}, {(1, 0): 0.1})
-        config = ff.FlowConfig(n=1, p=1, t_end=1.0,
+        config = ff.FlowConfig(t_end=1.0,
                                samples=(0.0, 0.5, 1.0), variant=variant)
         return ff.run_extrinsic_flow(state, config)
 
@@ -270,7 +270,7 @@ class TestOracleAgreement:
 
     def test_torus_native_resolution(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(0.0, 1.0))
+        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
         traj = ff.run_extrinsic_flow(state, config)
         assert checks.check_oracle_agreement(traj).residual < 1e-3
 
@@ -304,7 +304,7 @@ class TestDecayRate:
 
     def test_torus_mode_slope(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0,
+        config = ff.FlowConfig(t_end=1.0,
                                samples=(0.0, 0.25, 0.5, 0.75, 1.0))
         traj = ff.run_extrinsic_flow(state, config)
         assert checks.estimate_decay_rate(traj) == pytest.approx(-5.0, rel=1e-9)
@@ -312,7 +312,7 @@ class TestDecayRate:
     def test_mixed_modes_need_late_window(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE,
                                                {(0, 1): 0.2, (0, 2): 0.1})
-        config = ff.FlowConfig(n=1, p=1, t_end=7.0,
+        config = ff.FlowConfig(t_end=7.0,
                                samples=tuple(float(k) for k in range(8)))
         traj = ff.run_extrinsic_flow(state, config)
         early = checks.check_decay_rate(traj)
@@ -322,7 +322,7 @@ class TestDecayRate:
 
     def test_zero_trajectory_degenerate(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {})
-        config = ff.FlowConfig(n=1, p=1, t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
+        config = ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
         traj = ff.run_extrinsic_flow(state, config)
         with pytest.raises(DegenerateTrajectoryError):
             checks.estimate_decay_rate(traj)
@@ -357,7 +357,7 @@ class TestRunChecks:
 
     def test_rigidity_probe_runs_on_torus(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(0.0, 1.0))
+        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
         traj = ff.run_extrinsic_flow(state, config)
         reports = checks.run_checks(traj, ["harmonic_rigidity"])
         assert all(r.passed for r in reports)

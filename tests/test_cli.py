@@ -93,6 +93,27 @@ class TestExitCodes:
         assert "hypothesis violation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", math.nan),
+        ("dt", math.inf),
+        ("theta", math.nan),
+        ("fiber_sides", math.nan),
+        ("base_sides", math.inf),
+        ("t_end", math.nan),
+        ("samples", [0.0, math.nan, 2.0]),
+    ], ids=["dt-nan", "dt-inf", "theta-nan", "fiber_sides-nan", "base_sides-inf",
+            "t_end-nan", "samples-nan"])
+    def test_non_finite_value_exits_two_without_outputs(self, tmp_path, capsys,
+                                                        key, value):
+        # an FD scenario, so that dt and theta reach the march
+        cfg = write_config(tmp_path, scenario="double_twisted", psi={"0,1": 0.1},
+                           **{key: value})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])

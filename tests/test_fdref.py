@@ -39,7 +39,9 @@ class TestFdScheme:
         {"dt": -1e-3},
         {"theta": -0.1},
         {"theta": 1.5},
-        {"grid_points": 2},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"theta": math.nan},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InputError):

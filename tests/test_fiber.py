@@ -57,6 +57,8 @@ class TestFiberGrid:
         dict(dim=1, sides=(1.0,), points=(6,)),   # not a power of two
         dict(dim=1, sides=(1.0,), points=(2,)),   # below minimum
         dict(dim=2, sides=(1.0,), points=(8, 8)),
+        dict(dim=1, sides=(math.nan,), points=(8,)),
+        dict(dim=2, sides=(1.0, math.inf), points=(8, 8)),
     ])
     def test_validation(self, bad):
         with pytest.raises(InputError):

@@ -31,7 +31,7 @@ def single_mode_state(amp=0.2):
 
 
 def plain_config(**kwargs):
-    defaults = dict(n=1, p=1, t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
+    defaults = dict(t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
     defaults.update(kwargs)
     return ff.FlowConfig(**defaults)
 
@@ -39,8 +39,8 @@ def plain_config(**kwargs):
 class TestFlowConfig:
     @pytest.mark.parametrize("kwargs", [
         {"variant": "backwards"},
-        {"n": 3},
-        {"p": 0},
+        {"t_end": math.nan},
+        {"samples": (0.0, math.nan)},
         {"t_end": 0.0},
         {"t_end": -1.0},
         {"samples": ()},
@@ -58,11 +58,6 @@ class TestFlowConfig:
     def test_samples_coerced_to_floats(self):
         config = plain_config(samples=(0, 1, 2))
         assert config.samples == (0.0, 1.0, 2.0)
-
-    def test_dimension_mismatch_with_state(self):
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(1.0,))
-        with pytest.raises(InputError):
-            ff.run_extrinsic_flow(single_mode_state(), config)
 
 
 class TestPlainFlow:
@@ -97,7 +92,7 @@ class TestPlainFlow:
     def test_torus_mode_rate(self):
         # mode (1, 2) decays at the eigenvalue 5
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(0.0, 1.0))
+        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
         traj = ff.run_extrinsic_flow(state, config)
         d0, d1 = traj.diagnostics
         assert d1.max_div_h == pytest.approx(d0.max_div_h * math.exp(-5.0),
@@ -152,26 +147,18 @@ class TestPlainFlow:
         assert flows.normalization_rate(traj.states[0]) == pytest.approx(
             record.rate, rel=1e-12)
 
+    def test_rate_from_supplied_div_h_is_bitwise(self):
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
+                                               {(1, 0): 0.1})
+        div_h = geo.div_perp(ff.twisted_mean_curvature(state), state)
+        assert flows.normalization_rate(state, div_h) == flows.normalization_rate(state)
 
-class TestReconstruction:
-    def test_matches_run_states(self):
+    def test_target_field_is_zero_unless_prescribed(self):
         state = single_mode_state()
-        divh0 = geo.div_perp(ff.twisted_mean_curvature(state), state)
-        traj = ff.run_extrinsic_flow(state, plain_config())
-        for t in (0.0, 0.5, 1.3):
-            rebuilt = ff.reconstruct_metric(state, divh0, t)
-            np.testing.assert_allclose(rebuilt.phi, traj.evaluate(t).phi,
-                                       atol=1e-12)
-
-    def test_requires_fiber_constant_psi(self):
-        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2},
-                                               {(0, 1): 0.1})
-        with pytest.raises(UnsupportedScenarioError):
-            ff.reconstruct_metric(state, np.zeros(state.shape), 1.0)
-
-    def test_shape_checked(self):
-        with pytest.raises(InputError):
-            ff.reconstruct_metric(single_mode_state(), np.zeros(64), 1.0)
+        for run in (ff.run_extrinsic_flow, ff.run_normalized):
+            traj = run(state, plain_config())
+            assert traj.x.shape == (1,) + state.shape
+            assert not np.any(traj.x)
 
 
 class TestNormalizedFlow:
@@ -233,7 +220,8 @@ class TestPrescribedFlow:
         x = (0.1 + 0.05 * np.cos(2.0 * y))[None, :]
         traj = ff.run_prescribed(state, x, plain_config())
         h0 = ff.twisted_mean_curvature(state)
-        x_full = flows._broadcast_x(x, state)
+        x_full = traj.x
+        np.testing.assert_array_equal(x_full, np.broadcast_to(x[:, None], (1,) + state.shape))
         expected = x_full + np.mean(h0 - x_full, axis=-1, keepdims=True)
         np.testing.assert_allclose(ff.twisted_mean_curvature(traj.limit),
                                    expected, atol=1e-12)
@@ -249,7 +237,7 @@ class TestPrescribedFlow:
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
         y1, y2 = np.meshgrid(*TORUS.coordinates(), indexing="ij")
         x = np.stack([np.sin(y2), np.zeros(TORUS.shape)])
-        config = ff.FlowConfig(n=1, p=2, t_end=1.0, samples=(1.0,))
+        config = ff.FlowConfig(t_end=1.0, samples=(1.0,))
         with pytest.raises(HypothesisViolationError):
             ff.run_prescribed(state, x, config)
 
@@ -306,13 +294,22 @@ class TestCodimensionOne:
         with pytest.raises(InputError):
             ff.run_codim1(np.zeros((8, 32)), BASE8, CIRCLE, plain_config())
 
-    def test_tau_requires_flat_one_dimensional_fiber(self):
+    def test_tau_requires_one_dimensional_fiber(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {})
         with pytest.raises(InputError):
             ff.tau_of_state(state)
-        twisted = ff.ProductState.from_harmonics(BASE4, CIRCLE, {}, {(0, 1): 0.1})
-        with pytest.raises(UnsupportedScenarioError):
-            ff.tau_of_state(twisted)
+
+    def test_tau_with_fiber_varying_psi(self):
+        """tau = g(N, H) = exp(psi) H for the unit normal N = exp(-psi) d/dy."""
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2, (1, 1): 0.05},
+                                               {(0, 1): 0.1, (1, 2): 0.05})
+        h = ff.twisted_mean_curvature(state)
+        np.testing.assert_array_equal(ff.tau_of_state(state), np.exp(state.psi) * h[0])
+        # closed form: H = -n exp(-2 psi) phi_y, so tau = -exp(-psi) phi_y
+        x, y = np.meshgrid(BASE4.coordinates()[0], CIRCLE.coordinates()[0], indexing="ij")
+        phi_y = -0.2 * np.sin(y) - 0.05 * np.sin(x + y)
+        psi = 0.1 * np.cos(y) + 0.05 * np.cos(x + 2.0 * y)
+        np.testing.assert_allclose(ff.tau_of_state(state), -np.exp(-psi) * phi_y, atol=1e-13)
 
 
 class TestFiniteDifferencePath:
