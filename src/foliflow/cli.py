@@ -56,12 +56,20 @@ def _as_positive_floats(raw, count: int, label: str) -> tuple[float, ...]:
     return vals
 
 
+def _as_int(raw, label: str) -> int:
+    """A JSON number with an integral, finite value (so 4.0 passes, 4.5 does not)."""
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not np.isfinite(raw) or raw != int(raw)):
+        raise InputError(f"{label} must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _as_points(raw, count: int, label: str) -> tuple[int, ...]:
     if raw is None:
         raw = fb.DEFAULT_POINTS
     if np.isscalar(raw):
         raw = [raw] * count
-    pts = tuple(int(v) for v in raw)
+    pts = tuple(_as_int(v, label) for v in raw)
     if len(pts) != count:
         raise InputError(f"{label} must give {count} resolutions, got {raw!r}")
     return pts
@@ -102,8 +110,11 @@ def _load_config(path: Path, args) -> dict:
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise InputError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    n = int(cfg.get("n", 1))
-    p = int(cfg.get("p", 1))
+    n = _as_int(cfg.get("n", 1), "n")
+    p = _as_int(cfg.get("p", 1), "p")
+    for key, dim in (("n", n), ("p", p)):
+        if dim not in (1, 2):
+            raise InputError(f"{key} must be 1 or 2, got {dim}")
     base_sides = _as_positive_floats(cfg.get("base_sides", 2 * np.pi), n, "base_sides")
     fiber_sides = _as_positive_floats(cfg.get("fiber_sides", 2 * np.pi), p, "fiber_sides")
     base_points = _as_points(cfg.get("base_points"), n, "base_points")

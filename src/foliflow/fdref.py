@@ -117,22 +117,71 @@ def _validate_explicit_step(dt: float, theta: float, psi: np.ndarray, grid: Fibe
         )
 
 
+# Unknowns per block-diagonal factorization.  A block-diagonal LU has exactly
+# the fill of its blocks, so packing many small fibers into one factorization
+# costs no arithmetic and replaces thousands of tiny solve calls by a few.  A
+# factor that outgrows the cache slows every step down, hence the bound: a
+# p = 2 run over 16 distinct fibers of 64^2 took 1.6-1.8 s and 79 MB with it,
+# 2.1-2.6 s and 177 MB as one block (2-core Xeon VM).
+_BLOCK_UNKNOWNS = 4096
+
+
+def _block_operator(profiles: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
+    """Block-diagonal operator over psi profiles stacked on axis 0."""
+    if len(profiles) == 1:
+        # block_diag would re-sort the stored entries, which moves p = 2 sums
+        return operator_matrix(profiles[0], grid)
+    return sp.block_diag([operator_matrix(q, grid) for q in profiles], format="csr")
+
+
+def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
+                 theta: float) -> np.ndarray:
+    """Apply `steps` theta steps of du/dt = lap u to the columns of work."""
+    eye = sp.identity(lap.shape[0], format="csr")
+    lhs = (eye - theta * dt * lap).tocsc()
+    rhs = (eye + (1.0 - theta) * dt * lap).tocsr()
+    try:
+        solver = spla.splu(lhs)
+    except RuntimeError as exc:  # singular factorization
+        raise SolveError(f"implicit step factorization failed: {exc}") from exc
+    for _ in range(steps):
+        work = solver.solve(rhs @ work)
+    return work
+
+
 def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
                 scheme: FdScheme) -> np.ndarray:
     """March du/dt = Lap_conformal u on the grid from 0 to t_end.
 
-    u0 may carry leading batch axes; all batch members share the single
-    psi profile (shape = grid.shape), so one factorization covers the whole
-    stack.  The requested dt is shrunk uniformly so the steps tile [0, t_end]
-    exactly.  With the flat stencil (psi = 0) the column sums of the operator
-    vanish, so the scheme conserves the grid mean of u to solver round-off.
+    u0 may carry leading batch axes, and psi takes one of two shapes:
+    grid.shape, one profile shared by every batch member, or u0.shape, one
+    profile per member.  Members whose profiles are bit-equal are marched
+    together as the columns of one right-hand side.  Distinct profiles are
+    packed, in turn, into chunks of at most max(fiber size, _BLOCK_UNKNOWNS)
+    unknowns, and each chunk is marched through one factorization of its
+    block-diagonal implicit operator, with zero columns padding the groups
+    that have fewer members.  The requested dt is shrunk uniformly so the
+    steps tile [0, t_end] exactly.  With the flat stencil (psi = 0) the
+    column sums of the operator vanish, so the scheme conserves the grid mean
+    of u to solver round-off.
     """
     u0 = np.asarray(u0, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != grid.shape:
-        raise InputError(f"psi shape {psi.shape} != grid shape {grid.shape}")
     if u0.shape[-grid.dim:] != grid.shape:
         raise InputError(f"u0 shape {u0.shape} does not end with grid shape {grid.shape}")
+    size = int(np.prod(grid.shape))
+    flat = u0.reshape(-1, size)
+    if psi.shape == grid.shape:
+        profiles = psi[np.newaxis]
+        inverse = np.zeros(len(flat), dtype=int)
+    elif psi.shape == u0.shape:
+        profiles, inverse = np.unique(psi.reshape(-1, size), axis=0, return_inverse=True)
+        profiles, inverse = profiles.reshape((-1,) + grid.shape), inverse.reshape(-1)
+    else:
+        raise InputError(
+            f"psi shape {psi.shape} is neither the grid shape {grid.shape} "
+            f"nor the u0 shape {u0.shape}"
+        )
     if t_end < 0:
         raise InputError(f"t_end must be nonnegative, got {t_end}")
     if t_end == 0:
@@ -141,23 +190,23 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
     dt = t_end / steps
     _validate_explicit_step(dt, scheme.theta, psi, grid)
 
-    lap = operator_matrix(psi, grid)
-    size = lap.shape[0]
-    eye = sp.identity(size, format="csr")
-    lhs = (eye - scheme.theta * dt * lap).tocsc()
-    rhs = (eye + (1.0 - scheme.theta) * dt * lap).tocsr()
-    try:
-        solver = spla.splu(lhs)
-    except RuntimeError as exc:  # singular factorization
-        raise SolveError(f"implicit step factorization failed: {exc}") from exc
-
-    lead = u0.shape[: u0.ndim - grid.dim]
-    work = u0.reshape(-1, size).T.copy()  # columns are batch members
-    for _ in range(steps):
-        work = solver.solve(rhs @ work)
-    if not np.all(np.isfinite(work)):
+    counts = np.bincount(inverse, minlength=len(profiles))
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    per_chunk = max(1, _BLOCK_UNKNOWNS // size)
+    out = np.empty_like(flat)
+    for first in range(0, len(profiles), per_chunk):
+        chunk = groups[first:first + per_chunk]
+        width = max(len(g) for g in chunk)
+        work = np.zeros((len(chunk), size, width))  # one column per member rank
+        for block, members in zip(work, chunk):
+            block[:, :len(members)] = flat[members].T
+        work = _theta_march(_block_operator(profiles[first:first + per_chunk], grid),
+                            work.reshape(-1, width), steps, dt, scheme.theta)
+        for block, members in zip(work.reshape(len(chunk), size, width), chunk):
+            out[members] = block[:, :len(members)].T
+    if not np.all(np.isfinite(out)):
         raise SolveError("finite-difference march produced non-finite values")
-    return work.T.reshape(lead + grid.shape)
+    return out.reshape(u0.shape)
 
 
 def fd_mean_curvature_from_metric(state: "geometry.ProductState") -> np.ndarray:

@@ -163,28 +163,6 @@ def project_unit_volume(state: ProductState) -> ProductState:
     return state.replace_phi(state.phi - shift, state.t)
 
 
-def _fd_march(phi_vals: np.ndarray, state0: ProductState, dt_scheme: FdScheme,
-              span: float) -> np.ndarray:
-    """Advance a full stack of fibers by the finite-difference heat march.
-
-    Fibers sharing a psi profile are marched together through one
-    factorization, one profile after another.
-    """
-    fiber_grid = state0.fiber
-    fiber_size = int(np.prod(fiber_grid.shape))
-    flat_phi = phi_vals.reshape(-1, fiber_size)
-    flat_psi = state0.psi.reshape(-1, fiber_size)
-    profiles, inverse = np.unique(flat_psi, axis=0, return_inverse=True)
-    out = np.empty_like(flat_phi)
-    for k in range(len(profiles)):
-        members = np.nonzero(inverse == k)[0]
-        stack = flat_phi[members].reshape((-1,) + fiber_grid.shape)
-        evolved = fd_heat_run(stack, profiles[k].reshape(fiber_grid.shape),
-                              fiber_grid, span, dt_scheme)
-        out[members] = evolved.reshape(len(members), fiber_size)
-    return out.reshape(phi_vals.shape)
-
-
 def _plain_evaluator(initial: ProductState, driving0: np.ndarray,
                      config: FlowConfig, exact: bool) -> Callable[[float], ProductState]:
     """Closed-form (or marching) solver for d/dt phi = Lap_perp phi."""
@@ -215,7 +193,7 @@ def _plain_evaluator(initial: ProductState, driving0: np.ndarray,
         t0, phi0 = cache[idx]
         if t == t0:
             return initial.replace_phi(phi0, t)
-        phi_t = _fd_march(phi0, initial, config.fd_scheme, t - t0)
+        phi_t = fd_heat_run(phi0, initial.psi, initial.fiber, t - t0, config.fd_scheme)
         cache.insert(idx + 1, (t, phi_t))
         return initial.replace_phi(phi_t, t)
 

@@ -6,10 +6,16 @@ no-partial-output guarantee on config errors, byte-identical reruns,
 and the flag surface (--grid, --no-oracle, --plot, --out).
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -113,6 +119,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("fiber_points", 32.9),
+        ("fiber_points", math.nan),
+        ("fiber_points", math.inf),
+        ("base_points", [4.5]),
+        ("n", 1.5),
+        ("p", math.nan),
+        ("p", "1"),
+        ("n", 0),
+    ], ids=["fiber_points-fraction", "fiber_points-nan", "fiber_points-inf",
+            "base_points-fraction", "n-fraction", "p-nan", "p-string", "n-zero"])
+    def test_non_integral_count_exits_two_without_outputs(self, tmp_path, capsys,
+                                                          key, value):
+        cfg = write_config(tmp_path, **{"fiber_points": 32, key: value})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        ints = write_config(tmp_path, "ints.json", fiber_points=32)
+        floats = write_config(tmp_path, "floats.json", fiber_points=32.0, n=1.0)
+        assert main(["run", str(ints), "--out", str(tmp_path / "ints")]) == 0
+        assert main(["run", str(floats), "--out", str(tmp_path / "floats")]) == 0
+        for name in ("diagnostics.csv", "phi_000.csv"):
+            assert ((tmp_path / "ints" / name).read_bytes()
+                    == (tmp_path / "floats" / name).read_bytes())
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -262,3 +297,54 @@ class TestScenarioRules:
                            phi0={"0,1,2": 0.1},
                            checks=["codim1_identity"])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+VALID_VALUES = {
+    "scenario": ["twisted_torus", "double_twisted"],
+    "n": [1, 2, 1.0], "p": [1, 2, 2.0],
+    "base_points": [4, 4.0], "fiber_points": [8, 16, 8.0],
+    "samples": [[0.0, 0.1], [0.0, 0.05, 0.1]],
+    "dt": [1e-2, 5e-2], "theta": [0.5, 1.0, 0.0],
+    "checks": [[], ["divergence_identity"], ["preservation"]],
+}
+INVALID_VALUES = {
+    "scenario": ["moebius", None],
+    "n": [1.5, 0, 3, -1, math.nan, "1", True], "p": [1.5, 0, 3, math.inf, "2", None],
+    "base_points": [4.5, 6, 0, -4, math.nan, math.inf, "4", [4, 4, 4]],
+    "fiber_points": [8.5, 2, -8, math.nan, math.inf, "8", {}],
+    "samples": [[], [math.nan], [-0.1, 0.1], [0.1, "a"], "x", None],
+    "dt": [0.0, -1e-2, math.nan, math.inf, "x"], "theta": [-0.5, 2.0, math.nan, "x"],
+    "checks": [["no_such_check"], "divergence_identity"],
+}
+
+
+@st.composite
+def hostile_configs(draw):
+    """Tiny valid scenarios with at most two keys replaced by invalid values."""
+    cfg = {key: draw(st.sampled_from(values)) for key, values in VALID_VALUES.items()}
+    width = int(cfg["n"] + cfg["p"])
+    cfg["phi0"] = {",".join(["0"] * (width - 1) + ["1"]): 0.1}
+    if cfg["scenario"] == "double_twisted" and draw(st.booleans()):
+        cfg["psi"] = {",".join(["1"] * width): 0.1}  # varies along the fiber: FD path
+    for key in draw(st.lists(st.sampled_from(sorted(INVALID_VALUES)), max_size=2,
+                             unique=True)):
+        cfg[key] = draw(st.sampled_from(INVALID_VALUES[key]))
+    return cfg
+
+
+class TestHostileConfigs:
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(cfg=hostile_configs())
+    def test_exit_code_without_traceback_or_partial_output(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", str(path), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not out.exists()

@@ -14,6 +14,8 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import foliflow as ff
 from foliflow import fdref
@@ -209,6 +211,121 @@ class TestFdHeatRun:
         out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, 0.0, ff.FdScheme())
         np.testing.assert_array_equal(out, u0)
         assert out is not u0
+
+
+def single_profile_march(u0, psi, grid, t_end, scheme):
+    """The one-factorization theta march on one psi profile, written out."""
+    steps = max(1, int(np.ceil(t_end / scheme.dt - 1e-12)))
+    dt = t_end / steps
+    lap = fdref.operator_matrix(psi, grid)
+    eye = sp.identity(lap.shape[0], format="csr")
+    solver = splu((eye - scheme.theta * dt * lap).tocsc())
+    rhs = (eye + (1.0 - scheme.theta) * dt * lap).tocsr()
+    size = lap.shape[0]
+    work = u0.reshape(-1, size).T.copy()
+    for _ in range(steps):
+        work = solver.solve(rhs @ work)
+    return work.T.reshape(u0.shape)
+
+
+def random_profiles(rng, count, grid):
+    coords = np.stack(np.meshgrid(*grid.coordinates(), indexing="ij"))
+    amps = 0.1 * rng.standard_normal((count, grid.dim))
+    return np.stack([0.2 * np.cos(np.tensordot(a, coords, axes=1) + a.sum())
+                     for a in amps])
+
+
+class TestPerMemberPsi:
+    """psi of u0's shape: one profile per batch member, chunked factorizations."""
+
+    scheme = ff.FdScheme(dt=1e-2)
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape[0])
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(fdref.spla, "splu", counting)
+        return calls
+
+    def test_distinct_profiles_match_individual_runs_bitwise(self, splu_calls):
+        rng = np.random.default_rng(5)
+        psi = random_profiles(rng, 6, SMALL).reshape((2, 3) + SMALL.shape)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, SMALL, 0.2, self.scheme)
+        assert splu_calls == [6 * 64]
+        for i in range(2):
+            for j in range(3):
+                single = ff.fd_heat_run(u0[i, j], psi[i, j], SMALL, 0.2, self.scheme)
+                np.testing.assert_array_equal(out[i, j], single)
+
+    def test_ragged_groups_match_per_profile_runs_bitwise(self, splu_calls):
+        rng = np.random.default_rng(6)
+        profiles = random_profiles(rng, 3, SMALL)
+        owner = np.array([2, 0, 1, 2, 1, 2])  # profiles shared by 1, 2 and 3 members
+        u0 = rng.standard_normal((6,) + SMALL.shape)
+        out = ff.fd_heat_run(u0, profiles[owner], SMALL, 0.2, self.scheme)
+        assert splu_calls == [3 * 64]
+        for k in range(3):
+            members = np.nonzero(owner == k)[0]
+            stacked = single_profile_march(u0[members], profiles[k], SMALL, 0.2,
+                                           self.scheme)
+            np.testing.assert_array_equal(out[members], stacked)
+
+    def test_profiles_beyond_one_chunk_match_per_profile_runs_bitwise(self, splu_calls):
+        rng = np.random.default_rng(7)
+        psi = random_profiles(rng, 65, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, SMALL, 0.05, self.scheme)
+        assert splu_calls == [fdref._BLOCK_UNKNOWNS, 64]
+        for k in range(65):
+            np.testing.assert_array_equal(
+                out[k], single_profile_march(u0[k], psi[k], SMALL, 0.05, self.scheme))
+
+    def test_shared_profile_is_one_factorization(self, splu_calls):
+        rng = np.random.default_rng(8)
+        psi = random_profiles(rng, 1, SMALL)[0]
+        u0 = rng.standard_normal((4,) + SMALL.shape)
+        shared = ff.fd_heat_run(u0, psi, SMALL, 0.2, self.scheme)
+        np.testing.assert_array_equal(
+            shared, single_profile_march(u0, psi, SMALL, 0.2, self.scheme))
+        repeated = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.2,
+                                  self.scheme)
+        np.testing.assert_array_equal(repeated, shared)
+        assert splu_calls == [64, 64]
+
+    def test_torus_fiber_alone_in_its_chunk_is_bitwise(self, splu_calls):
+        grid = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (64, 64))
+        rng = np.random.default_rng(9)
+        psi = random_profiles(rng, 2, grid)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, grid, 0.02, self.scheme)
+        assert splu_calls == [64 * 64, 64 * 64]
+        for k in range(2):
+            np.testing.assert_array_equal(
+                out[k], single_profile_march(u0[k], psi[k], grid, 0.02, self.scheme))
+
+    def test_torus_multi_profile_chunk_agrees(self, splu_calls):
+        grid = ff.FiberGrid(2, (6.0, 7.0), (16, 16))
+        rng = np.random.default_rng(10)
+        psi = random_profiles(rng, 5, grid)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, grid, 0.1, self.scheme)
+        assert splu_calls == [5 * 256]
+        for k in range(5):
+            np.testing.assert_allclose(
+                out[k], single_profile_march(u0[k], psi[k], grid, 0.1, self.scheme),
+                rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("psi_shape", [(3,) + SMALL.shape, (64, 2), (32,)],
+                             ids=["wrong-batch", "wrong-order", "wrong-grid"])
+    def test_other_psi_shapes_rejected(self, psi_shape):
+        u0 = np.zeros((2,) + SMALL.shape)
+        with pytest.raises(InputError):
+            ff.fd_heat_run(u0, np.zeros(psi_shape), SMALL, 0.1, self.scheme)
 
 
 class TestFdMeanCurvature:
