@@ -178,7 +178,7 @@ def _speed(state: ProductState, x: np.ndarray, normalized: bool) -> np.ndarray:
 
 
 def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
-    """(|theta|^2, |delta_perp theta|^2) in the leafwise L2 norm.
+    """(|theta|^2, |delta theta|^2) in the leafwise L2 norm, delta the leaf codifferential.
 
     The leaf measure exp(p psi) dy and the leaf metric are frozen in
     time, so these norms see only the evolving 1-form.
@@ -197,7 +197,7 @@ def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
 
 def check_monotonicity(trajectory: Trajectory, h: float = 1e-4,
                        tolerance: float = MONOTONE_TOL) -> list[CheckReport]:
-    """d/dt |theta_H|_2^2 = -2 |delta_perp theta_H|_2^2, sample by sample.
+    """d/dt |theta_H|_2^2 = -2 |delta theta_H|_2^2, sample by sample.
 
     The time derivative is a second-order finite difference of the exact
     evaluator (one-sided at t = 0), the codifferential term is evaluated

@@ -148,7 +148,9 @@ def _load_config(path: Path, args) -> dict:
         fd_scheme=scheme,
     )
 
-    checks = list(cfg.get("checks", []))
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise InputError(f"checks must be a list of check names, got {checks!r}")
     if (cfg.get("oracle_check", False) and not args.no_oracle
             and "oracle_agreement" not in checks):
         checks.append("oracle_agreement")

@@ -6,9 +6,10 @@ Fourier basis: the mode with integer vector l = (l_1..l_p) has eigenvalue
 
     lambda_l = sum_k (2*pi*l_k / L_k)**2,
 
-so the heat semigroup exp(t*Lap), its running time integral, the heat
-kernel, and the componentwise heat flow on 1-forms are all exact Fourier
-multipliers.  No time-stepping happens here.
+so the heat semigroup exp(t*Lap), its running time integral and the heat
+kernel are exact Fourier multipliers, as are the spectral first
+derivatives and the periodic antiderivative.  No time-stepping happens
+here.
 
 Fields are stored nodally.  Transforms go through real FFTs, which keep
 the conjugate (Hermitian) symmetry of the spectrum intact after every
@@ -25,6 +26,7 @@ leaf Laplacian is then exp(-2*psi) times the flat one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +64,11 @@ class FiberGrid:
         pts = self.points
         if pts is None:
             pts = (DEFAULT_POINTS,) * self.dim
-        pts = tuple(int(p) for p in np.atleast_1d(pts))
+        pts = np.atleast_1d(pts)
+        if not all(isinstance(p, numbers.Real) and math.isfinite(p) and p == int(p)
+                   for p in pts):
+            raise InputError(f"points per dimension must be finite integers, got {pts.tolist()}")
+        pts = tuple(int(p) for p in pts)
         if len(pts) == 1 and self.dim == 2:
             pts = pts * 2
         if len(pts) != self.dim:
@@ -147,6 +153,14 @@ def _wavenumbers_rfft(grid: FiberGrid, axis: int) -> np.ndarray:
     return 1j * factors[0][:, None] * factors[1][None, :]
 
 
+def _require_zero_means(values: np.ndarray, axes: tuple[int, ...], message: str) -> None:
+    """Raise InputError(message) unless every mean over axes vanishes to round-off."""
+    means = values.mean(axis=axes)
+    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    if np.max(np.abs(means)) > MEAN_ZERO_TOL * scale:
+        raise InputError(message)
+
+
 def _expand_rate(rate_scale: np.ndarray | None, values: np.ndarray, grid: FiberGrid):
     """Reshape a per-stack eigenvalue scale so it broadcasts over mode axes."""
     if rate_scale is None:
@@ -203,13 +217,8 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     positive = lam > 0
     lam_safe = np.where(positive, lam, 1.0)
     if math.isinf(t):
-        fiber_axes = _rfft_axes(values, grid)
-        means = values.mean(axis=fiber_axes)
-        scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-        if np.max(np.abs(means)) > MEAN_ZERO_TOL * scale:
-            raise InputError(
-                "infinite-horizon time integral diverges: fiber mean is nonzero"
-            )
+        _require_zero_means(values, _rfft_axes(values, grid),
+                            "infinite-horizon time integral diverges: fiber mean is nonzero")
         mult = np.where(positive, 1.0 / lam_safe, 0.0)
     else:
         mult = np.where(positive, -np.expm1(-lam_safe * t) / lam_safe, t)
@@ -252,11 +261,8 @@ def antiderivative_values(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
     if grid.dim != 1:
         raise InputError("antiderivative is defined for one-dimensional fibers only")
     values = np.asarray(values, dtype=float)
-    axes = _rfft_axes(values, grid)
-    means = values.mean(axis=axes)
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    if np.max(np.abs(means)) > MEAN_ZERO_TOL * scale:
-        raise InputError("periodic antiderivative needs a zero fiber mean")
+    _require_zero_means(values, _rfft_axes(values, grid),
+                        "periodic antiderivative needs a zero fiber mean")
     ik = _wavenumbers_rfft(grid, 0)
     inv = np.zeros_like(ik)
     inv[ik != 0] = 1.0 / ik[ik != 0]
@@ -302,8 +308,6 @@ def harmonic_field(grids: tuple[FiberGrid, ...], terms: dict) -> np.ndarray:
 
     Real by construction, so no conjugate-symmetry bookkeeping is needed.
     """
-    if isinstance(grids, FiberGrid):
-        grids = (grids,)
     dims = sum(g.dim for g in grids)
     shape = tuple(n for g in grids for n in g.points)
     sides = tuple(s for g in grids for s in g.sides)
@@ -320,63 +324,6 @@ def harmonic_field(grids: tuple[FiberGrid, ...], terms: dict) -> np.ndarray:
         phase = sum(2.0 * math.pi * mode[k] / sides[k] * mesh[k] for k in range(dims))
         out = out + a * np.cos(phase) + b * np.sin(phase)
     return out
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Real scalar field on one fiber, stored nodally.
-
-    The Fourier description is recovered on demand: ``coeff(l)`` returns
-    the coefficient of exp(i k_l . x) with the normalization u = sum_l
-    c_l exp(i k_l . x), so the zero mode is exactly the fiber average.
-    """
-
-    grid: FiberGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise InputError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_harmonics(cls, grid: FiberGrid, terms: dict) -> "SpectralField":
-        return cls(grid, harmonic_field((grid,), terms))
-
-    @classmethod
-    def zeros(cls, grid: FiberGrid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.shape))
-
-    def coeff(self, mode: tuple[int, ...]) -> complex:
-        mode = tuple(np.atleast_1d(mode).astype(int))
-        if len(mode) != self.grid.dim:
-            raise InputError(f"mode {mode} has wrong length")
-        spectrum = np.fft.fftn(self.values) / self.values.size
-        idx = tuple(m % n for m, n in zip(mode, self.grid.points))
-        return complex(spectrum[idx])
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def norm_l2(self) -> float:
-        """L2 norm with the flat fiber volume element."""
-        return math.sqrt(float(np.mean(self.values ** 2)) * self.grid.volume)
-
-    def norm_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def heat_evolve(u: SpectralField, t: float) -> SpectralField:
-    """Evolve one fiber field by the flat heat semigroup for time t >= 0."""
-    return SpectralField(u.grid, evolve_values(u.values, u.grid, t))
-
-
-def heat_time_integral(u: SpectralField, t: float) -> SpectralField:
-    """Time integral over [0, t] of the heat evolution of u (t = inf allowed)."""
-    return SpectralField(u.grid, time_integral_values(u.values, u.grid, t))
 
 
 def heat_kernel(t: float, x, y, grid: FiberGrid, cutoff: int = KERNEL_CUTOFF) -> float:
@@ -406,71 +353,3 @@ def heat_kernel(t: float, x, y, grid: FiberGrid, cutoff: int = KERNEL_CUTOFF) ->
         phase = k1[:, None] * (x[0] - y[0]) + k2[None, :] * (x[1] - y[1])
         total = np.sum(np.exp(-lam * t) * np.cos(phase))
     return float(total / grid.volume)
-
-
-@dataclass(frozen=True)
-class OneFormField:
-    """One-form on a flat fiber, stored as nodal component fields theta_i."""
-
-    grid: FiberGrid
-    components: np.ndarray  # shape (dim,) + grid.shape
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        if comps.shape != (self.grid.dim,) + self.grid.shape:
-            raise InputError(
-                f"components shape {comps.shape} != {(self.grid.dim,) + self.grid.shape}"
-            )
-        if not np.all(np.isfinite(comps)):
-            raise InputError("component values must be finite")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_harmonics(cls, grid: FiberGrid, per_component: list[dict]) -> "OneFormField":
-        if len(per_component) != grid.dim:
-            raise InputError(f"need {grid.dim} component term maps")
-        comps = np.stack([harmonic_field((grid,), terms) for terms in per_component])
-        return cls(grid, comps)
-
-    def norm_l2(self) -> float:
-        """Flat L2 norm, sqrt(int sum_i theta_i^2 dy)."""
-        return math.sqrt(float(np.mean(np.sum(self.components ** 2, axis=0))) * self.grid.volume)
-
-
-def oneform_heat_evolve(w: OneFormField, t: float) -> OneFormField:
-    """Hodge heat flow of a 1-form on the flat fiber.
-
-    On a flat torus the Hodge Laplacian acts componentwise in the flat
-    chart, so each component evolves by the scalar heat semigroup; the
-    flow therefore commutes with d and preserves closedness exactly.
-    The constant (harmonic) part is the t -> inf limit.
-    """
-    return OneFormField(w.grid, evolve_values(w.components, w.grid, t))
-
-
-def d_perp(w: OneFormField) -> SpectralField:
-    """Exterior derivative on the flat fiber, as its single 2-form component.
-
-    For dim 1 this is identically zero; for dim 2 it is the coefficient of
-    dy^1 ^ dy^2, namely d1 theta_2 - d2 theta_1.
-    """
-    if w.grid.dim == 1:
-        return SpectralField.zeros(w.grid)
-    g1 = gradient_values(w.components[1], w.grid, axis=0)
-    g2 = gradient_values(w.components[0], w.grid, axis=1)
-    return SpectralField(w.grid, g1 - g2)
-
-
-def delta_perp(w: OneFormField) -> SpectralField:
-    """Codifferential on the flat fiber: minus the flat divergence of w."""
-    grads = [gradient_values(w.components[k], w.grid, axis=k) for k in range(w.grid.dim)]
-    return SpectralField(w.grid, -sum(grads))
-
-
-def is_harmonic(w: OneFormField, tol: float = 1e-10) -> bool:
-    """True when both d w and delta w vanish in sup norm below tol.
-
-    On a flat torus the harmonic 1-forms are exactly those with constant
-    components.
-    """
-    return d_perp(w).norm_sup() <= tol and delta_perp(w).norm_sup() <= tol

@@ -97,11 +97,8 @@ class ProductState:
                        psi_terms: dict | None = None,
                        t: float = 0.0) -> "ProductState":
         """Build a state from {mode: (cos amp, sin amp)} maps over base x fiber."""
-        shape = base.shape + fiber_grid.shape
         phi = fb.harmonic_field((base, fiber_grid), phi_terms or {})
         psi = fb.harmonic_field((base, fiber_grid), psi_terms or {})
-        phi = np.broadcast_to(phi, shape).copy() if phi.shape != shape else phi
-        psi = np.broadcast_to(psi, shape).copy() if psi.shape != shape else psi
         return cls(base, fiber_grid, phi, psi, t)
 
     def replace_phi(self, phi: np.ndarray, t: float) -> "ProductState":
@@ -324,7 +321,11 @@ def theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
 
 
 def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
-    """Sup norm of d_perp of the mean-curvature 1-form (0 when p = 1)."""
+    """Sup norm of the fiber exterior derivative of the mean-curvature 1-form.
+
+    The derivative d theta has the single component d1 theta_2 - d2 theta_1,
+    so the sup is 0 when p = 1.
+    """
     if state.p == 1:
         return 0.0
     theta = theta_h(state, h)

@@ -140,6 +140,16 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["divergence_identity", None, 1],
+                             ids=["string", "null", "number"])
+    def test_checks_not_a_list_exits_two_without_outputs(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, checks=value)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "checks" in err
+        assert not out.exists()
+
     def test_integral_float_count_is_accepted(self, tmp_path):
         ints = write_config(tmp_path, "ints.json", fiber_points=32)
         floats = write_config(tmp_path, "floats.json", fiber_points=32.0, n=1.0)
@@ -314,7 +324,7 @@ INVALID_VALUES = {
     "fiber_points": [8.5, 2, -8, math.nan, math.inf, "8", {}],
     "samples": [[], [math.nan], [-0.1, 0.1], [0.1, "a"], "x", None],
     "dt": [0.0, -1e-2, math.nan, math.inf, "x"], "theta": [-0.5, 2.0, math.nan, "x"],
-    "checks": [["no_such_check"], "divergence_identity"],
+    "checks": [["no_such_check"], "divergence_identity", None, 3, [1]],
 }
 
 

@@ -59,10 +59,23 @@ class TestFiberGrid:
         dict(dim=2, sides=(1.0,), points=(8, 8)),
         dict(dim=1, sides=(math.nan,), points=(8,)),
         dict(dim=2, sides=(1.0, math.inf), points=(8, 8)),
+        dict(dim=1, sides=(1.0,), points=(32.9,)),
+        dict(dim=1, sides=(1.0,), points=(math.nan,)),
+        dict(dim=2, sides=(1.0, 1.0), points=(32, math.inf)),
     ])
     def test_validation(self, bad):
         with pytest.raises(InputError):
             ff.FiberGrid(**bad)
+
+    @pytest.mark.parametrize("count", [32.9, math.nan, math.inf])
+    def test_non_integral_points_named(self, count):
+        with pytest.raises(InputError, match="points"):
+            ff.FiberGrid(1, (1.0,), (count,))
+
+    @pytest.mark.parametrize("count", [32.0, np.int64(32), np.int32(32), 32])
+    def test_integral_points_accepted(self, count):
+        grid = ff.FiberGrid(1, (1.0,), (count,))
+        assert grid.points == (32,) and type(grid.points[0]) is int
 
 
 class TestEigenvalue:
@@ -86,33 +99,36 @@ class TestEigenvalue:
             ff.eigenvalue((1,), TORUS)
 
 
+def l2(values, grid):
+    """Flat L2 norm over one fiber, sqrt(int u^2 dy)."""
+    return math.sqrt(float(np.mean(values ** 2)) * grid.volume)
+
+
 class TestHeatEvolve:
     def test_constant_fixed_point(self):
-        u = ff.SpectralField(CIRCLE, np.full(64, 1.7))
-        out = ff.heat_evolve(u, 3.0)
-        np.testing.assert_allclose(out.values, 1.7, rtol=0, atol=1e-14)
+        out = fb.evolve_values(np.full(64, 1.7), CIRCLE, 3.0)
+        np.testing.assert_allclose(out, 1.7, rtol=0, atol=1e-14)
 
     def test_single_mode_circle(self):
         """cos y decays by exactly exp(-t) on the unit circle."""
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(1,): 1.0})
-        out = ff.heat_evolve(u, 1.0)
-        np.testing.assert_allclose(out.values, math.exp(-1.0) * u.values, atol=1e-14)
+        u = fb.harmonic_field((CIRCLE,), {(1,): 1.0})
+        out = fb.evolve_values(u, CIRCLE, 1.0)
+        np.testing.assert_allclose(out, math.exp(-1.0) * u, atol=1e-14)
 
     def test_diagonal_torus_mode(self):
         # sin(x1 + 2 x2) carries eigenvalue 5
-        u = ff.SpectralField.from_harmonics(TORUS, {(1, 2): (0.0, 1.0)})
-        out = ff.heat_evolve(u, 0.7)
-        np.testing.assert_allclose(out.values, math.exp(-3.5) * u.values, atol=1e-14)
+        u = fb.harmonic_field((TORUS,), {(1, 2): (0.0, 1.0)})
+        out = fb.evolve_values(u, TORUS, 0.7)
+        np.testing.assert_allclose(out, math.exp(-3.5) * u, atol=1e-14)
 
     def test_negative_time_rejected(self):
-        u = ff.SpectralField.zeros(CIRCLE)
         with pytest.raises(InputError):
-            ff.heat_evolve(u, -0.1)
+            fb.evolve_values(np.zeros(64), CIRCLE, -0.1)
 
     def test_infinite_time_gives_mean(self):
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(0,): 0.4, (2,): (0.3, 0.1)})
-        out = ff.heat_evolve(u, math.inf)
-        np.testing.assert_allclose(out.values, 0.4, atol=1e-15)
+        u = fb.harmonic_field((CIRCLE,), {(0,): 0.4, (2,): (0.3, 0.1)})
+        out = fb.evolve_values(u, CIRCLE, math.inf)
+        np.testing.assert_allclose(out, 0.4, atol=1e-15)
 
     @hyp.settings(max_examples=10, deadline=None)
     @hyp.given(
@@ -121,73 +137,100 @@ class TestHeatEvolve:
         t2=st.floats(0.0, 2.0),
     )
     def test_semigroup(self, seed, t1, t2):
-        u = ff.SpectralField(CIRCLE, random_field(CIRCLE, seed))
-        two_step = ff.heat_evolve(ff.heat_evolve(u, t1), t2)
-        one_step = ff.heat_evolve(u, t1 + t2)
-        np.testing.assert_allclose(two_step.values, one_step.values,
-                                   rtol=1e-12, atol=1e-12)
+        u = random_field(CIRCLE, seed)
+        two_step = fb.evolve_values(fb.evolve_values(u, CIRCLE, t1), CIRCLE, t2)
+        one_step = fb.evolve_values(u, CIRCLE, t1 + t2)
+        np.testing.assert_allclose(two_step, one_step, rtol=1e-12, atol=1e-12)
 
     @hyp.settings(max_examples=10, deadline=None)
     @hyp.given(seed=st.integers(0, 2 ** 16), t=st.floats(0.0, 5.0))
     def test_mean_conserved(self, seed, t):
-        u = ff.SpectralField(TORUS, random_field(TORUS, seed))
-        out = ff.heat_evolve(u, t)
+        u = random_field(TORUS, seed)
+        out = fb.evolve_values(u, TORUS, t)
         assert out.mean() == pytest.approx(u.mean(), abs=1e-13)
 
     @hyp.settings(max_examples=10, deadline=None)
     @hyp.given(seed=st.integers(0, 2 ** 16), t=st.floats(0.0, 5.0))
     def test_mean_zero_decay_bound(self, seed, t):
         """|u(t)|_2 <= exp(-lambda_1 t) |u_0|_2 for mean-zero data."""
-        vals = random_field(CIRCLE, seed)
-        vals = vals - vals.mean()
-        u = ff.SpectralField(CIRCLE, vals)
-        out = ff.heat_evolve(u, t)
-        assert out.norm_l2() <= math.exp(-t) * u.norm_l2() + 1e-12
+        u = random_field(CIRCLE, seed)
+        u = u - u.mean()
+        out = fb.evolve_values(u, CIRCLE, t)
+        assert l2(out, CIRCLE) <= math.exp(-t) * l2(u, CIRCLE) + 1e-12
 
     def test_derivative_matches_laplacian(self):
         """(u(t+h) - u(t))/h tends to the flat Laplacian of u(t)."""
-        u = ff.SpectralField(CIRCLE, random_field(CIRCLE, 7))
+        u = random_field(CIRCLE, 7)
         t, h = 0.5, 1e-6
-        ut = ff.heat_evolve(u, t).values
-        uth = ff.heat_evolve(u, t + h).values
+        ut = fb.evolve_values(u, CIRCLE, t)
+        uth = fb.evolve_values(u, CIRCLE, t + h)
         lap = fb.gradient_values(fb.gradient_values(ut, CIRCLE)[0], CIRCLE)[0]
         np.testing.assert_allclose((uth - ut) / h, lap, atol=5e-5)
 
 
 class TestHeatTimeIntegral:
     def test_zero_field(self):
-        out = ff.heat_time_integral(ff.SpectralField.zeros(CIRCLE), 4.0)
-        assert out.norm_sup() == 0.0
+        out = fb.time_integral_values(np.zeros(64), CIRCLE, 4.0)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_constant_mode_zero_rule(self):
-        u = ff.SpectralField(CIRCLE, np.full(64, 0.3))
-        out = ff.heat_time_integral(u, 2.0)
-        np.testing.assert_allclose(out.values, 0.6, atol=1e-14)
+        out = fb.time_integral_values(np.full(64, 0.3), CIRCLE, 2.0)
+        np.testing.assert_allclose(out, 0.6, atol=1e-14)
 
     def test_single_mode_closed_form(self):
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(1,): 1.0})
-        out = ff.heat_time_integral(u, 1.5)
-        np.testing.assert_allclose(out.values, (1.0 - math.exp(-1.5)) * u.values,
-                                   atol=1e-14)
+        u = fb.harmonic_field((CIRCLE,), {(1,): 1.0})
+        out = fb.time_integral_values(u, CIRCLE, 1.5)
+        np.testing.assert_allclose(out, (1.0 - math.exp(-1.5)) * u, atol=1e-14)
 
     def test_infinite_horizon(self):
         """cos y integrates to cos y / lambda_1 = cos y over [0, inf)."""
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(1,): 1.0})
-        out = ff.heat_time_integral(u, math.inf)
-        np.testing.assert_allclose(out.values, u.values, atol=1e-14)
+        u = fb.harmonic_field((CIRCLE,), {(1,): 1.0})
+        out = fb.time_integral_values(u, CIRCLE, math.inf)
+        np.testing.assert_allclose(out, u, atol=1e-14)
 
     def test_infinite_horizon_needs_zero_mean(self):
-        u = ff.SpectralField(CIRCLE, np.ones(64))
         with pytest.raises(InputError):
-            ff.heat_time_integral(u, math.inf)
+            fb.time_integral_values(np.ones(64), CIRCLE, math.inf)
 
     def test_derivative_is_evolved_field(self):
-        u = ff.SpectralField(TORUS, random_field(TORUS, 3))
+        u = random_field(TORUS, 3)
         t, h = 0.8, 1e-6
-        a = fb.time_integral_values(u.values, TORUS, t + h)
-        b = fb.time_integral_values(u.values, TORUS, t)
-        mid = fb.evolve_values(u.values, TORUS, t + h / 2)
+        a = fb.time_integral_values(u, TORUS, t + h)
+        b = fb.time_integral_values(u, TORUS, t)
+        mid = fb.evolve_values(u, TORUS, t + h / 2)
         np.testing.assert_allclose((a - b) / h, mid, atol=1e-9)
+
+
+class TestRateScale:
+    """A per-fiber rate_scale c runs each fiber at the scalar time c*t."""
+
+    RATES = np.array([[0.3, 1.0, 2.5], [1.7, 0.05, 4.0]])
+
+    @pytest.mark.parametrize("grid", [CIRCLE, TORUS], ids=["circle", "torus"])
+    @pytest.mark.parametrize("helper", [fb.evolve_values, fb.time_integral_values],
+                             ids=["evolve", "time_integral"])
+    def test_matches_per_fiber_scalar_time(self, grid, helper):
+        stack = np.stack([np.stack([random_field(grid, 10 * i + j) for j in range(3)])
+                          for i in range(2)])
+        # zero fiber means, so the t = inf time integral exists
+        stack -= stack.mean(axis=tuple(range(2, stack.ndim)), keepdims=True)
+        for t in (0.4, math.inf):
+            scaled = helper(stack, grid, t, rate_scale=self.RATES)
+            for idx, c in np.ndenumerate(self.RATES):
+                expected = helper(stack[idx], grid, c * t)
+                if helper is fb.time_integral_values:
+                    # int_0^t exp(-c lambda s) ds = (1/c) int_0^{ct} exp(-lambda s) ds
+                    expected = expected / c
+                np.testing.assert_allclose(scaled[idx], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("helper", [fb.evolve_values, fb.time_integral_values],
+                             ids=["evolve", "time_integral"])
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 1), ()],
+                             ids=["short", "transposed", "long", "scalar"])
+    def test_shape_mismatch_rejected(self, helper, shape):
+        with pytest.raises(InputError, match="rate_scale"):
+            helper(np.zeros((2, 3) + CIRCLE.shape), CIRCLE, 0.5,
+                   rate_scale=np.ones(shape))
 
 
 class TestHeatKernel:
@@ -229,62 +272,53 @@ class TestHeatKernel:
         assert worst < 1e-8
 
     def test_reproduces_evolution(self):
-        """Quadrature of G(t,x,.) u0 matches heat_evolve at grid nodes."""
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(1,): 0.5, (2,): (0.1, 0.2)})
+        """Quadrature of G(t,x,.) u0 matches evolve_values at grid nodes."""
+        u = fb.harmonic_field((CIRCLE,), {(1,): 0.5, (2,): (0.1, 0.2)})
         t = 0.7
-        evolved = ff.heat_evolve(u, t).values
+        evolved = fb.evolve_values(u, CIRCLE, t)
         y = CIRCLE.coordinates()[0]
         for i in (0, 17, 40):
             kernel_row = np.array([ff.heat_kernel(t, y[i], yj, CIRCLE) for yj in y])
-            quad = float(np.sum(kernel_row * u.values) * CIRCLE.cell)
+            quad = float(np.sum(kernel_row * u) * CIRCLE.cell)
             assert quad == pytest.approx(evolved[i], abs=1e-12)
 
 
 class TestOneForms:
+    """A 1-form on the flat fiber is a stack of components; its Hodge heat
+    flow is the scalar flow of each component."""
+
+    @staticmethod
+    def curl(w):
+        return (fb.gradient_values(w[1], TORUS, axis=0)
+                - fb.gradient_values(w[0], TORUS, axis=1))
+
     def test_constant_form_is_fixed_point(self):
-        w = ff.OneFormField.from_harmonics(TORUS, [{(0, 0): 0.3}, {(0, 0): -0.2}])
-        out = ff.oneform_heat_evolve(w, 2.5)
-        np.testing.assert_allclose(out.components, w.components, atol=1e-15)
-        assert ff.is_harmonic(out)
+        w = np.stack([np.full(TORUS.shape, 0.3), np.full(TORUS.shape, -0.2)])
+        out = fb.evolve_values(w, TORUS, 2.5)
+        np.testing.assert_allclose(out, w, atol=1e-15)
+        # every partial of every component vanishes, so d and the codifferential do
+        assert np.max(np.abs(fb.gradient_values(out, TORUS))) <= 1e-10
 
     def test_circle_limit_keeps_harmonic_part(self):
         """(0.2 sin y - 0.1) dy flows to the constant form -0.1 dy."""
-        w = ff.OneFormField.from_harmonics(CIRCLE, [{(0,): -0.1, (1,): (0.0, 0.2)}])
-        out = ff.oneform_heat_evolve(w, math.inf)
-        np.testing.assert_allclose(out.components, -0.1, atol=1e-15)
+        w = fb.harmonic_field((CIRCLE,), {(0,): -0.1, (1,): (0.0, 0.2)})[None]
+        out = fb.evolve_values(w, CIRCLE, math.inf)
+        np.testing.assert_allclose(out, -0.1, atol=1e-15)
 
     def test_single_mode_decay_equality(self):
-        w = ff.OneFormField.from_harmonics(CIRCLE, [{(3,): (0.4, 0.0)}])
-        out = ff.oneform_heat_evolve(w, 0.5)
-        np.testing.assert_allclose(out.components,
-                                   math.exp(-4.5) * w.components, atol=1e-14)
+        w = fb.harmonic_field((CIRCLE,), {(3,): (0.4, 0.0)})[None]
+        out = fb.evolve_values(w, CIRCLE, 0.5)
+        np.testing.assert_allclose(out, math.exp(-4.5) * w, atol=1e-14)
 
     @hyp.settings(max_examples=10, deadline=None)
     @hyp.given(seed=st.integers(0, 2 ** 16), t=st.floats(0.0, 3.0))
     def test_closedness_preserved(self, seed, t):
         # exact forms stay exact: w0 = d(potential)
         potential = random_field(TORUS, seed)
-        w = ff.OneFormField(TORUS, fb.gradient_values(potential, TORUS))
-        assert ff.d_perp(w).norm_sup() < 1e-12
-        out = ff.oneform_heat_evolve(w, t)
-        assert ff.d_perp(out).norm_sup() < 1e-10
-
-    def test_d_perp_sign(self):
-        # sin(x2) dx1 has exterior derivative -cos(x2) dx1 ^ dx2
-        w = ff.OneFormField.from_harmonics(TORUS, [{(0, 1): (0.0, 1.0)}, {}])
-        x2 = np.broadcast_to(TORUS.coordinates()[1], TORUS.shape)
-        np.testing.assert_allclose(ff.d_perp(w).values, -np.cos(x2), atol=1e-12)
-
-    def test_d_perp_vanishes_on_circle(self):
-        w = ff.OneFormField.from_harmonics(CIRCLE, [{(1,): (0.0, 1.0)}])
-        assert ff.d_perp(w).norm_sup() == 0.0
-
-    def test_delta_perp_sign(self):
-        # codifferential of sin y dy is -cos y
-        w = ff.OneFormField.from_harmonics(CIRCLE, [{(1,): (0.0, 1.0)}])
-        y = CIRCLE.coordinates()[0]
-        np.testing.assert_allclose(ff.delta_perp(w).values, -np.cos(y), atol=1e-12)
-        assert not ff.is_harmonic(w)
+        w = fb.gradient_values(potential, TORUS)
+        assert np.max(np.abs(self.curl(w))) < 1e-12
+        out = fb.evolve_values(w, TORUS, t)
+        assert np.max(np.abs(self.curl(out))) < 1e-10
 
 
 class TestHarmonicField:
@@ -303,11 +337,12 @@ class TestHarmonicField:
                                    atol=1e-14)
 
     def test_spectral_field_coeff_normalization(self):
-        u = ff.SpectralField.from_harmonics(CIRCLE, {(0,): 0.7, (3,): (0.2, 0.4)})
-        assert u.coeff((0,)) == pytest.approx(0.7)
+        vals = fb.harmonic_field((CIRCLE,), {(0,): 0.7, (3,): (0.2, 0.4)})
+        coeff = np.fft.fft(vals) / vals.size
+        assert coeff[0] == pytest.approx(0.7)
         # a cos + b sin at mode 3 stores (a - i b)/2 at +3
-        assert u.coeff((3,)) == pytest.approx(complex(0.1, -0.2))
-        assert u.coeff((-3,)) == pytest.approx(complex(0.1, 0.2))
+        assert coeff[3] == pytest.approx(complex(0.1, -0.2))
+        assert coeff[-3] == pytest.approx(complex(0.1, 0.2))
 
 
 class TestResampleAndAntiderivative:

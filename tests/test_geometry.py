@@ -302,6 +302,13 @@ class TestThetaForm:
     def test_p1_always_closed(self):
         assert geo.d_theta_sup(twisted_circle()) == 0.0
 
+    def test_non_closed_form(self):
+        # sin(y2) dy1 has exterior derivative -cos(y2) dy1 ^ dy2, sup 1
+        state = ff.ProductState.from_harmonics(BASE4, TORUS)
+        h = np.stack([fb.harmonic_field((BASE4, TORUS), {(0, 0, 1): (0.0, 1.0)}),
+                      np.zeros(state.shape)])
+        assert geo.d_theta_sup(state, h) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestClassification:
     def test_product_totally_geodesic(self):
