@@ -5,10 +5,10 @@ sample time) so runs can be audited mechanically.  Checkers are pure:
 they never mutate the trajectory and are idempotent, and the reports
 are independent of evaluation order.
 
-Default tolerances: 1e-8 for spectral-path identities at 64 points per
-dimension, 1e-3 for comparisons against the finite-difference oracle,
-and looser scheme-specific values where a finite-difference step enters
-(each report carries its own tolerance so failures are attributable).
+Tolerances (module constants, like the steps and resolutions): 1e-8 for
+spectral-path identities at 64 points per dimension, 1e-3 against the
+finite-difference oracle, and looser scheme-specific values where a
+finite-difference step enters (each report carries its own tolerance).
 """
 
 from __future__ import annotations
@@ -29,9 +29,15 @@ from .geometry import ProductState
 SPECTRAL_TOL = 1e-8
 PRESERVE_TOL = 1e-10
 MONOTONE_TOL = 1e-6
+MONOTONE_STEP = 1e-4        # time step of the energy derivative's finite difference
 VOLUME_ODE_TOL = 1e-4
+VOLUME_ODE_STEP = 1e-3      # time spacing of the central difference of vol(g_t)
+EQUIVALENCE_SLACK = 1e-12
 ORACLE_TOL = 1e-3
+ORACLE_TIME = 1.0
+ORACLE_POINTS = 256         # refined p = 1 fiber resolution of the oracle march
 ORDER_TOL = 0.2
+ORDER_TIME = 1.0
 DECAY_REL_TOL = 0.02
 
 
@@ -75,8 +81,8 @@ def divergence_identity_sides(state: ProductState,
     return lhs, rhs
 
 
-def check_divergence_identity(state: ProductState, xi: np.ndarray | None = None,
-                              tolerance: float = SPECTRAL_TOL) -> CheckReport:
+def check_divergence_identity(state: ProductState,
+                              xi: np.ndarray | None = None) -> CheckReport:
     """Integrated adjointness of Div_perp against the mean curvature.
 
     For any fiber-tangent field xi on a closed product,
@@ -84,11 +90,10 @@ def check_divergence_identity(state: ProductState, xi: np.ndarray | None = None,
     int |H|^2 dvol >= 0, which also certifies r(t) <= 0.
     """
     lhs, rhs = divergence_identity_sides(state, xi)
-    return CheckReport("divergence_identity", abs(lhs - rhs), tolerance, state.t)
+    return CheckReport("divergence_identity", abs(lhs - rhs), SPECTRAL_TOL, state.t)
 
 
-def check_codim1_identity(state: ProductState, f: np.ndarray | None = None,
-                          tolerance: float = SPECTRAL_TOL) -> CheckReport:
+def check_codim1_identity(state: ProductState, f: np.ndarray | None = None) -> CheckReport:
     """int N(f) dvol = int tau f dvol along the unit fiber normal N.
 
     f = 1 gives the vanishing of the total mean curvature of the flow
@@ -103,11 +108,10 @@ def check_codim1_identity(state: ProductState, f: np.ndarray | None = None,
         raise InputError(f"f shape {f.shape} != state shape {state.shape}")
     n_of_f = np.exp(-state.psi) * fb.gradient_values(f, state.fiber)[0]
     residual = abs(geo.integrate(state, n_of_f - tau_of_state(state) * f))
-    return CheckReport("codim1_identity", residual, tolerance, state.t)
+    return CheckReport("codim1_identity", residual, SPECTRAL_TOL, state.t)
 
 
-def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray,
-                                     tolerance: float = SPECTRAL_TOL) -> CheckReport:
+def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> CheckReport:
     """Pointwise Bochner-type identity behind leafwise-harmonic rigidity.
 
         Div(f grad_perp f) + f (H(f) - Lap_perp f) = |grad_perp f|^2,
@@ -134,11 +138,10 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray,
     lap = geo.div_perp(grad, state)          # Lap_perp f
     grad_sq = np.exp(2.0 * state.psi) * np.sum(grad ** 2, axis=0)
     residual = float(np.max(np.abs(div_full + f * (h_of_f - lap) - grad_sq)))
-    return CheckReport("harmonic_rigidity", residual, tolerance, state.t)
+    return CheckReport("harmonic_rigidity", residual, SPECTRAL_TOL, state.t)
 
 
-def check_preservation(trajectory: Trajectory,
-                       tolerance: float = PRESERVE_TOL) -> list[CheckReport]:
+def check_preservation(trajectory: Trajectory) -> list[CheckReport]:
     """Structure preservation along a run, one report per property per sample.
 
     Checks that leaf-tangent umbilicity persists, that the mean-curvature
@@ -151,9 +154,9 @@ def check_preservation(trajectory: Trajectory,
     first = trajectory.diagnostics[0]
     for record in trajectory.diagnostics:
         reports.append(CheckReport("umbilical", record.umbilical_residual,
-                                   tolerance, record.t))
+                                   PRESERVE_TOL, record.t))
         reports.append(CheckReport("closed_theta", record.d_theta_sup,
-                                   tolerance, record.t))
+                                   PRESERVE_TOL, record.t))
         drift = 0.0 if record.normal_label == first.normal_label else 1.0
         reports.append(CheckReport("normal_flags", drift, 0.5, record.t))
     return reports
@@ -195,8 +198,7 @@ def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
     )
 
 
-def check_monotonicity(trajectory: Trajectory, h: float = 1e-4,
-                       tolerance: float = MONOTONE_TOL) -> list[CheckReport]:
+def check_monotonicity(trajectory: Trajectory) -> list[CheckReport]:
     """d/dt |theta_H|_2^2 = -2 |delta theta_H|_2^2, sample by sample.
 
     The time derivative is a second-order finite difference of the exact
@@ -204,6 +206,7 @@ def check_monotonicity(trajectory: Trajectory, h: float = 1e-4,
     at the sample itself.
     """
     x = trajectory.x
+    h = MONOTONE_STEP
 
     def energy(t: float) -> float:
         return _theta_norms(trajectory.evaluate(t), x)[0]
@@ -217,13 +220,11 @@ def check_monotonicity(trajectory: Trajectory, h: float = 1e-4,
             slope = (-3.0 * energy(t) + 4.0 * energy(t + h) - energy(t + 2 * h)) / (2.0 * h)
         dissip = _theta_norms(trajectory.evaluate(t), x)[1]
         reports.append(CheckReport("monotonicity", abs(slope + 2.0 * dissip),
-                                   tolerance, t))
+                                   MONOTONE_TOL, t))
     return reports
 
 
-def check_volume_ode(trajectory: Trajectory, t: float | None = None,
-                     spacing: float = 1e-3,
-                     tolerance: float = VOLUME_ODE_TOL) -> CheckReport:
+def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckReport:
     """d/dt vol(g_t) = (n/2) int s_t dvol_t by central differences.
 
     s_t is the conformal speed of the evolving leaf factor; for the
@@ -231,6 +232,7 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None,
     vanish.  The residual is relative when the analytic side is nonzero.
     """
     config = trajectory.config
+    spacing = VOLUME_ODE_STEP
     if t is None:
         t = trajectory.sample_times[len(trajectory.sample_times) // 2]
         t = min(max(t, spacing), config.t_end - spacing)
@@ -240,7 +242,7 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None,
     lhs = (geo.volume(trajectory.evaluate(t + spacing))
            - geo.volume(trajectory.evaluate(t - spacing))) / (2.0 * spacing)
     scale = abs(rhs) if abs(rhs) > 1e-12 else 1.0
-    return CheckReport("volume_ode", abs(lhs - rhs) / scale, tolerance, t)
+    return CheckReport("volume_ode", abs(lhs - rhs) / scale, VOLUME_ODE_TOL, t)
 
 
 def _simpson_weights(t: float, nodes: int) -> np.ndarray:
@@ -258,8 +260,7 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
 
 
 def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
-                        quad_nodes: int = 513,
-                        tolerance: float = SPECTRAL_TOL) -> CheckReport:
+                        quad_nodes: int = 513) -> CheckReport:
     """Pointwise scaling of the base-distribution shape coefficient.
 
     The fiber-normal second fundamental form keeps its direction and
@@ -287,7 +288,7 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     b0 = geo.second_fundamental(start).bperp_coeff
     bt = geo.second_fundamental(end).bperp_coeff
     residual = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
-    return CheckReport("bperp_scaling", residual, tolerance, t)
+    return CheckReport("bperp_scaling", residual, SPECTRAL_TOL, t)
 
 
 def flat_spectral_gap(grid: FiberGrid) -> float:
@@ -322,31 +323,25 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     return math.exp(2.0 * bound / initial.n)
 
 
-def check_uniform_equivalence(trajectory: Trajectory,
-                              slack: float = 1e-12) -> CheckReport:
+def check_uniform_equivalence(trajectory: Trajectory) -> CheckReport:
     """sup_t |phi_t - phi_0| against the spectral certificate, per fiber."""
     c = uniform_equivalence_constant(trajectory)
     bound = math.log(c) / 2.0
     worst = 0.0
     for state in trajectory.states + (trajectory.limit,):
         worst = max(worst, float(np.max(np.abs(state.phi - trajectory.initial.phi))))
-    return CheckReport("uniform_equivalence", max(0.0, worst - bound), slack,
+    return CheckReport("uniform_equivalence", max(0.0, worst - bound), EQUIVALENCE_SLACK,
                        trajectory.sample_times[-1])
 
 
-def check_oracle_agreement(trajectory: Trajectory, t: float = 1.0,
-                           grid_points: int = 256,
-                           scheme: FdScheme | None = None,
-                           tolerance: float = ORACLE_TOL) -> CheckReport:
+def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
     """Spectral flow against the finite-difference march on a finer grid.
 
     The conformal factor itself solves the leafwise heat equation, so
-    both paths evolve phi from the same trigonometrically resampled
-    initial data and the report carries their sup-norm gap.  For p = 2
-    the comparison runs at the native resolution.
+    both paths evolve phi to ORACLE_TIME from the same resampled initial
+    data (the march with FdScheme()) and the report carries their sup-norm
+    gap.  For p = 2 the comparison runs at the native resolution.
     """
-    if scheme is None:
-        scheme = FdScheme(dt=1e-3)
     initial = trajectory.initial
     if not trajectory.exact_path:
         raise UnsupportedScenarioError(
@@ -358,48 +353,45 @@ def check_oracle_agreement(trajectory: Trajectory, t: float = 1.0,
     psi_mean = geo.psi_fiber_mean(initial)
     rate = np.exp(-2.0 * psi_mean)
 
-    if initial.p == 1 and grid_points != initial.fiber.points[0]:
-        fine_grid = FiberGrid(1, initial.fiber.sides, (grid_points,))
-        phi0 = fb.resample_values(initial.phi, initial.fiber, grid_points)
+    if initial.p == 1 and ORACLE_POINTS != initial.fiber.points[0]:
+        fine_grid = FiberGrid(1, initial.fiber.sides, (ORACLE_POINTS,))
+        phi0 = fb.resample_values(initial.phi, initial.fiber, ORACLE_POINTS)
     else:
         fine_grid = initial.fiber
         phi0 = initial.phi
-    spectral = fb.evolve_values(phi0, fine_grid, t, rate_scale=rate)
+    spectral = fb.evolve_values(phi0, fine_grid, ORACLE_TIME, rate_scale=rate)
     psi_nodal = np.broadcast_to(
         psi_mean.reshape(psi_mean.shape + (1,) * initial.p),
         psi_mean.shape + fine_grid.shape,
     )
-    stepped = fd_heat_run(phi0, psi_nodal, fine_grid, t, scheme)
+    stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, FdScheme())
     gap = float(np.max(np.abs(spectral - stepped)))
-    return CheckReport("oracle_agreement", gap, tolerance, t)
+    return CheckReport("oracle_agreement", gap, ORACLE_TOL, ORACLE_TIME)
 
 
-def fd_flow_error(points: int, t: float, dt: float, side: float = 2.0 * math.pi,
-                  mode: int = 1, amplitude: float = 1.0) -> float:
-    """Sup error of the finite-difference heat march on one cosine mode."""
-    grid = FiberGrid(1, (side,), (points,))
+def fd_flow_error(points: int, t: float, dt: float) -> float:
+    """Sup error of the finite-difference heat march on cos(y) over a 2 pi circle."""
+    grid = FiberGrid(1, (2.0 * math.pi,), (points,))
     y = grid.coordinates()[0]
-    u0 = amplitude * np.cos(2.0 * math.pi * mode * y / side)
-    exact = math.exp(-fb.eigenvalue((mode,), grid) * t) * u0
+    u0 = np.cos(2.0 * math.pi * y / grid.sides[0])   # not cos(y): the rounding shows in checks.csv
+    exact = math.exp(-fb.eigenvalue((1,), grid) * t) * u0
     stepped = fd_heat_run(u0, np.zeros(points), grid, t, FdScheme(dt=dt))
     return float(np.max(np.abs(stepped - exact)))
 
 
-def check_fd_convergence_order(resolutions: tuple[int, ...] = (64, 128, 256),
-                               t: float = 1.0, dt: float = 1e-3,
-                               tolerance: float = ORDER_TOL) -> CheckReport:
+def check_fd_convergence_order(resolutions: tuple[int, ...] = (64, 128, 256)) -> CheckReport:
     """Measured spatial order of the theta-scheme against the closed form.
 
-    Fits log error versus log spacing over the given resolutions; the
-    centered second-difference stencil is second order, so the residual
-    is |slope - 2|.
+    Fits log error at ORDER_TIME (FdScheme().dt steps) versus log spacing
+    over the given resolutions; the centered second-difference stencil is
+    second order, so the residual is |slope - 2|.
     """
     if len(resolutions) < 2:
         raise InputError("order measurement needs at least two resolutions")
-    errs = [fd_flow_error(pts, t, dt) for pts in resolutions]
+    errs = [fd_flow_error(pts, ORDER_TIME, FdScheme().dt) for pts in resolutions]
     hs = [2.0 * math.pi / pts for pts in resolutions]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    return CheckReport("fd_convergence_order", abs(slope - 2.0), tolerance, t)
+    return CheckReport("fd_convergence_order", abs(slope - 2.0), ORDER_TOL, ORDER_TIME)
 
 
 def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
@@ -423,7 +415,7 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
 
 
 def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
-                     skip: int = 0, tolerance: float = DECAY_REL_TOL) -> CheckReport:
+                     skip: int = 0) -> CheckReport:
     """Fitted decay slope against the effective spectral-gap prediction."""
     slope = estimate_decay_rate(trajectory, skip)
     if expected is None:
@@ -434,7 +426,7 @@ def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
             scale = float(np.min(np.exp(-2.0 * initial.psi)))
         expected = -flat_spectral_gap(initial.fiber) * scale
     residual = abs(slope - expected) / abs(expected)
-    return CheckReport("decay_rate", residual, tolerance,
+    return CheckReport("decay_rate", residual, DECAY_REL_TOL,
                        trajectory.sample_times[-1])
 
 

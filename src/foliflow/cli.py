@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,37 +43,60 @@ SCENARIOS = ("twisted_torus", "double_twisted", "codim1_fibration")
 
 DIAG_COLUMNS = ("t", "vol", "intH2", "maxDivH", "r", "umbilicalResidual", "dThetaH")
 
+# Every top-level key _load_config reads; any other key is a config error.
+CONFIG_KEYS = frozenset((
+    "scenario", "n", "p", "base_sides", "fiber_sides", "base_points", "fiber_points",
+    "phi0", "psi", "tau0", "variant", "x_field", "samples", "t_end", "dt", "theta",
+    "tol_converge", "checks", "oracle_check", "plot", "out",
+))
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _as_float(raw, label: str) -> float:
+    """A finite JSON number; bools and numeric strings are refused."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:        # an integer literal beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise InputError(f"{label} must be a finite number, got {raw!r}")
+
+
 def _as_positive_floats(raw, count: int, label: str) -> tuple[float, ...]:
-    if np.isscalar(raw):
+    if not isinstance(raw, list):
         raw = [raw] * count
-    vals = tuple(float(v) for v in raw)
-    if len(vals) != count or not all(np.isfinite(v) and v > 0 for v in vals):
+    vals = tuple(_as_float(v, label) for v in raw)
+    if len(vals) != count or not all(v > 0 for v in vals):
         raise InputError(f"{label} must be {count} finite positive length(s), got {raw!r}")
     return vals
 
 
 def _as_int(raw, label: str) -> int:
     """A JSON number with an integral, finite value (so 4.0 passes, 4.5 does not)."""
-    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-            or not np.isfinite(raw) or raw != int(raw)):
+    value = _as_float(raw, label)
+    if value != int(value):
         raise InputError(f"{label} must be an integer, got {raw!r}")
-    return int(raw)
+    return int(value)
 
 
-def _as_points(raw, count: int, label: str) -> tuple[int, ...]:
+def _as_grid(dim: int, sides: tuple[float, ...], raw, label: str) -> FiberGrid:
+    """The grid of one factor; ``label`` names the point-count key in errors."""
     if raw is None:
         raw = fb.DEFAULT_POINTS
-    if np.isscalar(raw):
-        raw = [raw] * count
+    if not isinstance(raw, list):
+        raw = [raw] * dim
     pts = tuple(_as_int(v, label) for v in raw)
-    if len(pts) != count:
-        raise InputError(f"{label} must give {count} resolutions, got {raw!r}")
-    return pts
+    if len(pts) != dim:
+        raise InputError(f"{label} must give {dim} resolutions, got {raw!r}")
+    try:
+        return FiberGrid(dim, sides, pts)
+    except InputError as exc:
+        raise InputError(f"{label}: {exc}") from exc
 
 
 def _parse_modes(raw, dims: int, label: str) -> dict:
@@ -90,13 +114,14 @@ def _parse_modes(raw, dims: int, label: str) -> dict:
             raise InputError(f"{label} key {key!r} is not a mode tuple") from exc
         if len(mode) != dims:
             raise InputError(f"{label} key {key!r} must have {dims} integers")
-        if isinstance(amp, (int, float)):
-            terms[mode] = (float(amp), 0.0)
-        else:
-            pair = tuple(float(a) for a in amp)
+        where = f"{label} value for {key!r}"
+        if isinstance(amp, list):
+            pair = tuple(_as_float(a, where) for a in amp)
             if len(pair) != 2:
-                raise InputError(f"{label} value for {key!r} must be a number or [cos, sin]")
+                raise InputError(f"{where} must be a number or [cos, sin]")
             terms[mode] = pair
+        else:
+            terms[mode] = (_as_float(amp, where), 0.0)
     return terms
 
 
@@ -106,6 +131,10 @@ def _load_config(path: Path, args) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise InputError(f"unknown config key {unknown[0]!r}; known: "
+                         f"{', '.join(sorted(CONFIG_KEYS))}")
 
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
@@ -117,12 +146,10 @@ def _load_config(path: Path, args) -> dict:
             raise InputError(f"{key} must be 1 or 2, got {dim}")
     base_sides = _as_positive_floats(cfg.get("base_sides", 2 * np.pi), n, "base_sides")
     fiber_sides = _as_positive_floats(cfg.get("fiber_sides", 2 * np.pi), p, "fiber_sides")
-    base_points = _as_points(cfg.get("base_points"), n, "base_points")
-    fiber_points = _as_points(
-        args.grid if args.grid else cfg.get("fiber_points"), p, "fiber_points"
-    )
-    base = FiberGrid(n, base_sides, base_points)
-    fiber = FiberGrid(p, fiber_sides, fiber_points)
+    base = _as_grid(n, base_sides, cfg.get("base_points"), "base_points")
+    fiber = _as_grid(p, fiber_sides,
+                     args.grid if args.grid is not None else cfg.get("fiber_points"),
+                     "fiber_points")
 
     variant = cfg.get("variant", "plain")
     x_field = None
@@ -138,19 +165,24 @@ def _load_config(path: Path, args) -> dict:
     samples = cfg.get("samples")
     if not isinstance(samples, list) or not samples:
         raise InputError("samples must be a nonempty list of times")
-    scheme = FdScheme(dt=float(cfg.get("dt", 1e-3)), theta=float(cfg.get("theta", 0.5)))
+    samples = tuple(_as_float(s, "samples") for s in samples)
+    scheme = FdScheme(dt=_as_float(cfg.get("dt", 1e-3), "dt"),
+                      theta=_as_float(cfg.get("theta", 0.5), "theta"))
     flow_cfg = fl.FlowConfig(
-        t_end=float(cfg.get("t_end", samples[-1])),
-        samples=tuple(float(s) for s in samples),
+        t_end=_as_float(cfg.get("t_end", samples[-1]), "t_end"),
+        samples=samples,
         variant=variant,
         x_field=x_field,
-        tol_converge=float(cfg.get("tol_converge", 1e-10)),
+        tol_converge=_as_float(cfg.get("tol_converge", 1e-10), "tol_converge"),
         fd_scheme=scheme,
     )
 
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise InputError(f"checks must be a list of check names, got {checks!r}")
+    for name in checks:
+        if checks.count(name) > 1:
+            raise InputError(f"checks names {name!r} more than once")
     if (cfg.get("oracle_check", False) and not args.no_oracle
             and "oracle_agreement" not in checks):
         checks.append("oracle_agreement")

@@ -326,8 +326,8 @@ def harmonic_field(grids: tuple[FiberGrid, ...], terms: dict) -> np.ndarray:
     return out
 
 
-def heat_kernel(t: float, x, y, grid: FiberGrid, cutoff: int = KERNEL_CUTOFF) -> float:
-    """Heat kernel G(t, x, y) of the flat fiber, truncated at |l_k| <= cutoff.
+def heat_kernel(t: float, x, y, grid: FiberGrid) -> float:
+    """Heat kernel G(t, x, y) of the flat fiber, truncated at |l_k| <= KERNEL_CUTOFF.
 
     G(t,x,y) = (1/vol) * sum_l exp(-lambda_l t) cos(k_l . (x - y)); the
     series collapses to 1/vol as t -> inf.  Smoothing only runs forward,
@@ -335,13 +335,11 @@ def heat_kernel(t: float, x, y, grid: FiberGrid, cutoff: int = KERNEL_CUTOFF) ->
     """
     if t <= 0:
         raise InputError(f"heat kernel needs t > 0, got {t}")
-    if cutoff < 1:
-        raise InputError(f"kernel cutoff must be >= 1, got {cutoff}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if len(x) != grid.dim or len(y) != grid.dim:
         raise InputError("kernel arguments must match the grid dimension")
-    modes = np.arange(-cutoff, cutoff + 1, dtype=float)
+    modes = np.arange(-KERNEL_CUTOFF, KERNEL_CUTOFF + 1, dtype=float)
     total = 0.0
     if grid.dim == 1:
         k = 2.0 * math.pi * modes / grid.sides[0]

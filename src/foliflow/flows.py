@@ -51,6 +51,7 @@ from .fiber import FiberGrid
 from .geometry import ProductState
 
 VARIANTS = ("plain", "normalized", "prescribed")
+CLOSEDNESS_TOL = 1e-9       # sup |d theta| above which p = 2 initial data is not closed
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class FlowConfig:
     variant: str = "plain"
     x_field: np.ndarray | None = None
     tol_converge: float = 1e-10
-    closedness_tol: float = 1e-9
     fd_scheme: FdScheme = field(default_factory=FdScheme)
 
     def __post_init__(self):
@@ -236,10 +236,10 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
 
     if initial.p == 2:
         closed_sup = geo.d_theta_sup(initial, h0 - x)
-        if closed_sup > config.closedness_tol:
+        if closed_sup > CLOSEDNESS_TOL:
             raise HypothesisViolationError(
                 f"mean-curvature 1-form (minus X) is not closed: sup |d theta| = "
-                f"{closed_sup:.3e} > {config.closedness_tol:.1e}"
+                f"{closed_sup:.3e} > {CLOSEDNESS_TOL:.1e}"
             )
 
     driving0 = geo.div_perp(h0 - x, initial)

@@ -38,6 +38,7 @@ from .fiber import FiberGrid
 # Fiber variation of psi below this (relative) threshold counts as
 # fiber-constant, which is what the exact spectral flow path requires.
 PSI_CONSTANT_TOL = 1e-13
+CLASSIFY_TOL = 1e-10        # sup residual below which classify sets a flag
 
 
 @dataclass(frozen=True)
@@ -364,24 +365,24 @@ class ClassificationReport:
     normal_residual: float
 
 
-def classify(state: ProductState, tol: float = 1e-10,
+def classify(state: ProductState,
              data: SecondFundamentalData | None = None) -> ClassificationReport:
     """Flag each distribution as umbilical / harmonic / totally geodesic.
 
     Umbilicity is judged by the sup metric norm of the traceless residual
     b - (H/n) ghat (exactly zero for the conformal product ansatz) and
-    harmonicity by sup |H| < tol.  Totally geodesic is the conjunction.
+    harmonicity by sup |H| <= CLASSIFY_TOL.  Totally geodesic is the conjunction.
     """
     if data is None:
         data = second_fundamental(state)
     res_d = h_norm_sup(state, data.b_residual)
     res_n = hperp_norm_sup(state, data.bperp_residual)
     tangent = DistributionFlags(
-        umbilical=res_d <= tol,
-        harmonic=h_norm_sup(state, data.h) <= tol,
+        umbilical=res_d <= CLASSIFY_TOL,
+        harmonic=h_norm_sup(state, data.h) <= CLASSIFY_TOL,
     )
     normal = DistributionFlags(
-        umbilical=res_n <= tol,
-        harmonic=hperp_norm_sup(state, data.hperp) <= tol,
+        umbilical=res_n <= CLASSIFY_TOL,
+        harmonic=hperp_norm_sup(state, data.hperp) <= CLASSIFY_TOL,
     )
     return ClassificationReport(tangent, normal, res_d, res_n)

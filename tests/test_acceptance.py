@@ -111,10 +111,12 @@ def test_c05_reeb_total_curvature():
 
 def test_c06_fd_oracle_equivalence():
     """Spectral vs FD gap < 1e-3 at t=1 (dt=1e-3, 256 pts); order 2.0 +- 0.2."""
+    assert checks.ORACLE_TIME == checks.ORDER_TIME == 1.0
+    assert checks.ORACLE_POINTS == 256
+    assert ff.FdScheme().dt == 1e-3
     traj = single_mode_traj((0.0, 1.0))
-    agreement = checks.check_oracle_agreement(traj, t=1.0, grid_points=256,
-                                              scheme=ff.FdScheme(dt=1e-3))
-    order = checks.check_fd_convergence_order(t=1.0, dt=1e-3)
+    agreement = checks.check_oracle_agreement(traj)
+    order = checks.check_fd_convergence_order()
     ok = agreement.residual < 1e-3 and order.residual < 0.2
     verdict(6, "finite-difference oracle", ok)
     assert agreement.residual < 1e-3
@@ -197,8 +199,8 @@ def test_c10_prescribed_limit():
 
 def test_c11_volume_ode():
     """d vol/dt = (n/2) int s dvol, relative error < 1e-4 at spacing 1e-3."""
-    report = checks.check_volume_ode(single_mode_traj((0.0, 0.5, 1.0, 2.0)),
-                                     spacing=1e-3)
+    assert checks.VOLUME_ODE_STEP == 1e-3
+    report = checks.check_volume_ode(single_mode_traj((0.0, 0.5, 1.0, 2.0)))
     ok = report.residual < 1e-4
     verdict(11, "volume rate equation", ok)
     assert report.residual < 1e-4

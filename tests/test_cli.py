@@ -107,8 +107,20 @@ class TestExitCodes:
         ("base_sides", math.inf),
         ("t_end", math.nan),
         ("samples", [0.0, math.nan, 2.0]),
+        # a bool or a numeric string is not a JSON number either
+        ("dt", True),
+        ("theta", "0.5"),
+        ("t_end", "2.0"),
+        ("tol_converge", "1e-10"),
+        ("samples", ["0", 0.5, 1.0, 2.0]),
+        ("fiber_sides", True),
+        ("base_sides", ["6.5"]),
+        ("phi0", {"0,1": True}),
+        ("phi0", {"0,1": ["0.2", 0.0]}),
     ], ids=["dt-nan", "dt-inf", "theta-nan", "fiber_sides-nan", "base_sides-inf",
-            "t_end-nan", "samples-nan"])
+            "t_end-nan", "samples-nan", "dt-bool", "theta-string", "t_end-string",
+            "tol_converge-string", "samples-string", "fiber_sides-bool",
+            "base_sides-string", "phi0-bool", "phi0-pair-string"])
     def test_non_finite_value_exits_two_without_outputs(self, tmp_path, capsys,
                                                         key, value):
         # an FD scenario, so that dt and theta reach the march
@@ -140,14 +152,26 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["divergence_identity", None, 1],
-                             ids=["string", "null", "number"])
+    @pytest.mark.parametrize("key", ["sampels", "thetaa"])
+    def test_unknown_key_exits_two_without_outputs(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, **{key: 0.5})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["divergence_identity", None, 1,
+                                       ["preservation", "preservation"]],
+                             ids=["string", "null", "number", "repeated"])
     def test_checks_not_a_list_exits_two_without_outputs(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, checks=value)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "checks" in err
+        if isinstance(value, list):
+            assert repr(value[0]) in err
         assert not out.exists()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
@@ -237,12 +261,22 @@ class TestFlags:
         rows = (out / "phi_000.csv").read_text(encoding="utf-8").splitlines()
         assert len(rows[0].split(",")) == 32
 
-    def test_oracle_check_appends_report(self, tmp_path):
-        cfg = write_config(tmp_path, oracle_check=True,
-                           checks=["divergence_identity"])
+    def test_grid_zero_exits_two_naming_fiber_points(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert "oracle_agreement" in (out / "checks.csv").read_text(encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(out), "--grid", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fiber_points" in err
+        assert not out.exists()
+
+    def test_oracle_check_appends_report(self, tmp_path):
+        # appended once, and not again when the checks list names it already
+        for checks in (["divergence_identity"], ["divergence_identity", "oracle_agreement"]):
+            cfg = write_config(tmp_path, oracle_check=True, checks=checks)
+            out = tmp_path / f"out{len(checks)}"
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            text = (out / "checks.csv").read_text(encoding="utf-8")
+            assert text.count("oracle_agreement") == 1
 
     def test_no_oracle_strips_report(self, tmp_path):
         cfg = write_config(tmp_path, oracle_check=True,
@@ -316,15 +350,24 @@ VALID_VALUES = {
     "samples": [[0.0, 0.1], [0.0, 0.05, 0.1]],
     "dt": [1e-2, 5e-2], "theta": [0.5, 1.0, 0.0],
     "checks": [[], ["divergence_identity"], ["preservation"]],
+    "amplitude": [0.1, [0.1, 0.05]],     # of the one phi0 mode
 }
 INVALID_VALUES = {
     "scenario": ["moebius", None],
     "n": [1.5, 0, 3, -1, math.nan, "1", True], "p": [1.5, 0, 3, math.inf, "2", None],
     "base_points": [4.5, 6, 0, -4, math.nan, math.inf, "4", [4, 4, 4]],
     "fiber_points": [8.5, 2, -8, math.nan, math.inf, "8", {}],
-    "samples": [[], [math.nan], [-0.1, 0.1], [0.1, "a"], "x", None],
-    "dt": [0.0, -1e-2, math.nan, math.inf, "x"], "theta": [-0.5, 2.0, math.nan, "x"],
-    "checks": [["no_such_check"], "divergence_identity", None, 3, [1]],
+    "base_sides": [0.0, math.inf, True, "6.5", [1.0, "2.0"]],
+    "fiber_sides": [-1.0, math.nan, False, "6.5", [True]],
+    "samples": [[], [math.nan], [-0.1, 0.1], [0.1, "a"], "x", None, [0.0, True],
+                ["0", 0.1]],
+    "t_end": [0.0, math.nan, True, "0.1"],
+    "tol_converge": [0.0, math.inf, True, "1e-10"],
+    "dt": [0.0, -1e-2, math.nan, math.inf, "x", True, "1e-2"],
+    "theta": [-0.5, 2.0, math.nan, "x", False, "0.5"],
+    "amplitude": [math.nan, True, "0.1", [0.1, True], [0.1]],
+    "checks": [["no_such_check"], "divergence_identity", None, 3, [1],
+               ["preservation", "preservation"]],
 }
 
 
@@ -333,17 +376,18 @@ def hostile_configs(draw):
     """Tiny valid scenarios with at most two keys replaced by invalid values."""
     cfg = {key: draw(st.sampled_from(values)) for key, values in VALID_VALUES.items()}
     width = int(cfg["n"] + cfg["p"])
-    cfg["phi0"] = {",".join(["0"] * (width - 1) + ["1"]): 0.1}
+    phi0_mode = ",".join(["0"] * (width - 1) + ["1"])
     if cfg["scenario"] == "double_twisted" and draw(st.booleans()):
         cfg["psi"] = {",".join(["1"] * width): 0.1}  # varies along the fiber: FD path
     for key in draw(st.lists(st.sampled_from(sorted(INVALID_VALUES)), max_size=2,
                              unique=True)):
         cfg[key] = draw(st.sampled_from(INVALID_VALUES[key]))
+    cfg["phi0"] = {phi0_mode: cfg.pop("amplitude")}
     return cfg
 
 
 class TestHostileConfigs:
-    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True)
     @hyp.given(cfg=hostile_configs())
     def test_exit_code_without_traceback_or_partial_output(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
