@@ -1,9 +1,12 @@
 """Runtime checkers for the integral identities and preservation laws.
 
 Every checker returns CheckReport records (name, residual, tolerance,
-sample time) so runs can be audited mechanically.  Checkers are pure:
-they never mutate the trajectory and are idempotent, and the reports
-are independent of evaluation order.
+sample time) so runs can be audited mechanically.  Checkers never mutate
+the trajectory's states or diagnostics.  On the exact path their reports
+are independent of evaluation order.  On the finite-difference path they
+are not: the trajectory's evaluator caches every time it evaluates and
+marches on from the nearest earlier one, so a checker's residual can move
+in its third or fourth digit with the checkers run before it.
 
 Tolerances (module constants, like the steps and resolutions): 1e-8 for
 spectral-path identities at 64 points per dimension, 1e-3 against the

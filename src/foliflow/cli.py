@@ -67,6 +67,13 @@ def _as_float(raw, label: str) -> float:
     raise InputError(f"{label} must be a finite number, got {raw!r}")
 
 
+def _as_bool(raw, label: str) -> bool:
+    """A JSON true or false; strings, numbers and null are refused."""
+    if isinstance(raw, bool):
+        return raw
+    raise InputError(f"{label} must be true or false, got {raw!r}")
+
+
 def _as_positive_floats(raw, count: int, label: str) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raw = [raw] * count
@@ -183,7 +190,7 @@ def _load_config(path: Path, args) -> dict:
     for name in checks:
         if checks.count(name) > 1:
             raise InputError(f"checks names {name!r} more than once")
-    if (cfg.get("oracle_check", False) and not args.no_oracle
+    if (_as_bool(cfg.get("oracle_check", False), "oracle_check") and not args.no_oracle
             and "oracle_agreement" not in checks):
         checks.append("oracle_agreement")
     if args.no_oracle:
@@ -200,9 +207,12 @@ def _load_config(path: Path, args) -> dict:
     if "decay_rate" in checks and len(flow_cfg.samples) < 4:
         raise InputError("decay_rate needs at least 4 sample times")
 
+    out_key = cfg.get("out", "foliflow_out")
+    if not isinstance(out_key, str) or not out_key:
+        raise InputError(f"out must be a nonempty directory path string, got {out_key!r}")
     out = {"scenario": scenario, "base": base, "fiber": fiber, "flow": flow_cfg,
-           "checks": checks, "plot": bool(cfg.get("plot", False)) or args.plot,
-           "out_dir": Path(args.out) if args.out else Path(cfg.get("out", "foliflow_out"))}
+           "checks": checks, "plot": _as_bool(cfg.get("plot", False), "plot") or args.plot,
+           "out_dir": Path(args.out) if args.out else Path(out_key)}
 
     if scenario == "codim1_fibration":
         if p != 1:

@@ -73,36 +73,41 @@ def fd_laplacian_conformal(u: np.ndarray, psi: np.ndarray, grid: FiberGrid) -> n
     return np.exp(-2.0 * psi) * flat
 
 
-def _shift_matrix(n: int, s: int) -> sp.csr_matrix:
-    rows = np.arange(n)
-    return sp.csr_matrix((np.ones(n), (rows, (rows + s) % n)), shape=(n, n))
-
-
 def operator_matrix(psi: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
-    """Sparse matrix of the centered conformal Laplacian on one fiber."""
+    """Sparse matrix of the centered conformal Laplacian on one or more fibers.
+
+    psi is one profile (grid.shape) or a stack of k profiles ((k,) + grid.shape);
+    a stack gives the block-diagonal operator on the k fibers in stack order,
+    from one sparse construction.  The result is canonical CSR with sorted
+    indices, so a one-profile stack gives the same matrix as its profile.
+    """
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != grid.shape:
-        raise InputError(f"psi shape {psi.shape} != grid shape {grid.shape}")
+    if psi.shape == grid.shape:
+        psi = psi[np.newaxis]
+    if psi.shape[1:] != grid.shape:
+        raise InputError(f"psi shape {psi.shape} is neither the grid shape {grid.shape} "
+                         f"nor a stack of profiles (k,) + {grid.shape}")
+    conf = np.exp(-2.0 * psi)
+    # (column, value) of each stencil entry; rolling the index array along a
+    # grid axis keeps every periodic neighbour inside its own fiber's block
+    index = np.arange(psi.size).reshape(psi.shape)
     if grid.dim == 1:
-        n = grid.points[0]
         h = grid.spacing(0)
-        conf = np.exp(-2.0 * psi)
-        dpsi = _roll_diff(psi, 0, h)
-        up = conf * (1.0 / h ** 2 - dpsi / (2.0 * h))
-        down = conf * (1.0 / h ** 2 + dpsi / (2.0 * h))
-        main = -2.0 * conf / h ** 2
-        rows = np.arange(n)
-        data = np.concatenate([main, up, down])
-        cols = np.concatenate([rows, (rows + 1) % n, (rows - 1) % n])
-        return sp.csr_matrix((data, (np.tile(rows, 3), cols)), shape=(n, n))
-    n1, n2 = grid.points
-    h1, h2 = grid.spacing(0), grid.spacing(1)
-    eye1, eye2 = sp.identity(n1, format="csr"), sp.identity(n2, format="csr")
-    lap1 = (_shift_matrix(n1, 1) + _shift_matrix(n1, -1) - 2.0 * eye1) / h1 ** 2
-    lap2 = (_shift_matrix(n2, 1) + _shift_matrix(n2, -1) - 2.0 * eye2) / h2 ** 2
-    flat = sp.kron(lap1, eye2) + sp.kron(eye1, lap2)
-    conf = sp.diags(np.exp(-2.0 * psi).reshape(-1))
-    return (conf @ flat).tocsr()
+        dpsi = _roll_diff(psi, 1, h)
+        stencil = [
+            (index, -2.0 * conf / h ** 2),
+            (np.roll(index, -1, axis=1), conf * (1.0 / h ** 2 - dpsi / (2.0 * h))),
+            (np.roll(index, 1, axis=1), conf * (1.0 / h ** 2 + dpsi / (2.0 * h))),
+        ]
+    else:
+        inv = [1.0 / grid.spacing(axis) ** 2 for axis in range(2)]
+        stencil = [(index, conf * (-2.0 * inv[0] + -2.0 * inv[1]))]
+        stencil += [(np.roll(index, shift, axis=1 + axis), conf * inv[axis])
+                    for axis in range(2) for shift in (-1, 1)]
+    rows = np.tile(index.reshape(-1), len(stencil))
+    cols = np.concatenate([c.reshape(-1) for c, _ in stencil])
+    data = np.concatenate([v.reshape(-1) for _, v in stencil])
+    return sp.csr_matrix((data, (rows, cols)), shape=(psi.size, psi.size))
 
 
 def _validate_explicit_step(dt: float, theta: float, psi: np.ndarray, grid: FiberGrid):
@@ -124,14 +129,6 @@ def _validate_explicit_step(dt: float, theta: float, psi: np.ndarray, grid: Fibe
 # p = 2 run over 16 distinct fibers of 64^2 took 1.6-1.8 s and 79 MB with it,
 # 2.1-2.6 s and 177 MB as one block (2-core Xeon VM).
 _BLOCK_UNKNOWNS = 4096
-
-
-def _block_operator(profiles: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
-    """Block-diagonal operator over psi profiles stacked on axis 0."""
-    if len(profiles) == 1:
-        # block_diag would re-sort the stored entries, which moves p = 2 sums
-        return operator_matrix(profiles[0], grid)
-    return sp.block_diag([operator_matrix(q, grid) for q in profiles], format="csr")
 
 
 def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
@@ -200,7 +197,7 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
         work = np.zeros((len(chunk), size, width))  # one column per member rank
         for block, members in zip(work, chunk):
             block[:, :len(members)] = flat[members].T
-        work = _theta_march(_block_operator(profiles[first:first + per_chunk], grid),
+        work = _theta_march(operator_matrix(profiles[first:first + per_chunk], grid),
                             work.reshape(-1, width), steps, dt, scheme.theta)
         for block, members in zip(work.reshape(len(chunk), size, width), chunk):
             out[members] = block[:, :len(members)].T

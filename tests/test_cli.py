@@ -117,10 +117,21 @@ class TestExitCodes:
         ("base_sides", ["6.5"]),
         ("phi0", {"0,1": True}),
         ("phi0", {"0,1": ["0.2", 0.0]}),
+        # a flag is a JSON true or false, not a truthy or falsy stand-in
+        ("plot", "no"),
+        ("plot", 1),
+        ("oracle_check", "false"),
+        ("oracle_check", 0),
+        ("oracle_check", None),
+        # out must name a directory even when --out overrides it
+        ("out", 5),
+        ("out", ""),
     ], ids=["dt-nan", "dt-inf", "theta-nan", "fiber_sides-nan", "base_sides-inf",
             "t_end-nan", "samples-nan", "dt-bool", "theta-string", "t_end-string",
             "tol_converge-string", "samples-string", "fiber_sides-bool",
-            "base_sides-string", "phi0-bool", "phi0-pair-string"])
+            "base_sides-string", "phi0-bool", "phi0-pair-string", "plot-string",
+            "plot-number", "oracle_check-string", "oracle_check-number",
+            "oracle_check-null", "out-number", "out-empty"])
     def test_non_finite_value_exits_two_without_outputs(self, tmp_path, capsys,
                                                         key, value):
         # an FD scenario, so that dt and theta reach the march
@@ -173,6 +184,20 @@ class TestExitCodes:
         if isinstance(value, list):
             assert repr(value[0]) in err
         assert not out.exists()
+
+    def test_out_key_must_be_a_string(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, out=5)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "out must be" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+        # a string key is honoured, and --out still overrides it
+        cfg = write_config(tmp_path, out="from_key")
+        assert main(["run", str(cfg)]) == 0
+        assert main(["run", str(cfg), "--out", "from_flag"]) == 0
+        for name in ("from_key", "from_flag"):
+            assert (tmp_path / name / "diagnostics.csv").exists()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         ints = write_config(tmp_path, "ints.json", fiber_points=32)
@@ -351,6 +376,7 @@ VALID_VALUES = {
     "dt": [1e-2, 5e-2], "theta": [0.5, 1.0, 0.0],
     "checks": [[], ["divergence_identity"], ["preservation"]],
     "amplitude": [0.1, [0.1, 0.05]],     # of the one phi0 mode
+    "plot": [False, True], "oracle_check": [False],
 }
 INVALID_VALUES = {
     "scenario": ["moebius", None],
@@ -368,6 +394,7 @@ INVALID_VALUES = {
     "amplitude": [math.nan, True, "0.1", [0.1, True], [0.1]],
     "checks": [["no_such_check"], "divergence_identity", None, 3, [1],
                ["preservation", "preservation"]],
+    "plot": ["no", "true", 0, 1, None], "oracle_check": ["false", "yes", 0, 1.0, None],
 }
 
 

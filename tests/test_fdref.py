@@ -24,6 +24,7 @@ from foliflow.errors import InputError
 CIRCLE = ff.FiberGrid(1, (2.0 * math.pi,), (256,))
 SMALL = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
 TORUS8 = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (8, 8))
+TORUS16 = ff.FiberGrid(2, (6.0, 7.0), (16, 16))
 
 
 def discrete_symbol(k, grid, axis=0):
@@ -146,6 +147,27 @@ class TestOperatorMatrix:
     def test_wrong_psi_shape(self):
         with pytest.raises(InputError):
             fdref.operator_matrix(np.zeros(16), SMALL)
+
+    @pytest.mark.parametrize("psi_shape", [(3, 16), (2, 3) + SMALL.shape, (64, 2), ()],
+                             ids=["wrong-grid", "two-stack-axes", "wrong-order", "scalar"])
+    def test_non_stack_shapes_rejected(self, psi_shape):
+        with pytest.raises(InputError):
+            fdref.operator_matrix(np.zeros(psi_shape), SMALL)
+
+    @pytest.mark.parametrize("grid", [SMALL, TORUS16], ids=["p1", "p2"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stack_is_block_diagonal_of_profiles(self, grid, k):
+        stack = random_profiles(np.random.default_rng(k), k, grid)
+        mat = fdref.operator_matrix(stack, grid)
+        assert mat.has_sorted_indices
+        blocks = sp.block_diag([fdref.operator_matrix(q, grid) for q in stack], format="csr")
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(mat, attr), getattr(blocks, attr))
+        if k == 1:
+            single = fdref.operator_matrix(stack[0], grid)
+            assert single.has_sorted_indices
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(mat, attr), getattr(single, attr))
 
 
 class TestFdHeatRun:
