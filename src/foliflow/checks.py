@@ -79,8 +79,7 @@ def divergence_identity_sides(state: ProductState,
     """(int Div_perp xi dvol, int g(H, xi) dvol); xi defaults to H itself."""
     h, xi = _pair_h_xi(state, xi)
     lhs = geo.integrate(state, geo.div_perp(xi, state))
-    pairing = np.exp(2.0 * state.psi) * np.sum(h * xi, axis=0)
-    rhs = geo.integrate(state, pairing)
+    rhs = geo.integrate(state, geo.leaf_inner(state, h, xi))
     return lhs, rhs
 
 
@@ -109,7 +108,7 @@ def check_codim1_identity(state: ProductState, f: np.ndarray | None = None) -> C
     f = np.asarray(f, dtype=float)
     if f.shape != state.shape:
         raise InputError(f"f shape {f.shape} != state shape {state.shape}")
-    n_of_f = np.exp(-state.psi) * fb.gradient_values(f, state.fiber)[0]
+    n_of_f = state.exp_psi(-1) * fb.gradient_values(f, state.fiber)[0]
     residual = abs(geo.integrate(state, n_of_f - tau_of_state(state) * f))
     return CheckReport("codim1_identity", residual, SPECTRAL_TOL, state.t)
 
@@ -128,7 +127,7 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> Chec
     if f.shape != state.shape:
         raise InputError(f"f shape {f.shape} != state shape {state.shape}")
     partials = fb.gradient_values(f, state.fiber)
-    grad = state.exp_neg2psi * partials      # grad_perp f
+    grad = state.exp_psi(-2) * partials      # grad_perp f
     zeta = f * grad
     weight = geo.volume_form_weight(state)
     div_full = sum(
@@ -139,7 +138,7 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> Chec
     for i in range(state.p):
         h_of_f += h[i] * partials[i]
     lap = geo.div_perp(grad, state)          # Lap_perp f
-    grad_sq = np.exp(2.0 * state.psi) * np.sum(grad ** 2, axis=0)
+    grad_sq = geo.leaf_inner(state, grad, grad)
     residual = float(np.max(np.abs(div_full + f * (h_of_f - lap) - grad_sq)))
     return CheckReport("harmonic_rigidity", residual, SPECTRAL_TOL, state.t)
 
@@ -186,17 +185,17 @@ def _speed(state: ProductState, x: np.ndarray, normalized: bool) -> np.ndarray:
 def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
     """(|theta|^2, |delta theta|^2) in the leafwise L2 norm, delta the leaf codifferential.
 
-    The leaf measure exp(p psi) dy and the leaf metric are frozen in
-    time, so these norms see only the evolving 1-form.
+    theta is the 1-form g_perp(H - X, .), so the field H - X is its metric
+    dual: |theta| = |H - X| in the leaf metric and delta theta =
+    -Div_perp(H - X).  The leaf measure exp(p psi) dy and the leaf metric
+    are frozen in time, so these norms see only the evolving field.
     """
-    theta = geo.theta_h(state, geo.twisted_mean_curvature(state) - x)
-    leaf_weight = np.exp(state.p * state.psi)
+    field = geo.twisted_mean_curvature(state) - x
+    leaf_weight = state.exp_psi(state.p)
     flat_vol = state.base.volume * state.fiber.volume
-    theta_sq = np.exp(-2.0 * state.psi) * np.sum(theta ** 2, axis=0)
-    sharp = np.exp(-2.0 * state.psi) * theta
-    codiff = -geo.div_perp(sharp, state)
+    codiff = -geo.div_perp(field, state)
     return (
-        float(np.mean(theta_sq * leaf_weight) * flat_vol),
+        float(np.mean(geo.leaf_inner(state, field, field) * leaf_weight) * flat_vol),
         float(np.mean(codiff ** 2 * leaf_weight) * flat_vol),
     )
 
@@ -219,9 +218,10 @@ def check_monotonicity(trajectory: Trajectory) -> list[CheckReport]:
         t = record.t
         if t >= h:
             slope = (energy(t + h) - energy(t - h)) / (2.0 * h)
+            dissip = _theta_norms(trajectory.evaluate(t), x)[1]
         else:
-            slope = (-3.0 * energy(t) + 4.0 * energy(t + h) - energy(t + 2 * h)) / (2.0 * h)
-        dissip = _theta_norms(trajectory.evaluate(t), x)[1]
+            energy_t, dissip = _theta_norms(trajectory.evaluate(t), x)
+            slope = (-3.0 * energy_t + 4.0 * energy(t + h) - energy(t + 2 * h)) / (2.0 * h)
         reports.append(CheckReport("monotonicity", abs(slope + 2.0 * dissip),
                                    MONOTONE_TOL, t))
     return reports
@@ -321,7 +321,7 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     zero = (slice(None),) * initial.n + (0,) * initial.p
     mags[zero] = 0.0
     summed = mags.sum(axis=axes)
-    gap = flat_spectral_gap(initial.fiber) * np.exp(-2.0 * geo.psi_fiber_mean(initial))
+    gap = flat_spectral_gap(initial.fiber) * geo.fiber_rate(initial)
     bound = float(np.max(summed / gap))
     return math.exp(2.0 * bound / initial.n)
 
@@ -354,7 +354,7 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
     if trajectory.config.variant != "plain":
         raise UnsupportedScenarioError("oracle agreement runs on the plain variant")
     psi_mean = geo.psi_fiber_mean(initial)
-    rate = np.exp(-2.0 * psi_mean)
+    rate = geo.fiber_rate(initial)
 
     if initial.p == 1 and ORACLE_POINTS != initial.fiber.points[0]:
         fine_grid = FiberGrid(1, initial.fiber.sides, (ORACLE_POINTS,))
@@ -423,11 +423,8 @@ def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
     slope = estimate_decay_rate(trajectory, skip)
     if expected is None:
         initial = trajectory.initial
-        if trajectory.exact_path:
-            scale = float(np.min(np.exp(-2.0 * geo.psi_fiber_mean(initial))))
-        else:
-            scale = float(np.min(np.exp(-2.0 * initial.psi)))
-        expected = -flat_spectral_gap(initial.fiber) * scale
+        rate = geo.fiber_rate(initial) if trajectory.exact_path else initial.exp_psi(-2)
+        expected = -flat_spectral_gap(initial.fiber) * float(np.min(rate))
     residual = abs(slope - expected) / abs(expected)
     return CheckReport("decay_rate", residual, DECAY_REL_TOL,
                        trajectory.sample_times[-1])

@@ -154,9 +154,9 @@ def _load_config(path: Path, args) -> dict:
     base_sides = _as_positive_floats(cfg.get("base_sides", 2 * np.pi), n, "base_sides")
     fiber_sides = _as_positive_floats(cfg.get("fiber_sides", 2 * np.pi), p, "fiber_sides")
     base = _as_grid(n, base_sides, cfg.get("base_points"), "base_points")
-    fiber = _as_grid(p, fiber_sides,
-                     args.grid if args.grid is not None else cfg.get("fiber_points"),
-                     "fiber_points")
+    fiber = _as_grid(p, fiber_sides, cfg.get("fiber_points"), "fiber_points")
+    if args.grid is not None:
+        fiber = _as_grid(p, fiber_sides, args.grid, "fiber_points")
 
     variant = cfg.get("variant", "plain")
     x_field = None

@@ -167,7 +167,7 @@ def _plain_evaluator(initial: ProductState, driving0: np.ndarray,
                      config: FlowConfig, exact: bool) -> Callable[[float], ProductState]:
     """Closed-form (or marching) solver for d/dt phi = Lap_perp phi."""
     if exact:
-        rate = np.exp(-2.0 * geo.psi_fiber_mean(initial))
+        rate = geo.fiber_rate(initial)
 
         def evaluate(t: float) -> ProductState:
             if t < 0:
@@ -207,12 +207,11 @@ def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRe
         driving = geo.div_perp(data.h - x, state)
     else:
         driving = div_h
-    h_sq = np.exp(2.0 * state.psi) * np.sum(data.h ** 2, axis=0)
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
         t=state.t,
         vol=geo.volume(state),
-        int_h2=geo.integrate(state, h_sq),
+        int_h2=geo.integrate(state, geo.leaf_inner(state, data.h, data.h)),
         max_div_h=float(np.max(np.abs(div_h))),
         rate=normalization_rate(state, div_h),
         max_driving=float(np.max(np.abs(driving))),
@@ -335,4 +334,4 @@ def tau_of_state(state: ProductState) -> np.ndarray:
     """Leafwise mean-curvature scalar g(N, H) = exp(psi) H of a p = 1 state."""
     if state.p != 1:
         raise InputError("tau is defined for one-dimensional fibers only")
-    return np.exp(state.psi) * geo.twisted_mean_curvature(state)[0]
+    return state.exp_psi(1) * geo.twisted_mean_curvature(state)[0]

@@ -48,10 +48,12 @@ class ProductState:
     phi and psi live on the combined grid (base axes first).  Treat the
     arrays as immutable once the state is built.
 
-    Fields that depend on psi alone (exp(-2 psi) and the fiber and base
-    gradients of psi) are computed on first use and kept in a store that
-    ``replace_phi`` hands on, so every state of one trajectory shares
-    them; a state built any other way starts with an empty store.
+    Fields that depend on psi alone (the factors ``exp_psi(scale)``, one
+    entry per scale, and the fiber and base gradients of psi) are computed
+    on first use and kept in a store that ``replace_phi`` hands on, so every
+    state of one trajectory shares them; a state built any other way starts
+    with an empty store.  ``leaf_inner`` is the only leaf pairing and
+    ``fiber_rate`` the only per-fiber rate of the exact path.
     """
 
     base: FiberGrid
@@ -112,10 +114,9 @@ class ProductState:
             self._psi_fields[name] = compute()
         return self._psi_fields[name]
 
-    @property
-    def exp_neg2psi(self) -> np.ndarray:
-        """exp(-2 psi), the inverse of the leaf conformal factor."""
-        return self._psi_field("exp_neg2psi", lambda: np.exp(-2.0 * self.psi))
+    def exp_psi(self, scale: float) -> np.ndarray:
+        """exp(scale * psi): scale 2 is the leaf conformal factor, p the leaf density."""
+        return self._psi_field(("exp", float(scale)), lambda: np.exp(scale * self.psi))
 
     @property
     def psi_fiber_gradient(self) -> np.ndarray:
@@ -132,6 +133,11 @@ class ProductState:
 def psi_fiber_mean(state: ProductState) -> np.ndarray:
     """Per-fiber average of psi, shape = base.shape."""
     return state.psi.mean(axis=state.fiber_axes)
+
+
+def fiber_rate(state: ProductState) -> np.ndarray:
+    """exp(-2 psibar), the per-fiber eigenvalue scale of the exact path."""
+    return np.exp(-2 * psi_fiber_mean(state))
 
 
 def psi_is_fiber_constant(state: ProductState) -> bool:
@@ -157,7 +163,7 @@ def _check_fiber_vector(xi: np.ndarray, state: ProductState) -> np.ndarray:
 def grad_perp(u: np.ndarray, state: ProductState) -> np.ndarray:
     """Leafwise gradient of u: exp(-2*psi) times the flat fiber partials."""
     flat = fb.gradient_values(np.asarray(u, dtype=float), state.fiber)
-    return state.exp_neg2psi * flat
+    return state.exp_psi(-2) * flat
 
 
 def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
@@ -284,23 +290,21 @@ def volume(state: ProductState) -> float:
     return integrate(state, np.ones(state.shape))
 
 
-def fiber_integrate(state: ProductState, values: np.ndarray) -> np.ndarray:
-    """Per-fiber quadrature against the leaf volume exp(p*psi) dy."""
-    values = np.asarray(values, dtype=float)
-    weight = np.exp(state.p * state.psi)
-    return (values * weight).mean(axis=state.fiber_axes) * state.fiber.volume
-
-
 def fiber_average(state: ProductState, values: np.ndarray) -> np.ndarray:
-    """Leaf-volume-weighted per-fiber average, shape = base.shape."""
-    return fiber_integrate(state, values) / fiber_integrate(state, np.ones(state.shape))
+    """Per-fiber average against the leaf volume exp(p psi) dy, shape = base.shape."""
+    weight = state.exp_psi(state.p)
+    return (values * weight).mean(axis=state.fiber_axes) / weight.mean(axis=state.fiber_axes)
+
+
+def leaf_inner(state: ProductState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise leaf-metric pairing exp(2 psi) sum_i a^i b^i of fiber-tangent fields."""
+    return state.exp_psi(2) * np.sum(a * b, axis=0)
 
 
 def h_norm_sup(state: ProductState, h: np.ndarray) -> float:
     """Sup over the grid of the metric norm of a fiber-tangent field."""
     h = _check_fiber_vector(h, state)
-    sq = np.exp(2.0 * state.psi) * np.sum(h ** 2, axis=0)
-    return float(np.sqrt(np.max(sq)))
+    return float(np.sqrt(np.max(leaf_inner(state, h, h))))
 
 
 def hperp_norm_sup(state: ProductState, hperp: np.ndarray) -> float:
@@ -318,7 +322,7 @@ def theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
     """
     if h is None:
         h = twisted_mean_curvature(state)
-    return np.exp(2.0 * state.psi) * _check_fiber_vector(h, state)
+    return state.exp_psi(2) * _check_fiber_vector(h, state)
 
 
 def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:

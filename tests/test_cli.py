@@ -99,6 +99,15 @@ class TestExitCodes:
         assert "hypothesis violation" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_fiber_points_exits_two_even_with_grid(self, tmp_path, capsys):
+        # --grid overrides a valid fiber_points, it does not excuse an invalid one
+        cfg = write_config(tmp_path, fiber_points="lots")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--grid", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fiber_points" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dt", math.nan),
         ("dt", math.inf),

@@ -79,20 +79,31 @@ class TestProductState:
         assert not geo.psi_is_fiber_constant(state)
 
 
+SCALES = (-2, -1, 1, 2)
+
+
 class TestPsiFields:
-    """exp(-2 psi) and the psi gradients are computed once per psi."""
+    """exp(scale psi) and the psi gradients are computed once per psi."""
 
     def test_replace_phi_reuses_cached_fields(self):
         state = random_state(7, fiber=TORUS)
-        fields = (state.exp_neg2psi, state.psi_fiber_gradient, state.psi_base_gradient)
+        exps = [state.exp_psi(s) for s in SCALES]
+        fields = (state.psi_fiber_gradient, state.psi_base_gradient)
         later = state.replace_phi(state.phi * 0.5, 1.0)
-        assert later.exp_neg2psi is fields[0]
-        assert later.psi_fiber_gradient is fields[1]
-        assert later.psi_base_gradient is fields[2]
+        for scale, value in zip(SCALES, exps):
+            assert later.exp_psi(scale) is value
+        assert later.psi_fiber_gradient is fields[0]
+        assert later.psi_base_gradient is fields[1]
+
+    def test_leaf_density_shares_the_conformal_factor_when_p_is_2(self):
+        state = random_state(7, fiber=TORUS)
+        assert state.exp_psi(state.p) is state.exp_psi(2)
+        assert state.exp_psi(2.0) is state.exp_psi(2)
 
     def test_cached_fields_match_direct_computation(self):
         state = random_state(8, fiber=TORUS)
-        np.testing.assert_array_equal(state.exp_neg2psi, np.exp(-2.0 * state.psi))
+        for scale in SCALES:
+            np.testing.assert_array_equal(state.exp_psi(scale), np.exp(scale * state.psi))
         np.testing.assert_array_equal(state.psi_fiber_gradient,
                                       fb.gradient_values(state.psi, TORUS))
         np.testing.assert_array_equal(state.psi_base_gradient,
@@ -108,6 +119,7 @@ class TestPsiFields:
                        fb.harmonic_field((BASE4, TORUS), {(1, 2, 1): (0.2, 0.1)})])
         geo.div_perp(xi, old)      # fills the old state's store
         old.psi_base_gradient
+        old.exp_psi(2)
         psi = 0.1 * fb.harmonic_field((BASE4, TORUS), {(1, 1, 3): (0.4, 0.2)})
         new = rebuild(old, psi)
         psi_grad = fb.gradient_values(psi, TORUS)
@@ -118,11 +130,23 @@ class TestPsiFields:
         np.testing.assert_array_equal(geo.div_perp(xi, new), direct)
         np.testing.assert_array_equal(new.psi_base_gradient,
                                       geo.base_gradient(psi, new))
+        np.testing.assert_array_equal(new.exp_psi(2), np.exp(2 * psi))
+
+    def test_leaf_inner_and_fiber_rate_match_direct_computation(self):
+        state = random_state(10, fiber=TORUS, psi_scale=0.3)
+        a = state.psi_fiber_gradient
+        b = geo.grad_perp(state.phi, state)
+        np.testing.assert_array_equal(geo.leaf_inner(state, a, b),
+                                      np.exp(2 * state.psi) * np.sum(a * b, axis=0))
+        np.testing.assert_array_equal(geo.fiber_rate(state),
+                                      np.exp(-2 * state.psi.mean(axis=(1, 2))))
 
     def test_cache_is_not_part_of_repr(self):
         state = twisted_circle()
-        state.exp_neg2psi
+        for scale in SCALES:
+            state.exp_psi(scale)
         assert "_psi_fields" not in repr(state)
+        assert "exp" not in repr(state)
 
 
 class TestConformalOperators:
