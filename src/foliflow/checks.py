@@ -239,6 +239,16 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckRep
     if t is None:
         t = trajectory.sample_times[len(trajectory.sample_times) // 2]
         t = min(max(t, spacing), config.t_end - spacing)
+        if t < spacing:
+            raise InputError(
+                f"volume_ode needs t_end >= 2 * VOLUME_ODE_STEP = {2 * spacing:g} for its "
+                f"central difference, got t_end = {config.t_end:g}"
+            )
+    elif t < spacing:
+        raise InputError(
+            f"volume_ode needs t >= VOLUME_ODE_STEP = {spacing:g} for its central "
+            f"difference, got t = {t:g}"
+        )
     state = trajectory.evaluate(t)
     s = _speed(state, trajectory.x, config.variant == "normalized")
     rhs = (state.n / 2.0) * geo.integrate(state, s)

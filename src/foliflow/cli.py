@@ -29,19 +29,20 @@ import numpy as np
 from . import checks as ck
 from . import fiber as fb
 from . import flows as fl
-from .errors import (
-    DegenerateTrajectoryError,
-    FlowError,
-    HypothesisViolationError,
-    InputError,
-)
+from .errors import FlowError, HypothesisViolationError, InputError
 from .fdref import FdScheme
 from .fiber import FiberGrid
 from .geometry import ProductState
 
 SCENARIOS = ("twisted_torus", "double_twisted", "codim1_fibration")
 
-DIAG_COLUMNS = ("t", "vol", "intH2", "maxDivH", "r", "umbilicalResidual", "dThetaH")
+# (diagnostics.csv column, DiagnosticsRecord attribute); every column after t
+# is also one panel of diagnostics.svg.
+_DIAG_FIELDS = (
+    ("t", "t"), ("vol", "vol"), ("intH2", "int_h2"), ("maxDivH", "max_div_h"),
+    ("r", "rate"), ("umbilicalResidual", "umbilical_residual"), ("dThetaH", "d_theta_sup"),
+)
+DIAG_COLUMNS = tuple(column for column, _ in _DIAG_FIELDS)
 
 # Every top-level key _load_config reads; any other key is a config error.
 CONFIG_KEYS = frozenset((
@@ -242,10 +243,7 @@ def _load_config(path: Path, args) -> dict:
 def _write_diagnostics(path: Path, traj: fl.Trajectory) -> None:
     lines = [",".join(DIAG_COLUMNS)]
     for d in traj.diagnostics:
-        lines.append(",".join(_fmt(v) for v in (
-            d.t, d.vol, d.int_h2, d.max_div_h, d.rate, d.umbilical_residual,
-            d.d_theta_sup,
-        )))
+        lines.append(",".join(_fmt(getattr(d, attr)) for _, attr in _DIAG_FIELDS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -274,14 +272,8 @@ def _write_checks(path: Path, reports: list[ck.CheckReport]) -> None:
 
 def _svg_chart(traj: fl.Trajectory) -> str:
     """Small-multiple polyline chart of the diagnostics columns."""
-    panels = [
-        ("vol", [d.vol for d in traj.diagnostics]),
-        ("intH2", [d.int_h2 for d in traj.diagnostics]),
-        ("maxDivH", [d.max_div_h for d in traj.diagnostics]),
-        ("r", [d.rate for d in traj.diagnostics]),
-        ("umbilicalResidual", [d.umbilical_residual for d in traj.diagnostics]),
-        ("dThetaH", [d.d_theta_sup for d in traj.diagnostics]),
-    ]
+    panels = [(column, [getattr(d, attr) for d in traj.diagnostics])
+              for column, attr in _DIAG_FIELDS[1:]]
     times = [d.t for d in traj.diagnostics]
     t0, t1 = times[0], times[-1]
     t_span = (t1 - t0) or 1.0
@@ -316,7 +308,7 @@ def _svg_chart(traj: fl.Trajectory) -> str:
 def _run_command(args) -> int:
     try:
         payload = _load_config(args.config, args)
-    except (OSError, json.JSONDecodeError, FlowError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, FlowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -336,7 +328,7 @@ def _run_command(args) -> int:
 
     try:
         reports = ck.run_checks(traj, payload["checks"])
-    except (DegenerateTrajectoryError, FlowError) as exc:
+    except FlowError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -379,7 +371,6 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _run_command(args)
     parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

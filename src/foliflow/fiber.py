@@ -13,7 +13,8 @@ here.
 
 Fields are stored nodally.  Transforms go through real FFTs, which keep
 the conjugate (Hermitian) symmetry of the spectrum intact after every
-multiplier application, so evolved fields stay exactly real.
+multiplier application, so evolved fields stay exactly real.  The
+symbols every multiplier reads are built once per grid.
 
 Array-level helpers (evolve_values, time_integral_values, ...) act on the
 trailing ``grid.dim`` axes and broadcast over any leading axes; the flow
@@ -25,6 +26,7 @@ leaf Laplacian is then exp(-2*psi) times the flat one.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -119,38 +121,30 @@ def _rfft_axes(values: np.ndarray, grid: FiberGrid) -> tuple[int, ...]:
         )
     return tuple(range(values.ndim - grid.dim, values.ndim))
 
-def _mode_integers(n: int, half: bool) -> np.ndarray:
-    if half:
-        return np.arange(n // 2 + 1, dtype=float)
-    return np.fft.fftfreq(n, d=1.0 / n)
 
+@functools.cache
+def _symbols(grid: FiberGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Fourier symbols of the grid, laid out like rfftn output; built once per grid.
 
-def _eigenvalues_rfft(grid: FiberGrid) -> np.ndarray:
-    """Eigenvalue array laid out like rfftn output over the grid axes."""
-    parts = []
-    for k in range(grid.dim):
-        m = _mode_integers(grid.points[k], half=(k == grid.dim - 1))
-        parts.append((2.0 * math.pi * m / grid.sides[k]) ** 2)
-    if grid.dim == 1:
-        return parts[0]
-    return parts[0][:, None] + parts[1][None, :]
-
-
-def _wavenumbers_rfft(grid: FiberGrid, axis: int) -> np.ndarray:
-    """ik multiplier for one first derivative, Nyquist mode zeroed."""
-    factors = []
-    for k in range(grid.dim):
-        n = grid.points[k]
-        m = _mode_integers(n, half=(k == grid.dim - 1))
-        if k == axis:
-            w = 2.0 * math.pi * m / grid.sides[k]
-            w[np.abs(m) == n // 2] = 0.0  # odd derivative of the Nyquist mode is ambiguous
-            factors.append(w)
-        else:
-            factors.append(np.ones_like(m))
-    if grid.dim == 1:
-        return 1j * factors[0]
-    return 1j * factors[0][:, None] * factors[1][None, :]
+    Returns the flat-Laplacian eigenvalues |k|**2 and one ik factor per
+    axis, shaped to broadcast along its own axis only.  Each ik has the
+    Nyquist mode of its own axis zeroed, since the odd derivative of that
+    mode is ambiguous.  The arrays are shared, hence read-only.
+    """
+    lam = 0.0
+    iks = []
+    for k, (n, side) in enumerate(zip(grid.points, grid.sides)):
+        half = k == grid.dim - 1    # rfftn keeps the non-negative half of the last axis
+        m = np.arange(n // 2 + 1, dtype=float) if half else np.fft.fftfreq(n, d=1.0 / n)
+        w = 2.0 * math.pi * m / side
+        shape = [1] * grid.dim
+        shape[k] = m.size
+        lam = lam + (w ** 2).reshape(shape)
+        w[np.abs(m) == n // 2] = 0.0
+        iks.append((1j * w).reshape(shape))
+    for a in (lam, *iks):
+        a.flags.writeable = False
+    return lam, tuple(iks)
 
 
 def _require_zero_means(values: np.ndarray, axes: tuple[int, ...], message: str) -> None:
@@ -161,15 +155,17 @@ def _require_zero_means(values: np.ndarray, axes: tuple[int, ...], message: str)
         raise InputError(message)
 
 
-def _expand_rate(rate_scale: np.ndarray | None, values: np.ndarray, grid: FiberGrid):
-    """Reshape a per-stack eigenvalue scale so it broadcasts over mode axes."""
+def _scaled_eigenvalues(values: np.ndarray, grid: FiberGrid,
+                        rate_scale: np.ndarray | None) -> np.ndarray:
+    """Eigenvalues of rate_scale * Lap, with a per-stack scale broadcast over mode axes."""
+    lam = _symbols(grid)[0]
     if rate_scale is None:
-        return None
+        return lam
     rate = np.asarray(rate_scale, dtype=float)
     lead = values.shape[: values.ndim - grid.dim]
     if rate.shape != lead:
         raise InputError(f"rate_scale shape {rate.shape} does not match leading axes {lead}")
-    return rate.reshape(rate.shape + (1,) * grid.dim)
+    return rate.reshape(rate.shape + (1,) * grid.dim) * lam
 
 
 def _apply_multiplier(values: np.ndarray, grid: FiberGrid, mult: np.ndarray) -> np.ndarray:
@@ -189,10 +185,7 @@ def evolve_values(values: np.ndarray, grid: FiberGrid, t: float,
     values = np.asarray(values, dtype=float)
     if t < 0:
         raise InputError(f"heat evolution needs t >= 0, got {t}")
-    lam = _eigenvalues_rfft(grid)
-    rate = _expand_rate(rate_scale, values, grid)
-    if rate is not None:
-        lam = rate * lam
+    lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0
     # exp(-lam*t) with the lam == 0 branch pinned to 1 so that t = inf is safe.
     mult = np.where(positive, np.exp(-np.where(positive, lam, 1.0) * t), 1.0)
@@ -210,10 +203,7 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     values = np.asarray(values, dtype=float)
     if t < 0:
         raise InputError(f"time integral needs t >= 0, got {t}")
-    lam = _eigenvalues_rfft(grid)
-    rate = _expand_rate(rate_scale, values, grid)
-    if rate is not None:
-        lam = rate * lam
+    lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0
     lam_safe = np.where(positive, lam, 1.0)
     if math.isinf(t):
@@ -238,9 +228,10 @@ def gradient_values(values: np.ndarray, grid: FiberGrid,
     if axis is not None and axis not in range(grid.dim):
         raise InputError(f"axis must be in range({grid.dim}), got {axis}")
     spectrum = np.fft.rfftn(values, axes=axes)
+    iks = _symbols(grid)[1]
 
     def partial(k: int) -> np.ndarray:
-        return np.fft.irfftn(spectrum * _wavenumbers_rfft(grid, k), s=grid.shape, axes=axes)
+        return np.fft.irfftn(spectrum * iks[k], s=grid.shape, axes=axes)
 
     if axis is not None:
         return partial(axis)
@@ -263,13 +254,10 @@ def antiderivative_values(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     _require_zero_means(values, _rfft_axes(values, grid),
                         "periodic antiderivative needs a zero fiber mean")
-    ik = _wavenumbers_rfft(grid, 0)
+    ik = _symbols(grid)[1][0]
     inv = np.zeros_like(ik)
     inv[ik != 0] = 1.0 / ik[ik != 0]
-    spectrum = np.fft.rfft(values, axis=-1)
-    spectrum *= inv
-    spectrum[..., 0] = 0.0
-    return np.fft.irfft(spectrum, n=grid.points[0], axis=-1)
+    return _apply_multiplier(values, grid, inv)
 
 
 def resample_values(values: np.ndarray, grid: FiberGrid, new_points: int) -> np.ndarray:

@@ -164,40 +164,35 @@ def project_unit_volume(state: ProductState) -> ProductState:
 
 
 def _plain_evaluator(initial: ProductState, driving0: np.ndarray,
-                     config: FlowConfig, exact: bool) -> Callable[[float], ProductState]:
-    """Closed-form (or marching) solver for d/dt phi = Lap_perp phi."""
+                     config: FlowConfig, exact: bool) -> Callable[[float], np.ndarray]:
+    """phi(t) of d/dt phi = Lap_perp phi, closed form or marching, for t >= 0."""
     if exact:
         rate = geo.fiber_rate(initial)
 
-        def evaluate(t: float) -> ProductState:
-            if t < 0:
-                raise InputError(f"trajectory time must be >= 0, got {t}")
+        def phi_at(t: float) -> np.ndarray:
             integral = fb.time_integral_values(driving0, initial.fiber, t, rate_scale=rate)
-            return initial.replace_phi(initial.phi - integral / initial.n, t)
+            return initial.phi - integral / initial.n
 
-        return evaluate
+        return phi_at
 
     cache: list[tuple[float, np.ndarray]] = [(0.0, initial.phi)]
 
-    def evaluate(t: float) -> ProductState:
-        if t < 0:
-            raise InputError(f"trajectory time must be >= 0, got {t}")
+    def phi_at(t: float) -> np.ndarray:
         if math.isinf(t):
             mean = geo.fiber_average(initial, initial.phi)
-            phi_inf = np.broadcast_to(
+            return np.broadcast_to(
                 mean.reshape(initial.base.shape + (1,) * initial.p), initial.shape
             ).copy()
-            return initial.replace_phi(phi_inf, t)
         times = [c[0] for c in cache]
         idx = bisect_right(times, t) - 1
         t0, phi0 = cache[idx]
         if t == t0:
-            return initial.replace_phi(phi0, t)
+            return phi0
         phi_t = fd_heat_run(phi0, initial.psi, initial.fiber, t - t0, config.fd_scheme)
         cache.insert(idx + 1, (t, phi_t))
-        return initial.replace_phi(phi_t, t)
+        return phi_t
 
-    return evaluate
+    return phi_at
 
 
 def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRecord:
@@ -245,22 +240,21 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     exact = geo.psi_is_fiber_constant(initial)
 
     if not np.any(driving0):
-        def evaluate_plain(t: float) -> ProductState:
-            if t < 0:
-                raise InputError(f"trajectory time must be >= 0, got {t}")
-            return initial.replace_phi(initial.phi, t)
+        def phi_at(t: float) -> np.ndarray:
+            return initial.phi
     else:
         if not exact and config.variant == "prescribed":
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
-        evaluate_plain = _plain_evaluator(initial, driving0, config, exact)
+        phi_at = _plain_evaluator(initial, driving0, config, exact)
+    normalized = config.variant == "normalized"
 
-    if config.variant == "normalized":
-        def evaluate(t: float) -> ProductState:
-            return project_unit_volume(evaluate_plain(t))
-    else:
-        evaluate = evaluate_plain
+    def evaluate(t: float) -> ProductState:
+        if t < 0:
+            raise InputError(f"trajectory time must be >= 0, got {t}")
+        state = initial.replace_phi(phi_at(t), t)
+        return project_unit_volume(state) if normalized else state
 
     states = tuple(evaluate(t) for t in config.samples)
     diagnostics = tuple(_diagnose(s, x, config.variant) for s in states)

@@ -188,6 +188,16 @@ class TestVolumeOde:
         report = checks.check_volume_ode(single_mode_traj(), t=1.0)
         assert report.sample_time == 1.0 and report.passed
 
+    def test_time_before_one_step_refused(self):
+        # the central difference would evaluate the trajectory at t - VOLUME_ODE_STEP < 0
+        with pytest.raises(InputError, match=r"volume_ode.*VOLUME_ODE_STEP.*\bt = 0\b"):
+            checks.check_volume_ode(single_mode_traj(), t=0.0)
+
+    def test_short_run_refused_naming_t_end(self):
+        traj = single_mode_traj(samples=(0.0, 0.0015))
+        with pytest.raises(InputError, match=r"volume_ode.*VOLUME_ODE_STEP.*t_end = 0.0015"):
+            checks.check_volume_ode(traj)
+
 
 class TestBperpScaling:
     def base_twisted_traj(self, variant="plain"):

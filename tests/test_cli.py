@@ -194,6 +194,15 @@ class TestExitCodes:
             assert repr(value[0]) in err
         assert not out.exists()
 
+    def test_volume_ode_on_too_short_run_exits_two_without_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, samples=[0.0, 0.0015], t_end=0.0015,
+                           checks=["volume_ode"])
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "volume_ode" in err and "t_end" in err
+        assert not out.exists()
+
     def test_out_key_must_be_a_string(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, out=5)

@@ -396,3 +396,63 @@ class TestSingleAxisGradient:
         with pytest.raises(InputError):
             fb.gradient_values(np.zeros(TORUS.shape), TORUS, axis=axis)
 
+
+
+class TestAnisotropicSymbols:
+    """The cached Fourier symbols on a torus with unequal sides and point counts."""
+
+    GRID = ff.FiberGrid(2, (6.0, 7.0), (16, 8))
+    K = (2.0 * math.pi * 3 / 6.0, 2.0 * math.pi * 2 / 7.0)   # mode (3, 2)
+
+    def phase(self):
+        x, y = self.GRID.coordinates()
+        return self.K[0] * x + self.K[1] * y
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_gradient_of_mixed_mode(self, lead):
+        u = np.broadcast_to(np.cos(self.phase()), lead + self.GRID.shape)
+        expected = [-k * np.sin(self.phase()) for k in self.K]
+        full = fb.gradient_values(u, self.GRID)
+        for axis in range(2):
+            np.testing.assert_allclose(fb.gradient_values(u, self.GRID, axis=axis),
+                                       np.broadcast_to(expected[axis], u.shape), atol=1e-12)
+            np.testing.assert_allclose(full[axis], np.broadcast_to(expected[axis], u.shape),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.3, math.inf])
+    def test_multipliers_with_per_stack_rate(self, t):
+        rates = np.array([0.5, 1.0, 3.0])
+        u = np.sin(self.phase())
+        lam = self.K[0] ** 2 + self.K[1] ** 2
+        stack = np.stack([u, 2.0 * u, -u])
+        evolved = fb.evolve_values(stack, self.GRID, t, rate_scale=rates)
+        integral = fb.time_integral_values(stack, self.GRID, t, rate_scale=rates)
+        for i, c in enumerate(rates):
+            decay = math.exp(-c * lam * t)
+            np.testing.assert_allclose(evolved[i], decay * stack[i], atol=1e-12)
+            np.testing.assert_allclose(integral[i], (1.0 - decay) / (c * lam) * stack[i],
+                                       atol=1e-12)
+
+    def test_nyquist_zeroed_only_along_its_own_axis(self):
+        x, y = self.GRID.coordinates()
+        ky = 2.0 * math.pi / 7.0
+        nyq_x = np.cos(2.0 * math.pi * 8 * x / 6.0) * np.sin(ky * y)   # Nyquist of axis 0
+        grad = fb.gradient_values(nyq_x, self.GRID)
+        np.testing.assert_allclose(grad[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(grad[1], ky * np.cos(2.0 * math.pi * 8 * x / 6.0)
+                                   * np.cos(ky * y), atol=1e-12)
+        kx = 2.0 * math.pi / 6.0
+        nyq_y = np.sin(kx * x) * np.cos(2.0 * math.pi * 4 * y / 7.0)   # Nyquist of axis 1
+        grad = fb.gradient_values(nyq_y, self.GRID)
+        np.testing.assert_allclose(grad[0], kx * np.cos(kx * x)
+                                   * np.cos(2.0 * math.pi * 4 * y / 7.0), atol=1e-12)
+        np.testing.assert_allclose(grad[1], 0.0, atol=1e-12)
+
+    def test_symbols_shared_and_read_only(self):
+        lam, iks = fb._symbols(self.GRID)
+        again = fb._symbols(ff.FiberGrid(2, [6, 7], [16, 8]))
+        assert again[0] is lam and all(a is b for a, b in zip(again[1], iks))
+        assert lam.shape == (16, 5) and [ik.shape for ik in iks] == [(16, 1), (1, 5)]
+        for array in (lam, *iks):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
