@@ -39,7 +39,6 @@ from .errors import (
 from .fdref import (
     FdScheme,
     fd_heat_run,
-    fd_laplacian_conformal,
     fd_mean_curvature_from_metric,
 )
 from .fiber import (
@@ -119,7 +118,6 @@ __all__ = [
     "estimate_decay_rate",
     "evolve_values",
     "fd_heat_run",
-    "fd_laplacian_conformal",
     "fd_mean_curvature_from_metric",
     "fiber_average",
     "flat_spectral_gap",

@@ -1,12 +1,19 @@
 """Second-order finite-difference reference path for the fiber heat flow.
 
 This module deliberately avoids Fourier transforms so that it can serve as
-an independent cross-check of the spectral machinery: centered stencils
-for the conformal leaf Laplacian, a theta time-stepping scheme with sparse
-periodic solves, and a mean-curvature evaluation that differences the raw
-metric components.  It is also the authoritative evolution path whenever
-psi varies along a fiber, where the leaf Laplacian has variable
-coefficients and no exact multiplier exists.
+an independent cross-check of the spectral machinery: the centered
+conformal leaf Laplacian as a sparse block-diagonal matrix, a theta
+time-stepping scheme with one sparse periodic factorization per chunk of
+fibers, and a mean-curvature evaluation that differences the raw metric
+components.  It is also the authoritative evolution path whenever psi
+varies along a fiber, where the leaf Laplacian has variable coefficients
+and no exact multiplier exists.
+
+The theta march takes one of two routes through the same factorization.
+Small fibers over many steps form each fiber's dense step matrix with one
+solve and raise it to the step count by repeated squaring; large fibers or
+few steps apply one sparse solve per step.  Both give the same scheme, and
+differ only at round-off.
 """
 
 from __future__ import annotations
@@ -43,34 +50,6 @@ class FdScheme:
 
 def _roll_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
-
-
-def _roll_second(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / h ** 2
-
-
-def fd_laplacian_conformal(u: np.ndarray, psi: np.ndarray, grid: FiberGrid) -> np.ndarray:
-    """Centered-difference leaf Laplacian for the metric exp(2*psi) * flat.
-
-    dim 1:  exp(-2*psi) (u'' - psi' u');  dim 2:  exp(-2*psi) * flat Laplacian
-    (the conformal factor drops out of the derivative terms only in two
-    dimensions).  Acts on the trailing grid axes, broadcasting over leading
-    ones; psi must have the same shape as u.
-    """
-    u = np.asarray(u, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if u.shape != psi.shape:
-        raise InputError(f"u shape {u.shape} != psi shape {psi.shape}")
-    if u.shape[-grid.dim:] != grid.shape:
-        raise InputError(f"field shape {u.shape} does not end with grid shape {grid.shape}")
-    first = u.ndim - grid.dim
-    if grid.dim == 1:
-        h = grid.spacing(0)
-        return np.exp(-2.0 * psi) * (
-            _roll_second(u, first, h) - _roll_diff(psi, first, h) * _roll_diff(u, first, h)
-        )
-    flat = _roll_second(u, first, grid.spacing(0)) + _roll_second(u, first + 1, grid.spacing(1))
-    return np.exp(-2.0 * psi) * flat
 
 
 def operator_matrix(psi: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
@@ -122,18 +101,49 @@ def _validate_explicit_step(dt: float, theta: float, psi: np.ndarray, grid: Fibe
         )
 
 
-# Unknowns per block-diagonal factorization.  A block-diagonal LU has exactly
-# the fill of its blocks, so packing many small fibers into one factorization
-# costs no arithmetic and replaces thousands of tiny solve calls by a few.  A
-# factor that outgrows the cache slows every step down, hence the bound: a
-# p = 2 run over 16 distinct fibers of 64^2 took 1.6-1.8 s and 79 MB with it,
-# 2.1-2.6 s and 177 MB as one block (2-core Xeon VM).
+# Unknowns per block-diagonal factorization on the stepped route.  A
+# block-diagonal LU has exactly the fill of its blocks, so packing many small
+# fibers into one factorization costs no arithmetic and replaces thousands of
+# tiny solve calls by a few.  A factor that outgrows the cache slows every step
+# down, hence the bound: a p = 2 run over 16 distinct fibers of 64^2 took
+# 1.6-1.8 s and 79 MB with it, 2.1-2.6 s and 177 MB as one block (2-core Xeon
+# VM).  The dense route packs by _DENSE_ENTRIES as well.
 _BLOCK_UNKNOWNS = 4096
+
+# The dense route is taken iff size^2 <= _DENSE_STEPS_PER_ENTRY * steps for
+# fibers of `size` points.  Squaring costs ~size^3 log(steps) per fiber against
+# ~size * steps for the stepped solves, plus a fixed per-call overhead that the
+# stepped route pays on every step.  Measured ms per 4096-unknown call,
+# stepped/dense (theta = 0.5, dt = 1e-3, 2-core Xeon VM), this bound picks the
+# faster route in every cell below; of the 30 cells measured, p = 2 included,
+# its one miss is a near-tie (8^2 at 100 steps):
+#   size \ steps   10        100      250      500      1000
+#   32            5.8/10.6  30/19    116/13   104/11   211/11
+#   64            4.6/17    19/20    43/22    82/23    159/28
+#   128           5.5/161   21/108   45/134   87/120   190/149
+#   256           5.5/216   19/261   43/259   79/281   155/423
+_DENSE_STEPS_PER_ENTRY = 25
+
+# Step-matrix entries per dense chunk (16 fibers of 64 points).  Packing up to
+# _BLOCK_UNKNOWNS instead held 9.1 MB at the traced peak of a 64-profile,
+# 64-point, 500-step call and raised the fd-p1 benchmark's peak RSS from 66 to
+# 74 MB; with this cap the peak is 2.3 MB (stepped route: 0.9 MB) and the call
+# is no slower (27-28 ms either way).
+_DENSE_ENTRIES = 2 ** 16
 
 
 def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
-                 theta: float) -> np.ndarray:
-    """Apply `steps` theta steps of du/dt = lap u to the columns of work."""
+                 theta: float, dense: bool) -> np.ndarray:
+    """Apply `steps` theta steps of du/dt = lap u to the columns of each block.
+
+    work is (blocks, size, width) and lap the block-diagonal operator on the
+    blocks in order.  Both routes factor I - theta dt lap once.  The stepped
+    route solves once per step.  The dense route solves once against the
+    stacked block identities, giving every block's step matrix
+    S_b = (I - theta dt L_b)^-1 (I + (1 - theta) dt L_b), raises the stack of
+    S_b to `steps` by repeated squaring and applies it to the block's columns.
+    """
+    blocks, size, width = work.shape
     eye = sp.identity(lap.shape[0], format="csr")
     lhs = (eye - theta * dt * lap).tocsc()
     rhs = (eye + (1.0 - theta) * dt * lap).tocsr()
@@ -141,9 +151,13 @@ def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
         solver = spla.splu(lhs)
     except RuntimeError as exc:  # singular factorization
         raise SolveError(f"implicit step factorization failed: {exc}") from exc
+    if dense:
+        step = solver.solve(rhs @ np.tile(np.eye(size), (blocks, 1)))
+        return np.linalg.matrix_power(step.reshape(blocks, size, size), steps) @ work
+    work = work.reshape(-1, width)
     for _ in range(steps):
         work = solver.solve(rhs @ work)
-    return work
+    return work.reshape(blocks, size, width)
 
 
 def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
@@ -154,11 +168,15 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
     grid.shape, one profile shared by every batch member, or u0.shape, one
     profile per member.  Members whose profiles are bit-equal are marched
     together as the columns of one right-hand side.  Distinct profiles are
-    packed, in turn, into chunks of at most max(fiber size, _BLOCK_UNKNOWNS)
-    unknowns, and each chunk is marched through one factorization of its
-    block-diagonal implicit operator, with zero columns padding the groups
-    that have fewer members.  The requested dt is shrunk uniformly so the
-    steps tile [0, t_end] exactly.  With the flat stencil (psi = 0) the
+    packed, in turn, into chunks, and each chunk is marched through one
+    factorization of its block-diagonal implicit operator, with zero columns
+    padding the groups that have fewer members.  The requested dt is shrunk
+    uniformly so the steps tile [0, t_end] exactly.  Fibers of `size` points
+    take the dense route of _theta_march iff
+    size^2 <= _DENSE_STEPS_PER_ENTRY * steps, in chunks of at most
+    _DENSE_ENTRIES step-matrix entries (and _BLOCK_UNKNOWNS unknowns);
+    otherwise they take the stepped route in chunks of at most
+    max(size, _BLOCK_UNKNOWNS) unknowns.  With the flat stencil (psi = 0) the
     column sums of the operator vanish, so the scheme conserves the grid mean
     of u to solver round-off.
     """
@@ -189,7 +207,11 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
 
     counts = np.bincount(inverse, minlength=len(profiles))
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    per_chunk = max(1, _BLOCK_UNKNOWNS // size)
+    dense = size ** 2 <= _DENSE_STEPS_PER_ENTRY * steps
+    per_chunk = _BLOCK_UNKNOWNS // size
+    if dense:
+        per_chunk = min(per_chunk, _DENSE_ENTRIES // size ** 2)
+    per_chunk = max(1, per_chunk)
     out = np.empty_like(flat)
     for first in range(0, len(profiles), per_chunk):
         chunk = groups[first:first + per_chunk]
@@ -198,8 +220,8 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
         for block, members in zip(work, chunk):
             block[:, :len(members)] = flat[members].T
         work = _theta_march(operator_matrix(profiles[first:first + per_chunk], grid),
-                            work.reshape(-1, width), steps, dt, scheme.theta)
-        for block, members in zip(work.reshape(len(chunk), size, width), chunk):
+                            work, steps, dt, scheme.theta, dense)
+        for block, members in zip(work, chunk):
             out[members] = block[:, :len(members)].T
     if not np.all(np.isfinite(out)):
         raise SolveError("finite-difference march produced non-finite values")

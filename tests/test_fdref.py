@@ -5,10 +5,12 @@ exact discrete symbol s(k) = 2 (1 - cos(k h)) / h^2, and the theta scheme
 amplifies an eigenvector by a known rational factor per step.  Both facts
 give machine-precision oracles that never touch the spectral code; the
 variable-coefficient cases fall back on hand formulas plus Richardson
-order measurements.
+order measurements.  The march has a stepped and a dense route; the
+written-out stepped march below is the reference for both.
 """
 
 import math
+import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -30,6 +32,49 @@ TORUS16 = ff.FiberGrid(2, (6.0, 7.0), (16, 16))
 def discrete_symbol(k, grid, axis=0):
     h = grid.spacing(axis)
     return 2.0 * (1.0 - math.cos(k * h)) / h ** 2
+
+
+def laplacian(u, psi, grid):
+    """The centered conformal Laplacian of u, through its sparse matrix."""
+    return (fdref.operator_matrix(psi, grid) @ u.reshape(-1)).reshape(u.shape)
+
+
+class CountingSolver:
+    """A SuperLU factorization that counts its solve calls."""
+
+    def __init__(self, matrix):
+        self.size = matrix.shape[0]
+        self.solves = 0
+        self._lu = splu(matrix)
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self._lu.solve(rhs)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every factorization fdref makes, in order, as a CountingSolver."""
+    made = []
+
+    def counting(matrix):
+        made.append(CountingSolver(matrix))
+        return made[-1]
+
+    monkeypatch.setattr(fdref.spla, "splu", counting)
+    return made
+
+
+def route(factorizations):
+    """Which route of the march ran: the dense one solves once per chunk."""
+    routes = {"dense" if f.solves == 1 else "stepped" for f in factorizations}
+    assert len(routes) == 1
+    return routes.pop()
+
+
+# On SMALL up to t = 0.5 or 0.3 these dt give 50 or 30 steps (stepped,
+# 64^2 > 25 * steps) and 500 or 300 steps (dense).
+ROUTE_DT = {"stepped": 1e-2, "dense": 1e-3}
 
 
 class TestFdScheme:
@@ -72,8 +117,7 @@ class TestFdLaplacian:
         u = np.cos(3.0 * y)
         psi = np.zeros(CIRCLE.shape)
         expected = -discrete_symbol(3, CIRCLE) * u
-        np.testing.assert_allclose(ff.fd_laplacian_conformal(u, psi, CIRCLE),
-                                   expected, atol=1e-11)
+        np.testing.assert_allclose(laplacian(u, psi, CIRCLE), expected, atol=1e-11)
 
     def test_symbol_is_second_order_accurate(self):
         h = CIRCLE.spacing(0)
@@ -82,8 +126,8 @@ class TestFdLaplacian:
     def test_constant_psi_exact_scaling(self):
         y = SMALL.coordinates()[0]
         u = np.sin(2.0 * y)
-        flat = ff.fd_laplacian_conformal(u, np.zeros(SMALL.shape), SMALL)
-        scaled = ff.fd_laplacian_conformal(u, np.full(SMALL.shape, 0.3), SMALL)
+        flat = laplacian(u, np.zeros(SMALL.shape), SMALL)
+        scaled = laplacian(u, np.full(SMALL.shape, 0.3), SMALL)
         np.testing.assert_allclose(scaled, math.exp(-0.6) * flat, atol=1e-13)
 
     def test_torus_mode_discrete_symbol(self):
@@ -92,15 +136,15 @@ class TestFdLaplacian:
         y1, y2 = np.meshgrid(*TORUS8.coordinates(), indexing="ij")
         u = np.cos(y1 + 2.0 * y2)
         s = discrete_symbol(1, TORUS8, 0) + discrete_symbol(2, TORUS8, 1)
-        np.testing.assert_allclose(ff.fd_laplacian_conformal(u, psi, TORUS8),
+        np.testing.assert_allclose(laplacian(u, psi, TORUS8),
                                    -np.exp(-2.0 * psi) * s * u, atol=1e-12)
 
     def test_shape_validation(self):
-        u = np.zeros(SMALL.shape)
+        """The operator refuses psi off the grid, and the march u0 off the grid."""
         with pytest.raises(InputError):
-            ff.fd_laplacian_conformal(u, np.zeros(32), SMALL)
+            fdref.operator_matrix(np.zeros(32), SMALL)
         with pytest.raises(InputError):
-            ff.fd_laplacian_conformal(np.zeros(32), np.zeros(32), SMALL)
+            ff.fd_heat_run(np.zeros(32), np.zeros(32), SMALL, 0.1, ff.FdScheme())
 
     def test_variable_psi_second_order(self):
         """Richardson order against the hand continuum formula."""
@@ -111,33 +155,13 @@ class TestFdLaplacian:
             psi = 0.1 * np.cos(y)
             exact = np.exp(-0.2 * np.cos(y)) * (-np.sin(y)
                                                 + 0.1 * np.sin(y) * np.cos(y))
-            fd = ff.fd_laplacian_conformal(np.sin(y), psi, grid)
+            fd = laplacian(np.sin(y), psi, grid)
             errors[pts] = np.max(np.abs(fd - exact))
         order = math.log2(errors[64] / errors[128])
         assert abs(order - 2.0) < 0.05
 
 
 class TestOperatorMatrix:
-    @hyp.settings(max_examples=10, deadline=None)
-    @hyp.given(seed=st.integers(0, 2 ** 16))
-    def test_matvec_matches_stencil_1d(self, seed):
-        rng = np.random.default_rng(seed)
-        psi = 0.2 * rng.standard_normal(SMALL.shape)
-        u = rng.standard_normal(SMALL.shape)
-        mat = fdref.operator_matrix(psi, SMALL)
-        np.testing.assert_allclose(mat @ u,
-                                   ff.fd_laplacian_conformal(u, psi, SMALL),
-                                   atol=1e-12)
-
-    def test_matvec_matches_stencil_2d(self):
-        rng = np.random.default_rng(1)
-        psi = 0.2 * rng.standard_normal(TORUS8.shape)
-        u = rng.standard_normal(TORUS8.shape)
-        mat = fdref.operator_matrix(psi, TORUS8)
-        np.testing.assert_allclose((mat @ u.reshape(-1)).reshape(TORUS8.shape),
-                                   ff.fd_laplacian_conformal(u, psi, TORUS8),
-                                   atol=1e-12)
-
     def test_rows_annihilate_constants(self):
         rng = np.random.default_rng(2)
         psi = 0.3 * rng.standard_normal(SMALL.shape)
@@ -171,10 +195,12 @@ class TestOperatorMatrix:
 
 
 class TestFdHeatRun:
-    def test_constant_stationary_under_variable_psi(self):
+    @pytest.mark.parametrize("expected", ROUTE_DT)
+    def test_constant_stationary_under_variable_psi(self, expected, factorizations):
         psi = 0.2 * np.cos(SMALL.coordinates()[0])
         out = ff.fd_heat_run(np.full(SMALL.shape, 3.7), psi, SMALL, 0.5,
-                             ff.FdScheme(dt=1e-2))
+                             ff.FdScheme(dt=ROUTE_DT[expected]))
+        assert route(factorizations) == expected
         np.testing.assert_allclose(out, 3.7, atol=1e-12)
 
     def test_cosine_exact_amplification(self):
@@ -195,20 +221,26 @@ class TestFdHeatRun:
         gap = np.max(np.abs(out - math.exp(-1.0) * np.cos(y)))
         assert gap < 2.5e-5
 
-    def test_flat_mean_conserved(self):
+    @pytest.mark.parametrize("expected", ROUTE_DT)
+    def test_flat_mean_conserved(self, expected, factorizations):
         rng = np.random.default_rng(3)
         u0 = rng.standard_normal(SMALL.shape) + 0.7
         out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, 0.3,
-                             ff.FdScheme(dt=1e-2))
+                             ff.FdScheme(dt=ROUTE_DT[expected]))
+        assert route(factorizations) == expected
         assert abs(out.mean() - u0.mean()) < 1e-12
 
-    @hyp.settings(max_examples=10, deadline=None)
+    @pytest.mark.parametrize("expected", ROUTE_DT)
+    @hyp.settings(max_examples=10, deadline=None,
+                  suppress_health_check=[hyp.HealthCheck.function_scoped_fixture])
     @hyp.given(seed=st.integers(0, 2 ** 16))
-    def test_implicit_euler_maximum_principle(self, seed):
+    def test_implicit_euler_maximum_principle(self, expected, factorizations, seed):
         rng = np.random.default_rng(seed)
         u0 = rng.standard_normal(SMALL.shape)
         psi = 0.2 * np.cos(SMALL.coordinates()[0])
-        out = ff.fd_heat_run(u0, psi, SMALL, 0.5, ff.FdScheme(dt=1e-2, theta=1.0))
+        out = ff.fd_heat_run(u0, psi, SMALL, 0.5,
+                             ff.FdScheme(dt=ROUTE_DT[expected], theta=1.0))
+        assert route(factorizations) == expected
         assert out.max() <= u0.max() + 1e-10
         assert out.min() >= u0.min() - 1e-10
 
@@ -348,6 +380,56 @@ class TestPerMemberPsi:
         u0 = np.zeros((2,) + SMALL.shape)
         with pytest.raises(InputError):
             ff.fd_heat_run(u0, np.zeros(psi_shape), SMALL, 0.1, self.scheme)
+
+
+class TestDenseRoute:
+    """Step matrices raised to the step count, against the stepped march."""
+
+    scheme = ff.FdScheme(dt=1e-3)
+
+    @pytest.mark.parametrize("steps, expected", [(163, "stepped"), (164, "dense")])
+    def test_rule_picks_route(self, factorizations, steps, expected):
+        # 64^2 = 4096 lies between 25 * 163 and 25 * 164
+        u0 = np.cos(SMALL.coordinates()[0])
+        ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, steps * 1e-3, self.scheme)
+        assert route(factorizations) == expected
+        assert factorizations[0].solves == (steps if expected == "stepped" else 1)
+
+    @pytest.mark.parametrize("grid", [SMALL, TORUS8], ids=["p1", "p2"])
+    def test_matches_stepped_march(self, factorizations, grid):
+        rng = np.random.default_rng(11)
+        psi = random_profiles(rng, 3, grid)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, grid, 0.5, self.scheme)
+        assert route(factorizations) == "dense"
+        for k in range(3):
+            np.testing.assert_allclose(
+                out[k], single_profile_march(u0[k], psi[k], grid, 0.5, self.scheme),
+                rtol=0, atol=1e-13)
+
+    def test_chunk_boundary_matches_individual_runs_bitwise(self, factorizations):
+        rng = np.random.default_rng(12)
+        psi = random_profiles(rng, 20, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        out = ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)
+        assert [f.size for f in factorizations] == [16 * 64, 4 * 64]
+        assert route(factorizations) == "dense"
+        for k in range(20):
+            np.testing.assert_array_equal(
+                out[k], ff.fd_heat_run(u0[k], psi[k], SMALL, 0.5, self.scheme))
+
+    def test_peak_memory_stays_flat(self):
+        rng = np.random.default_rng(13)
+        psi = random_profiles(rng, 64, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)  # warm lazy imports
+        tracemalloc.start()
+        try:
+            ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
 
 class TestFdMeanCurvature:
