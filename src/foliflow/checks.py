@@ -244,6 +244,8 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckRep
                 f"volume_ode needs t_end >= 2 * VOLUME_ODE_STEP = {2 * spacing:g} for its "
                 f"central difference, got t_end = {config.t_end:g}"
             )
+    elif not math.isfinite(t):
+        raise InputError(f"volume_ode needs a finite t, got t = {t}")
     elif t < spacing:
         raise InputError(
             f"volume_ode needs t >= VOLUME_ODE_STEP = {spacing:g} for its central "
@@ -272,6 +274,35 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
     return weights * (t / (nodes - 1) / 3.0)
 
 
+def _bperp_node_sums(trajectory: Trajectory, t: float,
+                     quad_nodes: int) -> tuple[np.ndarray, float, float]:
+    """Simpson sums over the nodes of [0, t]: (sum w phi0, sum w r, sum w).
+
+    phi0 is each node's phi minus its fiber mean; the rate sum is zero
+    unless the variant is normalized.  Every node is a full
+    ``trajectory.evaluate``, accumulated in place.
+    """
+    weights = _simpson_weights(t, quad_nodes)
+    normalized = trajectory.config.variant == "normalized"
+    axes = trajectory.initial.fiber_axes
+    phi_sum = np.zeros(trajectory.initial.shape)
+    rate_sum = 0.0
+    for tau, weight in zip(np.linspace(0.0, t, quad_nodes), weights):
+        state = trajectory.evaluate(float(tau))
+        phi_sum += weight * (state.phi - state.phi.mean(axis=axes, keepdims=True))
+        if normalized:
+            rate_sum += weight * normalization_rate(state)
+    return phi_sum, rate_sum, float(weights.sum())
+
+
+def _bperp_exponent(trajectory: Trajectory, t: float, quad_nodes: int) -> np.ndarray:
+    """Simpson rule for -int_0^t s, with the speed operator applied once."""
+    phi_sum, rate_sum, weight_sum = _bperp_node_sums(trajectory, t, quad_nodes)
+    initial = trajectory.initial
+    summed = initial.replace_phi(phi_sum, t)
+    return (2.0 / initial.n) * _driving(summed, weight_sum * trajectory.x) + rate_sum
+
+
 def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
                         quad_nodes: int = 513) -> CheckReport:
     """Pointwise scaling of the base-distribution shape coefficient.
@@ -280,21 +311,26 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     scales by exp(-int_0^t s), i.e. by exp((2/n) int_0^t Div_perp(H - X))
     with the -r correction under the normalized variant.  The exponent
     is recomputed here by Simpson quadrature over sampled states, fully
-    independent of the engine's closed-form reconstruction; the weighted
-    sum is accumulated node by node, so memory stays at a few grid fields.
+    independent of the engine's closed-form reconstruction.
+
+    Div_perp(H - X) is affine in phi (H = -n grad_perp phi) and blind to
+    anything constant along a fiber, so the Simpson sum of the per-node
+    driving scalars is the driving scalar of the Simpson sum of phi with
+    X weighted by the summed weights.  The quadrature therefore sums phi
+    node by node and applies the spectral derivatives once.  Each node's
+    fiber mean is removed before it is summed: normalized states carry
+    the constant -log(vol)/n, and its summation round-off would otherwise
+    be amplified by the second derivative (by up to k_max^2).  r(t) is a
+    nonlinear functional of the state, so under the normalized variant
+    ``normalization_rate`` is still evaluated at every node.
     """
-    config = trajectory.config
     if t is None:
-        t = config.t_end
+        t = trajectory.config.t_end
+    if not math.isfinite(t):
+        raise InputError(f"bperp_scaling needs a finite t, got t = {t}")
     if t <= 0:
         raise InputError("bperp scaling needs t > 0")
-    weights = _simpson_weights(t, quad_nodes)
-    nodes = np.linspace(0.0, t, quad_nodes)
-    normalized = config.variant == "normalized"
-    exponent = np.zeros(trajectory.initial.shape)
-    for tau, weight in zip(nodes, weights):
-        s_state = trajectory.evaluate(float(tau))
-        exponent -= weight * _speed(s_state, trajectory.x, normalized)
+    exponent = _bperp_exponent(trajectory, t, quad_nodes)
 
     start = trajectory.evaluate(0.0)
     end = trajectory.evaluate(t)

@@ -7,6 +7,7 @@ and degenerate or unsupported inputs that must raise instead of
 reporting.  Quadrature oracles come from scipy.integrate.quad.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,17 @@ def single_mode_traj(samples=(0.0, 0.5, 1.0, 2.0), variant="plain"):
     config = ff.FlowConfig(t_end=max(samples), samples=samples,
                            variant=variant)
     return ff.run_extrinsic_flow(state, config)
+
+
+def counting_evaluate(traj):
+    """(traj with an evaluate that counts its calls, the one-entry call counter)."""
+    calls = [0]
+
+    def evaluate(t):
+        calls[0] += 1
+        return traj.evaluate(t)
+
+    return dataclasses.replace(traj, evaluate=evaluate), calls
 
 
 def fd_path_traj():
@@ -198,6 +210,31 @@ class TestVolumeOde:
         with pytest.raises(InputError, match=r"volume_ode.*VOLUME_ODE_STEP.*t_end = 0.0015"):
             checks.check_volume_ode(traj)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_refused_before_evaluation(self, t):
+        traj, calls = counting_evaluate(single_mode_traj())
+        with pytest.raises(InputError, match=rf"volume_ode needs a finite t, got t = {t}"):
+            checks.check_volume_ode(traj, t=t)
+        assert calls == [0]
+
+
+BPERP_PATHS = {
+    # psi = 0.1 cos x varies over the base only on the exact paths
+    "exact-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 0): 0.1}),
+    "exact-p2": (TORUS, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 0, 0): 0.1}),
+    "fd-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (32,)), {(0, 1): 0.2}, {(1, 1): 0.1}),
+}
+
+
+def bperp_cross_form_traj(path, variant):
+    fiber, phi0, psi = BPERP_PATHS[path]
+    state = ff.ProductState.from_harmonics(BASE4, fiber, phi0, psi)
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
+    if variant == "prescribed":
+        y = np.linspace(0.0, 2.0 * math.pi, fiber.shape[0], endpoint=False)
+        return ff.run_prescribed(state, (0.1 + 0.05 * np.cos(2.0 * y))[None], config)
+    return ff.run_extrinsic_flow(state, dataclasses.replace(config, variant=variant))
+
 
 class TestBperpScaling:
     def base_twisted_traj(self, variant="plain"):
@@ -240,18 +277,78 @@ class TestBperpScaling:
         with pytest.raises(InputError):
             checks.check_bperp_scaling(self.base_twisted_traj(), quad_nodes=nodes)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_refused_before_evaluation(self, t):
+        traj, calls = counting_evaluate(self.base_twisted_traj())
+        with pytest.raises(InputError, match=rf"bperp_scaling needs a finite t, got t = {t}"):
+            checks.check_bperp_scaling(traj, t=t)
+        assert calls == [0]
+
     def test_matches_stacked_quadrature(self):
-        """The streamed exponent agrees with a stacked scipy Simpson rule."""
-        traj = self.base_twisted_traj()
+        """The streamed node sums agree with a stacked scipy Simpson rule.
+
+        The check sums each node's phi less its fiber mean (and r under the
+        normalized variant) before it differentiates once, so the sums
+        themselves are what must match the stacked rule.
+        """
         nodes = np.linspace(0.0, 1.0, 65)
-        speeds = [-2.0 * geo.div_perp(geo.twisted_mean_curvature(s), s)
-                  for s in map(traj.evaluate, nodes)]
-        exponent = -simpson(np.stack(speeds), x=nodes, axis=0)
-        b0 = geo.second_fundamental(traj.evaluate(0.0)).bperp_coeff
-        bt = geo.second_fundamental(traj.evaluate(1.0)).bperp_coeff
-        stacked = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
-        report = checks.check_bperp_scaling(traj, quad_nodes=65)
-        assert report.residual == pytest.approx(stacked, rel=0.0, abs=1e-14)
+        for variant in ("plain", "normalized"):
+            traj = self.base_twisted_traj(variant)
+            states = [traj.evaluate(float(tau)) for tau in nodes]
+            axes = traj.initial.fiber_axes
+            demeaned = [s.phi - s.phi.mean(axis=axes, keepdims=True) for s in states]
+            phi_sum, rate_sum, weight_sum = checks._bperp_node_sums(traj, 1.0, 65)
+            np.testing.assert_allclose(
+                phi_sum, simpson(np.stack(demeaned), x=nodes, axis=0), rtol=0.0, atol=1e-14)
+            if variant == "normalized":
+                rates = [ff.normalization_rate(s) for s in states]
+                assert rate_sum == pytest.approx(simpson(rates, x=nodes), rel=0.0, abs=1e-14)
+            else:
+                assert rate_sum == 0.0
+            assert weight_sum == pytest.approx(1.0, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("path, variant", [
+        ("exact-p1", "plain"), ("exact-p1", "normalized"), ("exact-p1", "prescribed"),
+        ("exact-p2", "plain"), ("exact-p2", "normalized"),
+        ("fd-p1", "plain"), ("fd-p1", "normalized"),
+    ])
+    def test_summed_phi_matches_per_node_speeds(self, path, variant):
+        """One speed applied to the summed phi equals the Simpson sum of per-node speeds.
+
+        The reference writes out s = -(2/n) Div_perp(H - X) - r at each of
+        the 513 nodes.  Summing phi without removing each node's fiber mean
+        moves the normalized exact-p1 exponent by 3.8e-12.
+        """
+        traj = bperp_cross_form_traj(path, variant)
+        nodes = np.linspace(0.0, 1.0, 513)
+        reference = np.zeros(traj.initial.shape)
+        for tau, weight in zip(nodes, checks._simpson_weights(1.0, 513)):
+            state = traj.evaluate(float(tau))
+            driving = geo.div_perp(geo.twisted_mean_curvature(state) - traj.x, state)
+            speed = -(2.0 / state.n) * driving
+            if variant == "normalized":
+                speed = speed - ff.normalization_rate(state)
+            reference -= weight * speed
+        exponent = checks._bperp_exponent(traj, 1.0, 513)
+        assert np.max(np.abs(reference)) > 0.2
+        assert np.max(np.abs(exponent - reference)) <= 1e-12
+
+    def test_prescribed_variant(self):
+        assert checks.check_bperp_scaling(bperp_cross_form_traj("exact-p1", "prescribed")).passed
+
+    def test_speed_operator_applied_once(self, monkeypatch):
+        traj, calls = counting_evaluate(self.base_twisted_traj())
+        div_calls = []
+        div_perp = geo.div_perp
+
+        def counting_div_perp(xi, state):
+            div_calls.append(state.t)
+            return div_perp(xi, state)
+
+        monkeypatch.setattr(geo, "div_perp", counting_div_perp)
+        assert checks.check_bperp_scaling(traj).passed
+        assert div_calls == [1.0]      # one call, on the summed state stamped t = 1
+        assert calls == [513 + 2]      # every node, then the start and end states
 
 
 class TestUniformEquivalence:
