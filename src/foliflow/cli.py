@@ -319,15 +319,10 @@ def _run_command(args) -> int:
                                  flow_cfg)
         else:
             traj = fl.run_extrinsic_flow(payload["initial"], flow_cfg)
+        reports = ck.run_checks(traj, payload["checks"])
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
-    except FlowError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        reports = ck.run_checks(traj, payload["checks"])
     except FlowError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

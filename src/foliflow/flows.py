@@ -99,10 +99,18 @@ class DiagnosticsRecord:
     max_div_h: float         # sup |Div_perp H|
     rate: float              # r(t) of the sampled state
     max_driving: float       # sup |Div_perp (H - X)|; equals max_div_h unless prescribed
-    umbilical_residual: float
     d_theta_sup: float
     tangent_label: str
     normal_label: str
+
+    @property
+    def umbilical_residual(self) -> float:
+        """0: the twisted ansatz makes the leaves umbilical by construction.
+
+        Stated, not measured (see ``geometry.SecondFundamentalData``); the
+        umbilicalResidual column and the umbilical preservation rows print it.
+        """
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,6 @@ def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRe
         max_div_h=float(np.max(np.abs(div_h))),
         rate=normalization_rate(state, div_h),
         max_driving=float(np.max(np.abs(driving))),
-        umbilical_residual=report.umbilical_residual,
         d_theta_sup=geo.d_theta_sup(state, data.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,

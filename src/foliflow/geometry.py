@@ -210,40 +210,33 @@ def twisted_mean_curvature(state: ProductState) -> np.ndarray:
 class SecondFundamentalData:
     """Second fundamental data of both distributions of a product state.
 
-    The leaves are umbilical, so b is recorded as the proportionality
-    b = (H/n) ghat plus a residual coefficient field (identically zero for
-    every in-scope scenario, kept explicit so checks can watch it).  Both
-    coefficient fields are vector components w.r.t. the relevant factor's
-    coordinates: h over the fiber, hperp over the base.
+    On a double-twisted product both distributions are umbilical by
+    construction (Ponge and Reckziegel, Geom. Dedicata 48, 1993): the
+    Koszul formula on coordinate fields gives b = (H/n) ghat and
+    bperp = (Hperp/p) g2-hat, with no traceless part to record.  So the
+    mean curvatures are the whole data, as vector components w.r.t. the
+    relevant factor's coordinates: h over the fiber, hperp over the base.
     """
 
     h: np.ndarray               # (p,) + shape
-    b_residual: np.ndarray      # (p,) + shape
     hperp: np.ndarray           # (n,) + shape
-    bperp_residual: np.ndarray  # (n,) + shape
 
     @property
     def b_coeff(self) -> np.ndarray:
-        """Coefficient field beta with b = beta . ghat (umbilical record)."""
-        n = self.hperp.shape[0]
-        return self.h / n + self.b_residual
+        """Coefficient field beta with b = beta . ghat, i.e. H/n."""
+        return self.h / self.hperp.shape[0]
 
     @property
     def bperp_coeff(self) -> np.ndarray:
-        p = self.h.shape[0]
-        return self.hperp / p + self.bperp_residual
+        """Coefficient field of the base distribution's form, Hperp/p."""
+        return self.hperp / self.h.shape[0]
 
 
 def second_fundamental(state: ProductState) -> SecondFundamentalData:
     """Closed-form second fundamental data of the twisted product."""
     h = twisted_mean_curvature(state)
     hperp = -state.p * np.exp(-2.0 * state.phi) * state.psi_base_gradient
-    return SecondFundamentalData(
-        h=h,
-        b_residual=np.zeros_like(h),
-        hperp=hperp,
-        bperp_residual=np.zeros_like(hperp),
-    )
+    return SecondFundamentalData(h=h, hperp=hperp)
 
 
 def conformal_change(b_coeff: np.ndarray, h: np.ndarray, phi_inc: np.ndarray,
@@ -343,50 +336,46 @@ def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
 class DistributionFlags:
     """Pointwise-uniform classification of one distribution."""
 
-    umbilical: bool
     harmonic: bool
 
     @property
+    def umbilical(self) -> bool:
+        """Always True: the twisted ansatz makes both distributions umbilical.
+
+        See ``SecondFundamentalData``; no state in scope has a traceless
+        part of b or bperp, so there is nothing to measure.
+        """
+        return True
+
+    @property
     def totally_geodesic(self) -> bool:
-        return self.umbilical and self.harmonic
+        return self.harmonic
 
     @property
     def label(self) -> str:
-        if self.totally_geodesic:
-            return "totally_geodesic"
-        if self.umbilical:
-            return "umbilical"
-        if self.harmonic:
-            return "harmonic"
-        return "none"
+        return "totally_geodesic" if self.totally_geodesic else "umbilical"
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     tangent: DistributionFlags      # the leaf distribution D
     normal: DistributionFlags       # D_perp
-    umbilical_residual: float       # sup |b - (H/n) ghat| coefficient norm
-    normal_residual: float
 
 
 def classify(state: ProductState,
              data: SecondFundamentalData | None = None) -> ClassificationReport:
-    """Flag each distribution as umbilical / harmonic / totally geodesic.
+    """Flag each distribution as umbilical or totally geodesic.
 
-    Umbilicity is judged by the sup metric norm of the traceless residual
-    b - (H/n) ghat (exactly zero for the conformal product ansatz) and
-    harmonicity by sup |H| <= CLASSIFY_TOL.  Totally geodesic is the conjunction.
+    Both distributions are umbilical by construction (see
+    ``SecondFundamentalData``), so the only measurement is harmonicity,
+    sup |H| <= CLASSIFY_TOL, one metric sup norm per distribution, and
+    totally geodesic means harmonic.  The labels feed the ``normal_flags``
+    rows of ``check_preservation``; its ``umbilical`` and ``closed_theta``
+    rows are structural consistency guards, not measurements.
     """
     if data is None:
         data = second_fundamental(state)
-    res_d = h_norm_sup(state, data.b_residual)
-    res_n = hperp_norm_sup(state, data.bperp_residual)
-    tangent = DistributionFlags(
-        umbilical=res_d <= CLASSIFY_TOL,
-        harmonic=h_norm_sup(state, data.h) <= CLASSIFY_TOL,
+    return ClassificationReport(
+        tangent=DistributionFlags(harmonic=h_norm_sup(state, data.h) <= CLASSIFY_TOL),
+        normal=DistributionFlags(harmonic=hperp_norm_sup(state, data.hperp) <= CLASSIFY_TOL),
     )
-    normal = DistributionFlags(
-        umbilical=res_n <= CLASSIFY_TOL,
-        harmonic=hperp_norm_sup(state, data.hperp) <= CLASSIFY_TOL,
-    )
-    return ClassificationReport(tangent, normal, res_d, res_n)

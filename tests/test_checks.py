@@ -364,6 +364,22 @@ class TestUniformEquivalence:
         with pytest.raises(UnsupportedScenarioError):
             checks.uniform_equivalence_constant(fd_path_traj())
 
+    def test_normalized_run_compared_with_its_own_start(self):
+        """vol_0 is about 40, so the unprojected initial phi sits log(vol_0) away."""
+        traj = single_mode_traj(variant="normalized")
+        assert geo.volume(traj.initial) > 39.0
+        report = checks.check_uniform_equivalence(traj)
+        assert report.passed, str(report)
+
+    def test_normalized_drift_needs_the_doubled_bound(self):
+        """The projection's shift moves too: relative to t = 0 phi strays past B."""
+        traj = single_mode_traj(variant="normalized")
+        bound = math.log(checks.uniform_equivalence_constant(traj)) / 2.0
+        start = traj.evaluate(0.0)
+        worst = max(float(np.max(np.abs(s.phi - start.phi)))
+                    for s in traj.states + (traj.limit,))
+        assert bound < worst <= 2.0 * bound
+
     def test_gap_of_anisotropic_torus(self):
         grid = ff.FiberGrid(2, (2.0 * math.pi, 4.0 * math.pi), (16, 16))
         assert checks.flat_spectral_gap(grid) == pytest.approx(0.25)
@@ -471,22 +487,33 @@ class TestRunChecks:
 
 
 MATRIX_BASE = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
+P1_PHI0, P1_PSI = {(0, 1): 0.2}, {(1, 0): 0.1}
 MATRIX_PATHS = {
     # exact paths: psi = 0.1 cos x varies over the base only
-    "exact-p1": (1, {(0, 1): 0.2}, {(1, 0): 0.1}),
+    "exact-p1": (1, P1_PHI0, P1_PSI),
     "exact-p2": (2, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 0, 0): 0.1}),
     # finite-difference path: psi varies along each fiber
     "fd-p1": (1, {(0, 1): 0.2}, {(1, 1): 0.1}),
+    # the other variants on the exact p = 1 data
+    "exact-p1-normalized": (1, P1_PHI0, P1_PSI),
+    "exact-p1-prescribed": (1, P1_PHI0, P1_PSI),
+    # codim1 derives phi0 from tau0 (two fiber modes) and keeps psi = 0
+    "exact-p1-codim1": (1, {(0, 1): 0.2, (1, 2): 0.05}, None),
 }
+MATRIX_X = {(0, 1): 0.05, (1, 2): 0.02}   # prescribed target, one fiber component
 MATRIX_REFUSALS = {
     ("exact-p2", "codim1_identity"): InputError,
     ("fd-p1", "uniform_equivalence"): UnsupportedScenarioError,
     ("fd-p1", "oracle_agreement"): UnsupportedScenarioError,
+    ("exact-p1-normalized", "oracle_agreement"): UnsupportedScenarioError,
+    ("exact-p1-prescribed", "oracle_agreement"): UnsupportedScenarioError,
 }
 FD_MISMATCH = ("FD states are second-order stencils but the diagnostics are spectral, "
                "so the residual shrinks only at second order")
 BASE_TWIST_DECAY = ("max |driving| over fibers with different exp(-2 psibar) decays at no "
                     "single rate, yet the expected slope uses the slowest fiber")
+EARLY_WINDOW_DECAY = ("the fit over t in [0, 2] mixes modes that have not decayed yet, so "
+                      "the slope is not the spectral gap")
 MATRIX_FAILURES = {
     ("exact-p1", "decay_rate"): BASE_TWIST_DECAY,
     ("exact-p2", "decay_rate"): BASE_TWIST_DECAY,
@@ -495,6 +522,9 @@ MATRIX_FAILURES = {
     ("fd-p1", "bperp_scaling"): FD_MISMATCH,
     ("fd-p1", "decay_rate"): ("the expected slope min exp(-2 psi) x flat gap is not the "
                               "discrete operator's gap"),
+    ("exact-p1-normalized", "decay_rate"): BASE_TWIST_DECAY,
+    ("exact-p1-prescribed", "decay_rate"): EARLY_WINDOW_DECAY,
+    ("exact-p1-codim1", "decay_rate"): EARLY_WINDOW_DECAY,
 }
 
 
@@ -508,21 +538,34 @@ def _matrix_cells():
             yield pytest.param(path, name, marks=marks, id=f"{path}-{name}")
 
 
+def _matrix_traj(path):
+    p, phi0, psi = MATRIX_PATHS[path]
+    fiber = ff.FiberGrid(p, (2.0 * math.pi,) * p, (32,) * p)
+    config = ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 1.5, 2.0))
+    if path.endswith("codim1"):
+        return ff.run_codim1(fb.harmonic_field((MATRIX_BASE, fiber), phi0),
+                             MATRIX_BASE, fiber, config)
+    state = ff.ProductState.from_harmonics(MATRIX_BASE, fiber, phi0, psi)
+    if path.endswith("normalized"):
+        return ff.run_normalized(state, config)
+    if path.endswith("prescribed"):
+        x = fb.harmonic_field((MATRIX_BASE, fiber), MATRIX_X)[None]
+        return ff.run_prescribed(state, x, config)
+    return ff.run_extrinsic_flow(state, config)
+
+
 class TestCheckerMatrix:
     """Every checker on every solver path passes or refuses with a typed error.
 
     Each cell builds its own trajectory (base 4, 32 points per fiber
     dimension, samples 0..2 in steps of 0.5), so no cell sees another's
-    finite-difference evaluator cache.
+    finite-difference evaluator cache.  The plain variant runs on every
+    path; normalized, prescribed and codim1 runs use the exact p = 1 path.
     """
 
     @pytest.mark.parametrize("path, name", _matrix_cells())
     def test_cell(self, path, name):
-        p, phi0, psi = MATRIX_PATHS[path]
-        fiber = ff.FiberGrid(p, (2.0 * math.pi,) * p, (32,) * p)
-        state = ff.ProductState.from_harmonics(MATRIX_BASE, fiber, phi0, psi)
-        traj = ff.run_extrinsic_flow(
-            state, ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 1.5, 2.0)))
+        traj = _matrix_traj(path)
         assert traj.exact_path == path.startswith("exact")
         refusal = MATRIX_REFUSALS.get((path, name))
         if refusal is not None:

@@ -62,6 +62,14 @@ class TestExitCodes:
         text = (out / "checks.csv").read_text(encoding="utf-8")
         assert "decay_rate" in text and "false" in text
 
+    def test_normalized_uniform_equivalence_exits_zero(self, tmp_path, capsys):
+        # the starting volume (2 pi)^2 I0(0.2) is far from the projected 1
+        cfg = write_config(tmp_path, variant="normalized", fiber_points=32,
+                           samples=[0.0, 0.5, 1.0, 1.5, 2.0],
+                           checks=["uniform_equivalence"])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "uniform_equivalence[t=2]: residual 0.000e+00" in capsys.readouterr().out
+
     def test_bad_scenario_exits_two_without_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario="moebius")
         out = tmp_path / "out"

@@ -7,6 +7,7 @@ diagnostics; and the finite-difference path is compared step for step
 against direct heat marches with the same scheme.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,29 @@ class TestPlainFlow:
         assert record.tangent_label == "umbilical"
         assert record.umbilical_residual < 1e-14
         assert record.d_theta_sup == 0.0
+
+    def test_umbilical_residual_is_stated(self):
+        record = ff.run_extrinsic_flow(single_mode_state(), plain_config()).diagnostics[0]
+        assert "umbilical_residual" not in {f.name for f in dataclasses.fields(record)}
+        assert record.umbilical_residual == 0.0
+        with pytest.raises(AttributeError):
+            record.umbilical_residual = 1.0
+
+    def test_diagnose_takes_one_sup_norm_per_distribution(self, monkeypatch):
+        """classify measures harmonicity only; umbilicity is not measured."""
+        state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
+                                               {(1, 0, 0): 0.1})
+        calls = []
+        for name in ("h_norm_sup", "hperp_norm_sup"):
+            original = getattr(geo, name)
+
+            def counting(state, field, name=name, original=original):
+                calls.append(name)
+                return original(state, field)
+
+            monkeypatch.setattr(geo, name, counting)
+        flows._diagnose(state, np.zeros((2,) + state.shape), "plain")
+        assert sorted(calls) == ["h_norm_sup", "hperp_norm_sup"]
 
     def test_rate_and_int_h2_quad_oracles(self):
         """r = -2 int |H|^2 dvol / vol, both integrals from scipy.quad."""

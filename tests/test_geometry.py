@@ -238,11 +238,12 @@ class TestMeanCurvature:
                                    atol=1e-14)
 
     def test_second_fundamental_umbilical_split(self):
+        """Both forms are their mean curvatures over the rank: nothing traceless is kept."""
         state = random_state(9)
         data = ff.second_fundamental(state)
-        np.testing.assert_allclose(data.b_coeff, data.h / state.n, atol=0)
-        assert np.max(np.abs(data.b_residual)) == 0.0
-        assert np.max(np.abs(data.bperp_residual)) == 0.0
+        assert [f.name for f in dataclasses.fields(data)] == ["h", "hperp"]
+        np.testing.assert_array_equal(data.b_coeff, data.h / state.n)
+        np.testing.assert_array_equal(data.bperp_coeff, data.hperp / state.p)
 
     def test_base_shape_operator(self):
         """hperp = -p exp(-2 phi) (base gradient of psi)."""
@@ -351,6 +352,15 @@ class TestClassification:
         report = ff.classify(state)
         assert report.normal.umbilical
         assert not report.normal.harmonic
+
+    def test_umbilicity_is_stated_not_measured(self):
+        flags = ff.classify(ff.ProductState.from_harmonics(BASE4, CIRCLE, {})).tangent
+        assert flags.umbilical is True
+        assert [f.name for f in dataclasses.fields(flags)] == ["harmonic"]
+        with pytest.raises(AttributeError):
+            flags.umbilical = False
+        assert {f.name for f in dataclasses.fields(ff.ClassificationReport)} == {
+            "tangent", "normal"}
 
     def test_norm_sup_oracles(self):
         state = twisted_circle()
