@@ -2,11 +2,8 @@
 
 Every checker returns CheckReport records (name, residual, tolerance,
 sample time) so runs can be audited mechanically.  Checkers never mutate
-the trajectory's states or diagnostics.  On the exact path their reports
-are independent of evaluation order.  On the finite-difference path they
-are not: the trajectory's evaluator caches every time it evaluates and
-marches on from the nearest earlier one, so a checker's residual can move
-in its third or fourth digit with the checkers run before it.
+the trajectory, and each asks ``Trajectory.at`` for its times in
+ascending batches, so a report does not depend on the checkers run before.
 
 Tolerances (module constants, like the steps and resolutions): 1e-8 for
 spectral-path identities at 64 points per dimension, 1e-3 against the
@@ -209,24 +206,21 @@ def check_monotonicity(trajectory: Trajectory) -> list[CheckReport]:
 
     The time derivative is a second-order finite difference of the exact
     evaluator (one-sided at t = 0), the codifferential term is evaluated
-    at the sample itself.
+    at the sample itself.  All stencil times go to ``trajectory.at`` at once.
     """
-    x = trajectory.x
     h = MONOTONE_STEP
-
-    def energy(t: float) -> float:
-        return _theta_norms(trajectory.evaluate(t), x)[0]
-
+    samples = trajectory.sample_times
+    stencils = [(t - h, t, t + h) if t >= h else (t, t + h, t + 2 * h) for t in samples]
+    times = sorted({tau for stencil in stencils for tau in stencil})
+    norms = {tau: _theta_norms(state, trajectory.x)
+             for tau, state in zip(times, trajectory.at(times))}
     reports = []
-    for record in trajectory.diagnostics:
-        t = record.t
+    for t in samples:
         if t >= h:
-            slope = (energy(t + h) - energy(t - h)) / (2.0 * h)
-            dissip = _theta_norms(trajectory.evaluate(t), x)[1]
+            slope = (norms[t + h][0] - norms[t - h][0]) / (2.0 * h)
         else:
-            energy_t, dissip = _theta_norms(trajectory.evaluate(t), x)
-            slope = (-3.0 * energy_t + 4.0 * energy(t + h) - energy(t + 2 * h)) / (2.0 * h)
-        reports.append(CheckReport("monotonicity", abs(slope + 2.0 * dissip),
+            slope = (-3.0 * norms[t][0] + 4.0 * norms[t + h][0] - norms[t + 2 * h][0]) / (2.0 * h)
+        reports.append(CheckReport("monotonicity", abs(slope + 2.0 * norms[t][1]),
                                    MONOTONE_TOL, t))
     return reports
 
@@ -255,11 +249,10 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckRep
             f"volume_ode needs t >= VOLUME_ODE_STEP = {spacing:g} for its central "
             f"difference, got t = {t:g}"
         )
-    state = trajectory.evaluate(t)
+    before, state, after = trajectory.at((t - spacing, t, t + spacing))
     s = _speed(state, trajectory.x, config.variant == "normalized")
     rhs = (state.n / 2.0) * geo.integrate(state, s)
-    lhs = (geo.volume(trajectory.evaluate(t + spacing))
-           - geo.volume(trajectory.evaluate(t - spacing))) / (2.0 * spacing)
+    lhs = (geo.volume(after) - geo.volume(before)) / (2.0 * spacing)
     scale = abs(rhs) if abs(rhs) > 1e-12 else 1.0
     return CheckReport("volume_ode", abs(lhs - rhs) / scale, VOLUME_ODE_TOL, t)
 
@@ -283,16 +276,15 @@ def _bperp_node_sums(trajectory: Trajectory, t: float,
     """Simpson sums over the nodes of [0, t]: (sum w phi0, sum w r, sum w).
 
     phi0 is each node's phi minus its fiber mean; the rate sum is zero
-    unless the variant is normalized.  Every node is a full
-    ``trajectory.evaluate``, accumulated in place.
+    unless the variant is normalized.  The nodes are one ``trajectory.at``
+    request, accumulated in place.
     """
     weights = _simpson_weights(t, quad_nodes)
     normalized = trajectory.config.variant == "normalized"
     axes = trajectory.initial.fiber_axes
     phi_sum = np.zeros(trajectory.initial.shape)
     rate_sum = 0.0
-    for tau, weight in zip(np.linspace(0.0, t, quad_nodes), weights):
-        state = trajectory.evaluate(float(tau))
+    for state, weight in zip(trajectory.at(np.linspace(0.0, t, quad_nodes)), weights):
         phi_sum += weight * (state.phi - state.phi.mean(axis=axes, keepdims=True))
         if normalized:
             rate_sum += weight * normalization_rate(state)
@@ -336,8 +328,7 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
         raise InputError("bperp scaling needs t > 0")
     exponent = _bperp_exponent(trajectory, t, quad_nodes)
 
-    start = trajectory.evaluate(0.0)
-    end = trajectory.evaluate(t)
+    start, end = trajectory.at((0.0, t))
     b0 = geo.second_fundamental(start).bperp_coeff
     bt = geo.second_fundamental(end).bperp_coeff
     residual = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
@@ -403,8 +394,8 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
 
     The conformal factor itself solves the leafwise heat equation, so
     both paths evolve phi to ORACLE_TIME from the same resampled initial
-    data (the march with FdScheme()) and the report carries their sup-norm
-    gap.  For p = 2 the comparison runs at the native resolution.
+    data (the march with the run's fd_scheme) and the report carries their
+    sup-norm gap.  For p = 2 the comparison runs at the native resolution.
     """
     initial = trajectory.initial
     if not trajectory.exact_path:
@@ -428,7 +419,7 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
         psi_mean.reshape(psi_mean.shape + (1,) * initial.p),
         psi_mean.shape + fine_grid.shape,
     )
-    stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, FdScheme())
+    stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, trajectory.config.fd_scheme)
     gap = float(np.max(np.abs(spectral - stepped)))
     return CheckReport("oracle_agreement", gap, ORACLE_TOL, ORACLE_TIME)
 

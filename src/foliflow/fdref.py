@@ -197,8 +197,8 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
             f"psi shape {psi.shape} is neither the grid shape {grid.shape} "
             f"nor the u0 shape {u0.shape}"
         )
-    if t_end < 0:
-        raise InputError(f"t_end must be nonnegative, got {t_end}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise InputError(f"t_end must be finite and nonnegative, got {t_end}")
     if t_end == 0:
         return u0.copy()
     steps = max(1, int(np.ceil(t_end / scheme.dt - 1e-12)))

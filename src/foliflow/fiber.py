@@ -183,7 +183,7 @@ def evolve_values(values: np.ndarray, grid: FiberGrid, t: float,
     per-fiber mean survives.
     """
     values = np.asarray(values, dtype=float)
-    if t < 0:
+    if not t >= 0:          # also refuses NaN
         raise InputError(f"heat evolution needs t >= 0, got {t}")
     lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0
@@ -201,7 +201,7 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     per-fiber mean vanishes (to round-off); nonzero modes tend to 1/lambda_l.
     """
     values = np.asarray(values, dtype=float)
-    if t < 0:
+    if not t >= 0:          # also refuses NaN
         raise InputError(f"time integral needs t >= 0, got {t}")
     lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0

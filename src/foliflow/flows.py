@@ -37,9 +37,8 @@ flow cannot converge to H = X unless that component vanishes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -117,9 +116,11 @@ class DiagnosticsRecord:
 class Trajectory:
     """Sampled flow together with its analytic limit and evaluator.
 
-    ``evaluate(t)`` reproduces the state at any time in [0, inf]; on the
-    exact path it is a closed-form multiplier, on the finite-difference
-    path it marches (and caches) forward.  ``limit`` is evaluate(inf).
+    ``at(times)`` lazily yields the states at an ascending sequence of
+    times in [0, inf], in closed form on the exact path.  The FD path
+    marches the samples once, at run time, and each requested time from
+    the later of the request's previous time and the last sample at or
+    before it; no state outlives a request.  ``evaluate(t)`` asks for one.
     """
 
     states: tuple[ProductState, ...]
@@ -128,13 +129,16 @@ class Trajectory:
     converged_time: float | None
     config: FlowConfig
     initial: ProductState
-    evaluate: Callable[[float], ProductState]
+    at: Callable[[Iterable[float]], Iterator[ProductState]]
     exact_path: bool
     x: np.ndarray            # target field X on the full grid; zero unless prescribed
 
     @property
     def sample_times(self) -> tuple[float, ...]:
         return tuple(d.t for d in self.diagnostics)
+
+    def evaluate(self, t: float) -> ProductState:
+        return next(self.at((t,)))
 
 
 def _broadcast_x(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
@@ -171,36 +175,44 @@ def project_unit_volume(state: ProductState) -> ProductState:
     return state.replace_phi(state.phi - shift, state.t)
 
 
-def _plain_evaluator(initial: ProductState, driving0: np.ndarray,
-                     config: FlowConfig, exact: bool) -> Callable[[float], np.ndarray]:
-    """phi(t) of d/dt phi = Lap_perp phi, closed form or marching, for t >= 0."""
+def _ascending(times: Iterable[float]) -> list[float]:
+    """The requested times as floats; each must be >= 0 and none may descend."""
+    times = [float(t) for t in times]
+    for earlier, t in zip([0.0] + times, times):
+        if not t >= 0:
+            raise InputError(f"trajectory time must be >= 0, got {t}")
+        if t < earlier:
+            raise InputError(f"trajectory times must ascend, got {t} after {earlier}")
+    return times
+
+
+def _plain_phis(initial: ProductState, driving0: np.ndarray, config: FlowConfig,
+                exact: bool) -> Callable[[list[float]], Iterator[np.ndarray]]:
+    """phi at each ascending time under d/dt phi = Lap_perp phi, closed form or marching.
+
+    A march reaches each time from the previous time or a later anchor.
+    """
     if exact:
         rate = geo.fiber_rate(initial)
+        return lambda times: (
+            initial.phi - fb.time_integral_values(driving0, initial.fiber, t, rate_scale=rate)
+            / initial.n for t in times)
 
-        def phi_at(t: float) -> np.ndarray:
-            integral = fb.time_integral_values(driving0, initial.fiber, t, rate_scale=rate)
-            return initial.phi - integral / initial.n
+    def phis(times: list[float]) -> Iterator[np.ndarray]:
+        k = 0
+        for t in times:
+            while k < len(anchors) and anchors[k][0] <= t:
+                (t0, phi), k = anchors[k], k + 1
+            if t != t0:
+                t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, t - t0, config.fd_scheme)
+            yield phi
 
-        return phi_at
-
-    cache: list[tuple[float, np.ndarray]] = [(0.0, initial.phi)]
-
-    def phi_at(t: float) -> np.ndarray:
-        if math.isinf(t):
-            mean = geo.fiber_average(initial, initial.phi)
-            return np.broadcast_to(
-                mean.reshape(initial.base.shape + (1,) * initial.p), initial.shape
-            ).copy()
-        times = [c[0] for c in cache]
-        idx = bisect_right(times, t) - 1
-        t0, phi0 = cache[idx]
-        if t == t0:
-            return phi0
-        phi_t = fd_heat_run(phi0, initial.psi, initial.fiber, t - t0, config.fd_scheme)
-        cache.insert(idx + 1, (t, phi_t))
-        return phi_t
-
-    return phi_at
+    anchors = [(0.0, initial.phi)]          # the samples' chain, then the t = inf limit
+    for s in config.samples:
+        anchors.append((s, next(phis([s]))))
+    mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
+    anchors.append((math.inf, np.broadcast_to(mean, initial.shape).copy()))
+    return phis
 
 
 def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRecord:
@@ -247,25 +259,22 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     exact = geo.psi_is_fiber_constant(initial)
 
     if not np.any(driving0):
-        def phi_at(t: float) -> np.ndarray:
-            return initial.phi
+        phis = lambda times: (initial.phi for _ in times)
     else:
         if not exact and config.variant == "prescribed":
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
-        phi_at = _plain_evaluator(initial, driving0, config, exact)
-    normalized = config.variant == "normalized"
+        phis = _plain_phis(initial, driving0, config, exact)
 
-    def evaluate(t: float) -> ProductState:
-        if t < 0:
-            raise InputError(f"trajectory time must be >= 0, got {t}")
-        state = initial.replace_phi(phi_at(t), t)
-        return project_unit_volume(state) if normalized else state
+    def at(times: Iterable[float]) -> Iterator[ProductState]:
+        times = _ascending(times)
+        states = (initial.replace_phi(phi, t) for t, phi in zip(times, phis(times)))
+        return map(project_unit_volume, states) if config.variant == "normalized" else states
 
-    states = tuple(evaluate(t) for t in config.samples)
+    states = tuple(at(config.samples))
     diagnostics = tuple(_diagnose(s, x, config.variant) for s in states)
-    limit = evaluate(math.inf)
+    limit = next(at((math.inf,)))
 
     converged_time = None
     for record in diagnostics:
@@ -280,7 +289,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         converged_time=converged_time,
         config=config,
         initial=initial,
-        evaluate=evaluate,
+        at=at,
         exact_path=exact,
         x=x,
     )

@@ -9,6 +9,7 @@ reporting.  Quadrature oracles come from scipy.integrate.quad.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,15 +35,16 @@ def single_mode_traj(samples=(0.0, 0.5, 1.0, 2.0), variant="plain"):
     return ff.run_extrinsic_flow(state, config)
 
 
-def counting_evaluate(traj):
-    """(traj with an evaluate that counts its calls, the one-entry call counter)."""
+def counting_at(traj):
+    """(traj whose ``at`` counts the times requested, the one-entry time counter)."""
     calls = [0]
 
-    def evaluate(t):
-        calls[0] += 1
-        return traj.evaluate(t)
+    def at(times):
+        times = list(times)
+        calls[0] += len(times)
+        return traj.at(times)
 
-    return dataclasses.replace(traj, evaluate=evaluate), calls
+    return dataclasses.replace(traj, at=at), calls
 
 
 def fd_path_traj():
@@ -210,9 +212,15 @@ class TestVolumeOde:
         with pytest.raises(InputError, match=r"volume_ode.*VOLUME_ODE_STEP.*t_end = 0.0015"):
             checks.check_volume_ode(traj)
 
+    def test_fd_residual_ignores_checkers_run_before(self):
+        alone = checks.check_volume_ode(fd_path_traj())
+        traj = fd_path_traj()
+        checks.check_monotonicity(traj)
+        assert checks.check_volume_ode(traj).residual == alone.residual
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_time_refused_before_evaluation(self, t):
-        traj, calls = counting_evaluate(single_mode_traj())
+        traj, calls = counting_at(single_mode_traj())
         with pytest.raises(InputError, match=rf"volume_ode needs a finite t, got t = {t}"):
             checks.check_volume_ode(traj, t=t)
         assert calls == [0]
@@ -279,7 +287,7 @@ class TestBperpScaling:
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_time_refused_before_evaluation(self, t):
-        traj, calls = counting_evaluate(self.base_twisted_traj())
+        traj, calls = counting_at(self.base_twisted_traj())
         with pytest.raises(InputError, match=rf"bperp_scaling needs a finite t, got t = {t}"):
             checks.check_bperp_scaling(traj, t=t)
         assert calls == [0]
@@ -322,8 +330,7 @@ class TestBperpScaling:
         traj = bperp_cross_form_traj(path, variant)
         nodes = np.linspace(0.0, 1.0, 513)
         reference = np.zeros(traj.initial.shape)
-        for tau, weight in zip(nodes, checks._simpson_weights(1.0, 513)):
-            state = traj.evaluate(float(tau))
+        for state, weight in zip(traj.at(nodes), checks._simpson_weights(1.0, 513)):
             driving = geo.div_perp(geo.twisted_mean_curvature(state) - traj.x, state)
             speed = -(2.0 / state.n) * driving
             if variant == "normalized":
@@ -336,8 +343,27 @@ class TestBperpScaling:
     def test_prescribed_variant(self):
         assert checks.check_bperp_scaling(bperp_cross_form_traj("exact-p1", "prescribed")).passed
 
+    def test_fd_run_retains_no_node_states(self):
+        """No node state (8 KB each on base 16 x 64 points) outlives the check.
+
+        129 nodes keep the traced run short; kept nodes would hold 1 MB.
+        """
+        state = ff.ProductState.from_harmonics(
+            ff.FiberGrid(1, (2.0 * math.pi,), (16,)), CIRCLE,
+            {(0, 1): 0.2, (1, 1): 0.1}, {(0, 1): 0.1})
+        traj = ff.run_extrinsic_flow(state, ff.FlowConfig(
+            t_end=1.0, samples=(0.0, 0.25, 0.5, 0.75, 1.0)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            checks.check_bperp_scaling(traj, quad_nodes=129)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5 * 2 ** 20
+
     def test_speed_operator_applied_once(self, monkeypatch):
-        traj, calls = counting_evaluate(self.base_twisted_traj())
+        traj, calls = counting_at(self.base_twisted_traj())
         div_calls = []
         div_perp = geo.div_perp
 
@@ -348,7 +374,7 @@ class TestBperpScaling:
         monkeypatch.setattr(geo, "div_perp", counting_div_perp)
         assert checks.check_bperp_scaling(traj).passed
         assert div_calls == [1.0]      # one call, on the summed state stamped t = 1
-        assert calls == [513 + 2]      # every node, then the start and end states
+        assert calls == [513 + 2]      # the nodes, then the start and end states
 
 
 class TestUniformEquivalence:
@@ -390,6 +416,14 @@ class TestOracleAgreement:
         report = checks.check_oracle_agreement(single_mode_traj())
         assert 0.0 < report.residual < 1e-4
         assert report.passed
+
+    def test_march_uses_the_run_scheme(self):
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2})
+        default, coarse = (
+            checks.check_oracle_agreement(ff.run_extrinsic_flow(state, ff.FlowConfig(
+                t_end=1.0, samples=(0.0, 1.0), fd_scheme=scheme))).residual
+            for scheme in (ff.FdScheme(), ff.FdScheme(dt=0.25)))
+        assert coarse != default
 
     def test_torus_native_resolution(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
@@ -558,9 +592,9 @@ class TestCheckerMatrix:
     """Every checker on every solver path passes or refuses with a typed error.
 
     Each cell builds its own trajectory (base 4, 32 points per fiber
-    dimension, samples 0..2 in steps of 0.5), so no cell sees another's
-    finite-difference evaluator cache.  The plain variant runs on every
-    path; normalized, prescribed and codim1 runs use the exact p = 1 path.
+    dimension, samples 0..2 in steps of 0.5).  The plain variant runs on
+    every path; normalized, prescribed and codim1 runs use the exact p = 1
+    path.
     """
 
     @pytest.mark.parametrize("path, name", _matrix_cells())

@@ -260,6 +260,12 @@ class TestFdHeatRun:
         with pytest.raises(InputError):
             ff.fd_heat_run(u0, u0, SMALL, -0.1, ff.FdScheme())
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_time_refused_naming_t_end(self, t_end):
+        u0 = np.zeros(SMALL.shape)
+        with pytest.raises(InputError, match=rf"t_end must be finite.*got {t_end}"):
+            ff.fd_heat_run(u0, u0, SMALL, t_end, ff.FdScheme())
+
     def test_zero_time_returns_copy(self):
         u0 = np.cos(SMALL.coordinates()[0])
         out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, 0.0, ff.FdScheme())

@@ -125,6 +125,10 @@ class TestHeatEvolve:
         with pytest.raises(InputError):
             fb.evolve_values(np.zeros(64), CIRCLE, -0.1)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(InputError, match="got nan"):
+            fb.evolve_values(np.zeros(64), CIRCLE, math.nan)
+
     def test_infinite_time_gives_mean(self):
         u = fb.harmonic_field((CIRCLE,), {(0,): 0.4, (2,): (0.3, 0.1)})
         out = fb.evolve_values(u, CIRCLE, math.inf)
@@ -172,6 +176,10 @@ class TestHeatTimeIntegral:
     def test_zero_field(self):
         out = fb.time_integral_values(np.zeros(64), CIRCLE, 4.0)
         assert np.max(np.abs(out)) == 0.0
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(InputError, match="got nan"):
+            fb.time_integral_values(np.zeros(64), CIRCLE, math.nan)
 
     def test_constant_mode_zero_rule(self):
         out = fb.time_integral_values(np.full(64, 0.3), CIRCLE, 2.0)

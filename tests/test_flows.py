@@ -336,6 +336,36 @@ class TestCodimensionOne:
         np.testing.assert_allclose(ff.tau_of_state(state), -np.exp(-psi) * phi_y, atol=1e-13)
 
 
+class TestTrajectoryAt:
+    def traj(self, path):
+        psi = {(0, 1): 0.1} if path == "fd" else None
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, psi)
+        return ff.run_extrinsic_flow(state, plain_config())
+
+    @pytest.mark.parametrize("path", ["exact", "fd"])
+    def test_samples_reproduce_the_states(self, path):
+        traj = self.traj(path)
+        for state, sample in zip(traj.at(traj.sample_times), traj.states, strict=True):
+            np.testing.assert_array_equal(state.phi, sample.phi)
+        (limit,) = traj.at((math.inf,))
+        np.testing.assert_array_equal(limit.phi, traj.limit.phi)
+
+    @pytest.mark.parametrize("path", ["exact", "fd"])
+    @pytest.mark.parametrize("times, message", [
+        ((math.nan,), "trajectory time must be >= 0, got nan"),
+        ((0.5, -0.1), "trajectory time must be >= 0, got -0.1"),
+        ((0.5, 0.25), "trajectory times must ascend, got 0.25 after 0.5"),
+    ])
+    def test_bad_times_refused_naming_the_time(self, path, times, message):
+        with pytest.raises(InputError, match=message):
+            self.traj(path).at(times)
+
+    @pytest.mark.parametrize("path", ["exact", "fd"])
+    def test_evaluate_refuses_nan_naming_it(self, path):
+        with pytest.raises(InputError, match="trajectory time must be >= 0, got nan"):
+            self.traj(path).evaluate(math.nan)
+
+
 class TestFiniteDifferencePath:
     def fd_state(self):
         return ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2},
@@ -360,9 +390,6 @@ class TestFiniteDifferencePath:
                                 ff.FdScheme())
         np.testing.assert_array_equal(first, direct)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the FD evaluator marches from its nearest cached time, so an earlier "
-        "evaluate moves a later one by about 7e-12; a memoryless solver fixes it"))
     def test_evaluate_is_independent_of_earlier_evaluations(self):
         state = ff.ProductState.from_harmonics(BASE8, CIRCLE, {(0, 1): 0.2, (1, 1): 0.1},
                                                {(1, 1): 0.1})
@@ -371,6 +398,18 @@ class TestFiniteDifferencePath:
         warmed = ff.run_extrinsic_flow(state, config)
         warmed.evaluate(1.0003)
         np.testing.assert_array_equal(warmed.evaluate(1.2345).phi, fresh)
+
+    def test_request_starts_from_latest_sample_or_previous_time(self):
+        state = self.fd_state()
+        traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 0.5)))
+        scheme = traj.config.fd_scheme
+        first, second, after_sample = traj.at((0.3, 0.4, 0.7))
+        np.testing.assert_array_equal(first.phi, traj.evaluate(0.3).phi)
+        np.testing.assert_array_equal(
+            second.phi, ff.fd_heat_run(first.phi, state.psi[0], CIRCLE, 0.4 - 0.3, scheme))
+        np.testing.assert_array_equal(
+            after_sample.phi,
+            ff.fd_heat_run(traj.states[1].phi, state.psi[0], CIRCLE, 0.7 - 0.5, scheme))
 
     def test_limit_is_weighted_fiber_average(self):
         state = self.fd_state()
