@@ -99,7 +99,7 @@ def check_codim1_identity(state: ProductState, f: np.ndarray | None = None) -> C
     lines, the classical obstruction to taut circle foliations.
     """
     if state.p != 1:
-        raise InputError("the codimension-one identity needs p = 1")
+        raise InputError("codim1_identity needs p = 1")
     if f is None:
         f = np.ones(state.shape)
     f = np.asarray(f, dtype=float)
@@ -340,20 +340,24 @@ def flat_spectral_gap(grid: FiberGrid) -> float:
     return min((2.0 * math.pi / L) ** 2 for L in grid.sides)
 
 
+def _fiber_rate(trajectory: Trajectory, checker: str) -> np.ndarray:
+    """The exact path's per-fiber eigenvalue scale; ``checker`` refuses an FD run."""
+    if trajectory.fiber_rate is None:
+        raise UnsupportedScenarioError(f"{checker} needs a psi constant along fibers")
+    return trajectory.fiber_rate
+
+
 def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     """Certificate c >= 1 with c^{-1} ghat_0 <= ghat_t <= c ghat_0 for all t.
 
     The conformal exponent is 2(phi_t - phi_0) = -(2/n) * running time
     integral of the driving scalar, bounded per fiber by the summed
     nonzero-mode amplitudes of the initial scalar over the effective
-    spectral gap (for single-mode data this is exactly max amplitude
-    over the gap).  Exact-path trajectories only: the bound uses the
-    fiber-constant conformal spectrum.
+    spectral gap, the flat gap times ``trajectory.fiber_rate`` (for
+    single-mode data this is exactly max amplitude over the gap).  An FD
+    run has no such spectrum and is refused.
     """
-    if not trajectory.exact_path:
-        raise UnsupportedScenarioError(
-            "the spectral certificate needs a fiber-constant psi"
-        )
+    rate = _fiber_rate(trajectory, "uniform_equivalence")
     initial = trajectory.initial
     driving0 = _driving(initial, trajectory.x)
     axes = initial.fiber_axes
@@ -362,7 +366,7 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     zero = (slice(None),) * initial.n + (0,) * initial.p
     mags[zero] = 0.0
     summed = mags.sum(axis=axes)
-    gap = flat_spectral_gap(initial.fiber) * geo.fiber_rate(initial)
+    gap = flat_spectral_gap(initial.fiber) * rate
     bound = float(np.max(summed / gap))
     return math.exp(2.0 * bound / initial.n)
 
@@ -396,17 +400,13 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
     both paths evolve phi to ORACLE_TIME from the same resampled initial
     data (the march with the run's fd_scheme) and the report carries their
     sup-norm gap.  For p = 2 the comparison runs at the native resolution.
+    A scheme the march refuses on that grid is refused by name.
     """
     initial = trajectory.initial
-    if not trajectory.exact_path:
-        raise UnsupportedScenarioError(
-            "oracle agreement compares against the exact path; psi must be "
-            "constant along fibers"
-        )
+    rate = _fiber_rate(trajectory, "oracle_agreement")
     if trajectory.config.variant != "plain":
-        raise UnsupportedScenarioError("oracle agreement runs on the plain variant")
+        raise UnsupportedScenarioError("oracle_agreement runs on the plain variant")
     psi_mean = geo.psi_fiber_mean(initial)
-    rate = geo.fiber_rate(initial)
 
     if initial.p == 1 and ORACLE_POINTS != initial.fiber.points[0]:
         fine_grid = FiberGrid(1, initial.fiber.sides, (ORACLE_POINTS,))
@@ -419,7 +419,11 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
         psi_mean.reshape(psi_mean.shape + (1,) * initial.p),
         psi_mean.shape + fine_grid.shape,
     )
-    stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, trajectory.config.fd_scheme)
+    try:
+        stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, trajectory.config.fd_scheme)
+    except InputError as exc:
+        points = "x".join(map(str, fine_grid.points))
+        raise InputError(f"oracle_agreement's march on {points} fiber points: {exc}") from exc
     gap = float(np.max(np.abs(spectral - stepped)))
     return CheckReport("oracle_agreement", gap, ORACLE_TOL, ORACLE_TIME)
 
@@ -464,19 +468,22 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
             logs.append(math.log(record.max_driving))
     if len(ts) < 4:
         raise DegenerateTrajectoryError(
-            "decay-rate fit needs at least 4 samples with a nonzero driving field"
+            "decay_rate fit needs at least 4 samples with a nonzero driving field"
         )
     return float(np.polyfit(ts, logs, 1)[0])
 
 
 def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
                      skip: int = 0) -> CheckReport:
-    """Fitted decay slope against the effective spectral-gap prediction."""
-    slope = estimate_decay_rate(trajectory, skip)
+    """Fitted decay slope against ``expected``, by default minus the slowest fiber's gap.
+
+    That gap is the flat one times the least ``trajectory.fiber_rate``, so
+    without ``expected`` an FD run is refused.
+    """
     if expected is None:
-        initial = trajectory.initial
-        rate = geo.fiber_rate(initial) if trajectory.exact_path else initial.exp_psi(-2)
-        expected = -flat_spectral_gap(initial.fiber) * float(np.min(rate))
+        rate = _fiber_rate(trajectory, "decay_rate")
+        expected = -flat_spectral_gap(trajectory.initial.fiber) * float(np.min(rate))
+    slope = estimate_decay_rate(trajectory, skip)
     residual = abs(slope - expected) / abs(expected)
     return CheckReport("decay_rate", residual, DECAY_REL_TOL,
                        trajectory.sample_times[-1])

@@ -121,6 +121,8 @@ class Trajectory:
     marches the samples once, at run time, and each requested time from
     the later of the request's previous time and the last sample at or
     before it; no state outlives a request.  ``evaluate(t)`` asks for one.
+    ``fiber_rate`` is None on the FD path; on the exact path it is the
+    per-fiber scale exp(-2 psibar) of the flat fiber spectrum.
     """
 
     states: tuple[ProductState, ...]
@@ -130,7 +132,7 @@ class Trajectory:
     config: FlowConfig
     initial: ProductState
     at: Callable[[Iterable[float]], Iterator[ProductState]]
-    exact_path: bool
+    fiber_rate: np.ndarray | None
     x: np.ndarray            # target field X on the full grid; zero unless prescribed
 
     @property
@@ -187,13 +189,12 @@ def _ascending(times: Iterable[float]) -> list[float]:
 
 
 def _plain_phis(initial: ProductState, driving0: np.ndarray, config: FlowConfig,
-                exact: bool) -> Callable[[list[float]], Iterator[np.ndarray]]:
+                rate: np.ndarray | None) -> Callable[[list[float]], Iterator[np.ndarray]]:
     """phi at each ascending time under d/dt phi = Lap_perp phi, closed form or marching.
 
     A march reaches each time from the previous time or a later anchor.
     """
-    if exact:
-        rate = geo.fiber_rate(initial)
+    if rate is not None:
         return lambda times: (
             initial.phi - fb.time_integral_values(driving0, initial.fiber, t, rate_scale=rate)
             / initial.n for t in times)
@@ -256,16 +257,16 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             )
 
     driving0 = geo.div_perp(h0 - x, initial)
-    exact = geo.psi_is_fiber_constant(initial)
+    rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
     if not np.any(driving0):
         phis = lambda times: (initial.phi for _ in times)
     else:
-        if not exact and config.variant == "prescribed":
+        if rate is None and config.variant == "prescribed":
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
-        phis = _plain_phis(initial, driving0, config, exact)
+        phis = _plain_phis(initial, driving0, config, rate)
 
     def at(times: Iterable[float]) -> Iterator[ProductState]:
         times = _ascending(times)
@@ -290,7 +291,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         config=config,
         initial=initial,
         at=at,
-        exact_path=exact,
+        fiber_rate=rate,
         x=x,
     )
 

@@ -387,7 +387,8 @@ class TestUniformEquivalence:
         assert checks.check_uniform_equivalence(single_mode_traj()).passed
 
     def test_fd_path_rejected(self):
-        with pytest.raises(UnsupportedScenarioError):
+        with pytest.raises(UnsupportedScenarioError,
+                           match="^uniform_equivalence needs a psi constant"):
             checks.uniform_equivalence_constant(fd_path_traj())
 
     def test_normalized_run_compared_with_its_own_start(self):
@@ -436,7 +437,8 @@ class TestOracleAgreement:
             checks.check_oracle_agreement(single_mode_traj(variant="normalized"))
 
     def test_fd_path_rejected(self):
-        with pytest.raises(UnsupportedScenarioError):
+        with pytest.raises(UnsupportedScenarioError,
+                           match="^oracle_agreement needs a psi constant"):
             checks.check_oracle_agreement(fd_path_traj())
 
 
@@ -493,6 +495,17 @@ class TestDecayRate:
         report = checks.check_decay_rate(single_mode_traj(), expected=-1.0)
         assert report.residual < 1e-10
 
+    def test_fd_path_rejected(self):
+        with pytest.raises(UnsupportedScenarioError, match="^decay_rate needs a psi constant"):
+            checks.check_decay_rate(fd_path_traj())
+
+    def test_fd_path_fits_against_a_given_rate(self):
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, {(0, 1): 0.1})
+        config = ff.FlowConfig(t_end=1.5, samples=(0.0, 0.5, 1.0, 1.5))
+        traj = ff.run_extrinsic_flow(state, config)
+        slope = checks.estimate_decay_rate(traj)
+        assert checks.check_decay_rate(traj, expected=slope).residual == 0.0
+
 
 class TestRunChecks:
     def test_unknown_name_rejected(self):
@@ -539,6 +552,7 @@ MATRIX_REFUSALS = {
     ("exact-p2", "codim1_identity"): InputError,
     ("fd-p1", "uniform_equivalence"): UnsupportedScenarioError,
     ("fd-p1", "oracle_agreement"): UnsupportedScenarioError,
+    ("fd-p1", "decay_rate"): UnsupportedScenarioError,
     ("exact-p1-normalized", "oracle_agreement"): UnsupportedScenarioError,
     ("exact-p1-prescribed", "oracle_agreement"): UnsupportedScenarioError,
 }
@@ -554,8 +568,6 @@ MATRIX_FAILURES = {
     ("fd-p1", "monotonicity"): FD_MISMATCH,
     ("fd-p1", "volume_ode"): FD_MISMATCH,
     ("fd-p1", "bperp_scaling"): FD_MISMATCH,
-    ("fd-p1", "decay_rate"): ("the expected slope min exp(-2 psi) x flat gap is not the "
-                              "discrete operator's gap"),
     ("exact-p1-normalized", "decay_rate"): BASE_TWIST_DECAY,
     ("exact-p1-prescribed", "decay_rate"): EARLY_WINDOW_DECAY,
     ("exact-p1-codim1", "decay_rate"): EARLY_WINDOW_DECAY,
@@ -600,7 +612,7 @@ class TestCheckerMatrix:
     @pytest.mark.parametrize("path, name", _matrix_cells())
     def test_cell(self, path, name):
         traj = _matrix_traj(path)
-        assert traj.exact_path == path.startswith("exact")
+        assert (traj.fiber_rate is not None) == path.startswith("exact")
         refusal = MATRIX_REFUSALS.get((path, name))
         if refusal is not None:
             with pytest.raises(refusal):

@@ -3,7 +3,7 @@
 Every invocation goes through ``main(argv)`` in process, with configs
 and outputs under tmp_path.  Covers the four exit codes, the
 no-partial-output guarantee on config errors, byte-identical reruns,
-and the flag surface (--grid, --no-oracle, --plot, --out).
+and the flag surface (--grid, --plot, --out).
 """
 
 import contextlib
@@ -234,6 +234,32 @@ class TestExitCodes:
             assert ((tmp_path / "ints" / name).read_bytes()
                     == (tmp_path / "floats" / name).read_bytes())
 
+    FD = {"scenario": "double_twisted", "psi": {"0,1": 0.1}}     # psi varies along fibers
+
+    @pytest.mark.parametrize("overrides, names", [
+        ({"samples": [0.0, 1.0], "t_end": 1.0, "checks": ["preservation"]},
+         ("preservation",)),
+        ({"samples": [0.0, 0.5, 1.0], "t_end": 1.0, "checks": ["decay_rate"]},
+         ("decay_rate",)),
+        ({"p": 2, "fiber_points": 32, "phi0": {"0,1,2": 0.1}, "checks": ["codim1_identity"]},
+         ("codim1_identity",)),
+        ({**FD, "checks": ["decay_rate"]}, ("decay_rate",)),
+        ({**FD, "checks": ["uniform_equivalence"]}, ("uniform_equivalence",)),
+        ({"variant": "normalized", "checks": ["oracle_agreement"]}, ("oracle_agreement",)),
+        # the run itself is exact; only the oracle's 256-point march breaks the bound
+        ({"theta": 0.2, "checks": ["oracle_agreement"]}, ("oracle_agreement", "256")),
+    ], ids=["preservation-2-samples", "decay_rate-3-samples", "codim1_identity-p2",
+            "fd-decay_rate", "fd-uniform_equivalence", "normalized-oracle_agreement",
+            "oracle_agreement-unstable-theta"])
+    def test_checker_refusal_exits_two_without_outputs(self, tmp_path, capsys,
+                                                       overrides, names):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and all(name in err for name in names), err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
@@ -329,14 +355,6 @@ class TestFlags:
             text = (out / "checks.csv").read_text(encoding="utf-8")
             assert text.count("oracle_agreement") == 1
 
-    def test_no_oracle_strips_report(self, tmp_path):
-        cfg = write_config(tmp_path, oracle_check=True,
-                           checks=["divergence_identity"])
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--no-oracle"]) == 0
-        text = (out / "checks.csv").read_text(encoding="utf-8")
-        assert "oracle_agreement" not in text
-
     def test_plot_writes_svg(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -400,7 +418,8 @@ VALID_VALUES = {
     "base_points": [4, 4.0], "fiber_points": [8, 16, 8.0],
     "samples": [[0.0, 0.1], [0.0, 0.05, 0.1]],
     "dt": [1e-2, 5e-2], "theta": [0.5, 1.0, 0.0],
-    "checks": [[], ["divergence_identity"], ["preservation"]],
+    "checks": [[], ["divergence_identity"], ["preservation"], ["decay_rate"],
+               ["uniform_equivalence"]],
     "amplitude": [0.1, [0.1, 0.05]],     # of the one phi0 mode
     "plot": [False, True], "oracle_check": [False],
 }

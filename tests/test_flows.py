@@ -70,7 +70,7 @@ class TestPlainFlow:
             expected = 0.2 * math.exp(-t) * np.cos(y)
             np.testing.assert_allclose(
                 state.phi, np.broadcast_to(expected, state.shape), atol=1e-12)
-        assert traj.exact_path
+        np.testing.assert_array_equal(traj.fiber_rate, np.ones(BASE4.shape))
         assert traj.sample_times == (0.0, 0.5, 1.0, 2.0)
 
     def test_evaluate_arbitrary_time(self):
@@ -112,7 +112,7 @@ class TestPlainFlow:
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2},
                                                {(1, 0): 0.3})
         traj = ff.run_extrinsic_flow(state, plain_config())
-        assert traj.exact_path
+        np.testing.assert_array_equal(traj.fiber_rate, geo.fiber_rate(state))
         # each fiber decays at exp(-2 psi) times the flat eigenvalue
         y = CIRCLE.coordinates()[0]
         psi_col = state.psi[:, :1]
@@ -365,6 +365,19 @@ class TestTrajectoryAt:
         with pytest.raises(InputError, match="trajectory time must be >= 0, got nan"):
             self.traj(path).evaluate(math.nan)
 
+    @pytest.mark.parametrize("fiber, phi0, psi", [
+        (CIRCLE, {(0, 1): 0.2}, {(1, 0): 0.3}),
+        (TORUS, {(0, 1, 2): 0.1}, {(1, 0, 0): 0.2}),
+        (CIRCLE, {}, {(1, 0): 0.3}),                     # zero driving short-circuits
+    ], ids=["p1-base-twist", "p2-base-twist", "static"])
+    def test_exact_fiber_rate_is_the_geometry_rate(self, fiber, phi0, psi):
+        state = ff.ProductState.from_harmonics(BASE4, fiber, phi0, psi)
+        traj = ff.run_extrinsic_flow(state, plain_config())
+        np.testing.assert_array_equal(traj.fiber_rate, geo.fiber_rate(state))
+
+    def test_fd_path_has_no_fiber_rate(self):
+        assert self.traj("fd").fiber_rate is None
+
 
 class TestFiniteDifferencePath:
     def fd_state(self):
@@ -375,7 +388,7 @@ class TestFiniteDifferencePath:
         state = self.fd_state()
         config = plain_config(samples=(0.0, 0.5))
         traj = ff.run_extrinsic_flow(state, config)
-        assert not traj.exact_path
+        assert traj.fiber_rate is None
         direct = ff.fd_heat_run(state.phi, state.psi[0], CIRCLE, 0.5,
                                 config.fd_scheme)
         np.testing.assert_array_equal(traj.states[1].phi, direct)
@@ -419,7 +432,7 @@ class TestFiniteDifferencePath:
             traj.limit.phi,
             np.broadcast_to(mean.reshape(4, 1), state.shape), atol=1e-14)
 
-    def test_prescribed_needs_exact_path(self):
+    def test_prescribed_needs_fiber_constant_psi(self):
         x = np.full((1,) + CIRCLE.shape, 0.1)
         with pytest.raises(UnsupportedScenarioError):
             ff.run_prescribed(self.fd_state(), x, plain_config())
