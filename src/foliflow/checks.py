@@ -2,8 +2,9 @@
 
 Every checker returns CheckReport records (name, residual, tolerance,
 sample time) so runs can be audited mechanically.  Checkers never mutate
-the trajectory, and each asks ``Trajectory.at`` for its times in
-ascending batches, so a report does not depend on the checkers run before.
+the trajectory, and each asks ``Trajectory.at`` (or ``weighted_sums``)
+for its times in ascending batches, so a report does not depend on the
+checkers run before.
 
 Tolerances (module constants, like the steps and resolutions): 1e-8 for
 spectral-path identities at 64 points per dimension, 1e-3 against the
@@ -14,6 +15,7 @@ finite-difference step enters (each report carries its own tolerance).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,10 +262,11 @@ def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckRep
 def _simpson_weights(t: float, nodes: int) -> np.ndarray:
     """Composite Simpson weights h/3 * (1, 4, 2, ..., 2, 4, 1) on [0, t].
 
-    ``nodes`` equally spaced nodes must be odd and at least 3, so that
-    the panels pair up exactly.
+    ``nodes`` equally spaced nodes must be an odd integer of at least 3,
+    so that the panels pair up exactly.
     """
-    if nodes < 3 or nodes % 2 == 0:
+    if (isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral)
+            or nodes < 3 or nodes % 2 == 0):
         raise InputError(f"Simpson quadrature needs an odd node count >= 3, got {nodes}")
     weights = np.full(nodes, 2.0)
     weights[1::2] = 4.0
@@ -273,22 +276,16 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
 
 def _bperp_node_sums(trajectory: Trajectory, t: float,
                      quad_nodes: int) -> tuple[np.ndarray, float, float]:
-    """Simpson sums over the nodes of [0, t]: (sum w phi0, sum w r, sum w).
+    """Simpson sums over the nodes of [0, t]: (sum w phi0, integral of r, sum w).
 
-    phi0 is each node's phi minus its fiber mean; the rate sum is zero
-    unless the variant is normalized.  The nodes are one ``trajectory.at``
-    request, accumulated in place.
+    One ``trajectory.weighted_sums`` call gives the weighted sum of the
+    unprojected phi and the rate integral (zero unless the variant is
+    normalized); phi0 is that sum less its fiber mean.
     """
     weights = _simpson_weights(t, quad_nodes)
-    normalized = trajectory.config.variant == "normalized"
-    axes = trajectory.initial.fiber_axes
-    phi_sum = np.zeros(trajectory.initial.shape)
-    rate_sum = 0.0
-    for state, weight in zip(trajectory.at(np.linspace(0.0, t, quad_nodes)), weights):
-        phi_sum += weight * (state.phi - state.phi.mean(axis=axes, keepdims=True))
-        if normalized:
-            rate_sum += weight * normalization_rate(state)
-    return phi_sum, rate_sum, float(weights.sum())
+    phi_sum, rate_sum = trajectory.weighted_sums(np.linspace(0.0, t, quad_nodes), weights)
+    phi0 = phi_sum - phi_sum.mean(axis=trajectory.initial.fiber_axes, keepdims=True)
+    return phi0, rate_sum, float(weights.sum())
 
 
 def _bperp_exponent(trajectory: Trajectory, t: float, quad_nodes: int) -> np.ndarray:
@@ -312,13 +309,16 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     Div_perp(H - X) is affine in phi (H = -n grad_perp phi) and blind to
     anything constant along a fiber, so the Simpson sum of the per-node
     driving scalars is the driving scalar of the Simpson sum of phi with
-    X weighted by the summed weights.  The quadrature therefore sums phi
-    node by node and applies the spectral derivatives once.  Each node's
-    fiber mean is removed before it is summed: normalized states carry
-    the constant -log(vol)/n, and its summation round-off would otherwise
-    be amplified by the second derivative (by up to k_max^2).  r(t) is a
-    nonlinear functional of the state, so under the normalized variant
-    ``normalization_rate`` is still evaluated at every node.
+    X weighted by the summed weights.  The quadrature therefore takes the
+    weighted sum of the unprojected phi from ``trajectory.weighted_sums``,
+    removes its fiber mean (whose round-off the second derivative would
+    amplify by up to k_max^2) and applies the spectral derivatives once.
+    On the exact path that sum is one Fourier multiplier on the initial
+    driving scalar, and the normalized variant's integral of r is the
+    closed form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its
+    Simpson sums; no node state is built.  The FD path marches through
+    the 513 nodes and, under the normalized variant, evaluates
+    ``normalization_rate`` at each of them.
     """
     if t is None:
         t = trajectory.config.t_end

@@ -215,6 +215,38 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     return _apply_multiplier(values, grid, mult)
 
 
+def time_integral_sum_values(values: np.ndarray, grid: FiberGrid, times: np.ndarray,
+                             weights: np.ndarray,
+                             rate_scale: np.ndarray | None = None) -> np.ndarray:
+    """sum_k weights[k] * time_integral_values(values, grid, times[k]) as one multiplier.
+
+    Mode l picks up -sum_k w_k expm1(-lambda_l t_k) / lambda_l and the mean
+    sum_k w_k t_k.  The multiplier is accumulated in place one time at a
+    time, so memory stays a few multipliers however many times there are,
+    and the values take one forward and one inverse transform.  Every time
+    must be finite and >= 0.
+    """
+    values = np.asarray(values, dtype=float)
+    times = np.asarray(times, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if times.ndim != 1 or weights.shape != times.shape:
+        raise InputError(f"{weights.shape} weights for {times.shape} times")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise InputError(f"time integrals need finite times >= 0, got {times.tolist()}")
+    lam = _scaled_eigenvalues(values, grid, rate_scale)
+    positive = lam > 0
+    lam_safe = np.where(positive, lam, 1.0)
+    acc = np.zeros(lam_safe.shape)
+    term = np.empty(lam_safe.shape)
+    for t, w in zip(times, weights):
+        np.multiply(lam_safe, -t, out=term)
+        np.expm1(term, out=term)
+        term *= w
+        acc -= term
+    mult = np.where(positive, acc / lam_safe, float(np.dot(weights, times)))
+    return _apply_multiplier(values, grid, mult)
+
+
 def gradient_values(values: np.ndarray, grid: FiberGrid,
                     axis: int | None = None) -> np.ndarray:
     """Flat spectral partial derivatives along the trailing grid axes.

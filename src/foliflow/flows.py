@@ -121,6 +121,15 @@ class Trajectory:
     marches the samples once, at run time, and each requested time from
     the later of the request's previous time and the last sample at or
     before it; no state outlives a request.  ``evaluate(t)`` asks for one.
+    ``weighted_sums(times, weights)`` returns, for ascending finite times
+    and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
+    the flow before volume projection; R is the integral of r(t) that the
+    weights stand for, 0.0 unless the variant is normalized.  The exact
+    path applies the summed time-integral multiplier to the driving scalar
+    once and takes R = (2/n) log(vol_plain(t_last) / vol_plain(t_first)),
+    which holds since d/dt log vol_plain = (n/2) r and r is blind to the
+    projection's fiber-constant shift.  The FD path marches through the
+    times as ``at`` does and sums w_k r(t_k) over the projected states.
     ``fiber_rate`` is None on the FD path; on the exact path it is the
     per-fiber scale exp(-2 psibar) of the flat fiber spectrum.
     """
@@ -132,6 +141,7 @@ class Trajectory:
     config: FlowConfig
     initial: ProductState
     at: Callable[[Iterable[float]], Iterator[ProductState]]
+    weighted_sums: Callable[[Iterable[float], np.ndarray], tuple[np.ndarray, float]]
     fiber_rate: np.ndarray | None
     x: np.ndarray            # target field X on the full grid; zero unless prescribed
 
@@ -268,10 +278,36 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             )
         phis = _plain_phis(initial, driving0, config, rate)
 
+    normalized = config.variant == "normalized"
+
     def at(times: Iterable[float]) -> Iterator[ProductState]:
         times = _ascending(times)
         states = (initial.replace_phi(phi, t) for t, phi in zip(times, phis(times)))
-        return map(project_unit_volume, states) if config.variant == "normalized" else states
+        return map(project_unit_volume, states) if normalized else states
+
+    def weighted_sums(times: Iterable[float],
+                      weights: np.ndarray) -> tuple[np.ndarray, float]:
+        times = _ascending(times)
+        weights = np.asarray(weights, dtype=float)
+        if not times or weights.shape != (len(times),) or not math.isfinite(times[-1]):
+            raise InputError(f"weighted_sums needs one weight per finite time, got "
+                             f"{weights.shape} weights for {len(times)} times")
+        if rate is not None:
+            phi_sum = float(weights.sum()) * initial.phi - fb.time_integral_sum_values(
+                driving0, initial.fiber, times, weights, rate_scale=rate) / initial.n
+            if not normalized:
+                return phi_sum, 0.0
+            ends = (times[0], times[-1])
+            first, last = (geo.volume(initial.replace_phi(phi, t))
+                           for t, phi in zip(ends, phis(list(ends))))
+            return phi_sum, (2.0 / initial.n) * math.log(last / first)
+        phi_sum, rate_sum = np.zeros(initial.shape), 0.0
+        for t, weight, phi in zip(times, weights, phis(times)):
+            phi_sum += weight * phi
+            if normalized:
+                state = project_unit_volume(initial.replace_phi(phi, t))
+                rate_sum += weight * normalization_rate(state)
+        return phi_sum, rate_sum
 
     states = tuple(at(config.samples))
     diagnostics = tuple(_diagnose(s, x, config.variant) for s in states)
@@ -291,6 +327,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         config=config,
         initial=initial,
         at=at,
+        weighted_sums=weighted_sums,
         fiber_rate=rate,
         x=x,
     )

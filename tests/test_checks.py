@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 import foliflow as ff
-from foliflow import checks
+from foliflow import checks, flows
 from foliflow import fiber as fb
 from foliflow import geometry as geo
 from foliflow.errors import (DegenerateTrajectoryError, InputError,
@@ -47,10 +47,21 @@ def counting_at(traj):
     return dataclasses.replace(traj, at=at), calls
 
 
-def fd_path_traj():
+def counting_sums(traj):
+    """(traj whose ``weighted_sums`` counts its calls, the one-entry call counter)."""
+    calls = [0]
+
+    def weighted_sums(times, weights):
+        calls[0] += 1
+        return traj.weighted_sums(times, weights)
+
+    return dataclasses.replace(traj, weighted_sums=weighted_sums), calls
+
+
+def fd_path_traj(variant="plain"):
     state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2},
                                            {(0, 1): 0.1})
-    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0), variant=variant)
     return ff.run_extrinsic_flow(state, config)
 
 
@@ -280,9 +291,9 @@ class TestBperpScaling:
         expected = simpson(np.stack(samples), x=taus, axis=0)
         np.testing.assert_allclose(streamed, expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("nodes", [0, 1, 2, 4, 512])
+    @pytest.mark.parametrize("nodes", [0, 1, 2, 4, 512, 7.5, 513.0, True])
     def test_even_or_too_few_nodes_rejected(self, nodes):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=rf"odd node count >= 3, got {nodes}$"):
             checks.check_bperp_scaling(self.base_twisted_traj(), quad_nodes=nodes)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -293,11 +304,14 @@ class TestBperpScaling:
         assert calls == [0]
 
     def test_matches_stacked_quadrature(self):
-        """The streamed node sums agree with a stacked scipy Simpson rule.
+        """The node sums agree with a stacked scipy Simpson rule.
 
-        The check sums each node's phi less its fiber mean (and r under the
-        normalized variant) before it differentiates once, so the sums
-        themselves are what must match the stacked rule.
+        The check sums phi over the nodes and removes the fiber mean before
+        it differentiates once, so the demeaned sum must match the stacked
+        rule.  Under the normalized variant the exact path takes the
+        integral of r in closed form, the limit of its Simpson sums: the
+        gap shrinks at fourth order (1.0e-10, 6.3e-12 and 2.4e-14 at 65,
+        129 and 513 nodes).
         """
         nodes = np.linspace(0.0, 1.0, 65)
         for variant in ("plain", "normalized"):
@@ -309,8 +323,13 @@ class TestBperpScaling:
             np.testing.assert_allclose(
                 phi_sum, simpson(np.stack(demeaned), x=nodes, axis=0), rtol=0.0, atol=1e-14)
             if variant == "normalized":
-                rates = [ff.normalization_rate(s) for s in states]
-                assert rate_sum == pytest.approx(simpson(rates, x=nodes), rel=0.0, abs=1e-14)
+                gaps = {}
+                for count in (65, 129, 513):
+                    taus = np.linspace(0.0, 1.0, count)
+                    rates = [ff.normalization_rate(s) for s in traj.at(taus)]
+                    gaps[count] = abs(rate_sum - simpson(rates, x=taus))
+                assert gaps[513] <= 1e-13
+                assert gaps[65] >= 12.0 * gaps[129]
             else:
                 assert rate_sum == 0.0
             assert weight_sum == pytest.approx(1.0, rel=0.0, abs=1e-14)
@@ -363,18 +382,88 @@ class TestBperpScaling:
         assert retained < 0.5 * 2 ** 20
 
     def test_speed_operator_applied_once(self, monkeypatch):
-        traj, calls = counting_at(self.base_twisted_traj())
-        div_calls = []
+        """On the exact path no node state is built and r is never evaluated."""
+        div_calls, rate_calls = [], []
         div_perp = geo.div_perp
+        normalization_rate = flows.normalization_rate
 
         def counting_div_perp(xi, state):
             div_calls.append(state.t)
             return div_perp(xi, state)
 
+        def counting_rate(state, div_h=None):
+            rate_calls.append(state.t)
+            return normalization_rate(state, div_h)
+
+        runs = []
+        for variant in ("plain", "normalized"):
+            traj, calls = counting_at(self.base_twisted_traj(variant))
+            runs.append(counting_sums(traj) + (calls,))
         monkeypatch.setattr(geo, "div_perp", counting_div_perp)
-        assert checks.check_bperp_scaling(traj).passed
-        assert div_calls == [1.0]      # one call, on the summed state stamped t = 1
-        assert calls == [513 + 2]      # the nodes, then the start and end states
+        monkeypatch.setattr(flows, "normalization_rate", counting_rate)
+        for traj, sums_calls, calls in runs:
+            div_calls.clear()
+            assert checks.check_bperp_scaling(traj).passed
+            assert div_calls == [1.0]      # one call, on the summed state stamped t = 1
+            assert sums_calls == [1]       # every node in one weighted_sums call
+            assert calls == [2]            # the start and end states
+            assert rate_calls == []
+
+    @pytest.mark.parametrize("variant", ["plain", "normalized"])
+    def test_fd_sums_chain_the_marched_nodes(self, monkeypatch, variant):
+        """The FD sums march the nodes as ``at`` does, once per node between samples.
+
+        The phi sum is that of the unprojected (plain) states, bit for bit;
+        the normalized rate sum is the weighted per-node r of the projected
+        states.  Of the 513 nodes on [0, 1], the three that hit the samples
+        0, 0.5 and 1 are anchors; every other node is one march.
+        """
+        traj = fd_path_traj(variant)
+        nodes = np.linspace(0.0, 1.0, 513)
+        weights = checks._simpson_weights(1.0, 513)
+        phi_sum, rate_sum = traj.weighted_sums(nodes, weights)
+        expected = np.zeros(traj.initial.shape)
+        for weight, state in zip(weights, fd_path_traj().at(nodes)):
+            expected += weight * state.phi
+        assert np.array_equal(phi_sum, expected)
+        expected_rate = 0.0
+        if variant == "normalized":
+            for weight, state in zip(weights, traj.at(nodes)):
+                expected_rate += weight * ff.normalization_rate(state)
+            assert expected_rate < 0.0
+        assert rate_sum == expected_rate
+
+        marches = [0]
+        fd_heat_run = flows.fd_heat_run
+
+        def counting_fd_heat_run(*args):
+            marches[0] += 1
+            return fd_heat_run(*args)
+
+        monkeypatch.setattr(flows, "fd_heat_run", counting_fd_heat_run)
+        checks.check_bperp_scaling(traj)
+        assert marches == [513 - 3]
+
+    def test_exact_sums_memory_stays_a_few_fields(self):
+        """513 nodes on a 4^2 x 32^2 grid peak below 16 fields (128 KB each).
+
+        The summed multiplier is accumulated in place; stacking the 513
+        per-node multipliers would take about 513 times its size.
+        """
+        base = ff.FiberGrid(2, (2.0 * math.pi,) * 2, (4, 4))
+        state = ff.ProductState.from_harmonics(
+            base, TORUS, {(0, 0, 0, 1): 0.2, (1, 0, 1, 0): 0.1}, {(1, 0, 0, 0): 0.1})
+        traj = ff.run_normalized(state, ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0)))
+        assert traj.fiber_rate is not None
+        nodes = np.linspace(0.0, 1.0, 513)
+        weights = checks._simpson_weights(1.0, 513)
+        tracemalloc.start()
+        try:
+            traj.weighted_sums(nodes, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * state.phi.nbytes
 
 
 class TestUniformEquivalence:

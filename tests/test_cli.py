@@ -400,16 +400,6 @@ class TestScenarioRules:
                            psi={"1,0": 0.1}, checks=["bperp_scaling"])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
-    def test_preservation_needs_three_samples(self, tmp_path):
-        cfg = write_config(tmp_path, samples=[0.0, 1.0], t_end=1.0,
-                           checks=["preservation"])
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-
-    def test_codim1_check_needs_p1(self, tmp_path):
-        cfg = write_config(tmp_path, p=2, fiber_points=32,
-                           phi0={"0,1,2": 0.1},
-                           checks=["codim1_identity"])
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 VALID_VALUES = {
