@@ -36,11 +36,7 @@ from .errors import (
     SolveError,
     UnsupportedScenarioError,
 )
-from .fdref import (
-    FdScheme,
-    fd_heat_run,
-    fd_mean_curvature_from_metric,
-)
+from .fdref import FdScheme, fd_heat_run
 from .fiber import (
     FiberGrid,
     eigenvalue,
@@ -58,8 +54,6 @@ from .flows import (
     project_unit_volume,
     run_codim1,
     run_extrinsic_flow,
-    run_normalized,
-    run_prescribed,
     tau_of_state,
 )
 from .geometry import (
@@ -118,7 +112,6 @@ __all__ = [
     "estimate_decay_rate",
     "evolve_values",
     "fd_heat_run",
-    "fd_mean_curvature_from_metric",
     "fiber_average",
     "flat_spectral_gap",
     "grad_perp",
@@ -132,8 +125,6 @@ __all__ = [
     "run_checks",
     "run_codim1",
     "run_extrinsic_flow",
-    "run_normalized",
-    "run_prescribed",
     "second_fundamental",
     "tau_of_state",
     "theta_h",

@@ -8,8 +8,9 @@ mode maps, so configs are resolution-independent; ``--grid`` rescales
 the fiber resolution without touching the scenario.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 the config
-is invalid or asks for something the scenario cannot provide, 3 the
-closedness hypothesis of the requested flow fails on the initial data.
+is invalid or asks for something the scenario cannot provide, or the
+output cannot be written, 3 the closedness hypothesis of the requested
+flow fails on the initial data.
 Config errors are detected before any output file is created.
 
 All CSV output uses 17 significant digits and newline-only line
@@ -93,7 +94,7 @@ def _as_int(raw, label: str) -> int:
 
 
 def _as_grid(dim: int, sides: tuple[float, ...], raw, label: str) -> FiberGrid:
-    """The grid of one factor; ``label`` names the point-count key in errors."""
+    """The grid of one factor; ``label`` names the point-count key or flag in errors."""
     if raw is None:
         raw = fb.DEFAULT_POINTS
     if not isinstance(raw, list):
@@ -157,7 +158,7 @@ def _load_config(path: Path, args) -> dict:
     base = _as_grid(n, base_sides, cfg.get("base_points"), "base_points")
     fiber = _as_grid(p, fiber_sides, cfg.get("fiber_points"), "fiber_points")
     if args.grid is not None:
-        fiber = _as_grid(p, fiber_sides, args.grid, "fiber_points")
+        fiber = _as_grid(p, fiber_sides, args.grid, "--grid")
 
     variant = cfg.get("variant", "plain")
     x_field = None
@@ -320,13 +321,17 @@ def _run_command(args) -> int:
         return 2
 
     out_dir = payload["out_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_diagnostics(out_dir / "diagnostics.csv", traj)
-    _write_snapshots(out_dir, traj)
-    _write_checks(out_dir / "checks.csv", reports)
-    if payload["plot"]:
-        (out_dir / "diagnostics.svg").write_text(_svg_chart(traj), encoding="utf-8",
-                                                 newline="\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_diagnostics(out_dir / "diagnostics.csv", traj)
+        _write_snapshots(out_dir, traj)
+        _write_checks(out_dir / "checks.csv", reports)
+        if payload["plot"]:
+            (out_dir / "diagnostics.svg").write_text(_svg_chart(traj), encoding="utf-8",
+                                                     newline="\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     failed = [r for r in reports if not r.passed]
     for r in reports:

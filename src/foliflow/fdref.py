@@ -2,12 +2,11 @@
 
 This module deliberately avoids Fourier transforms so that it can serve as
 an independent cross-check of the spectral machinery: the centered
-conformal leaf Laplacian as a sparse block-diagonal matrix, a theta
-time-stepping scheme with one sparse periodic factorization per chunk of
-fibers, and a mean-curvature evaluation that differences the raw metric
-components.  It is also the authoritative evolution path whenever psi
-varies along a fiber, where the leaf Laplacian has variable coefficients
-and no exact multiplier exists.
+conformal leaf Laplacian on a stack of fiber profiles as a sparse
+block-diagonal matrix, and a theta time-stepping scheme with one sparse
+periodic factorization per chunk of fibers.  It is also the authoritative
+evolution path whenever psi varies along a fiber, where the leaf Laplacian
+has variable coefficients and no exact multiplier exists.
 
 The theta march takes one of two routes through the same factorization.
 Small fibers over many steps form each fiber's dense step matrix with one
@@ -26,7 +25,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, SolveError
 from .fiber import FiberGrid
-from . import geometry
 
 
 @dataclass(frozen=True)
@@ -53,19 +51,16 @@ def _roll_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def operator_matrix(psi: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
-    """Sparse matrix of the centered conformal Laplacian on one or more fibers.
+    """Sparse matrix of the centered conformal Laplacian on a stack of fibers.
 
-    psi is one profile (grid.shape) or a stack of k profiles ((k,) + grid.shape);
-    a stack gives the block-diagonal operator on the k fibers in stack order,
-    from one sparse construction.  The result is canonical CSR with sorted
-    indices, so a one-profile stack gives the same matrix as its profile.
+    psi is a stack of k profiles, (k,) + grid.shape; the result is the
+    block-diagonal operator on the k fibers in stack order, from one sparse
+    construction, in canonical CSR with sorted indices.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.shape == grid.shape:
-        psi = psi[np.newaxis]
     if psi.shape[1:] != grid.shape:
-        raise InputError(f"psi shape {psi.shape} is neither the grid shape {grid.shape} "
-                         f"nor a stack of profiles (k,) + {grid.shape}")
+        raise InputError(f"psi shape {psi.shape} is not a stack of profiles "
+                         f"(k,) + {grid.shape}")
     conf = np.exp(-2.0 * psi)
     # (column, value) of each stencil entry; rolling the index array along a
     # grid axis keeps every periodic neighbour inside its own fiber's block
@@ -164,11 +159,10 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
                 scheme: FdScheme) -> np.ndarray:
     """March du/dt = Lap_conformal u on the grid from 0 to t_end.
 
-    u0 may carry leading batch axes, and psi takes one of two shapes:
-    grid.shape, one profile shared by every batch member, or u0.shape, one
-    profile per member.  Members whose profiles are bit-equal are marched
-    together as the columns of one right-hand side.  Distinct profiles are
-    packed, in turn, into chunks, and each chunk is marched through one
+    u0 may carry leading batch axes, and psi has u0's shape: one profile
+    per member.  Members whose profiles are bit-equal are marched together
+    as the columns of one right-hand side.  Distinct profiles are packed,
+    in turn, into chunks, and each chunk is marched through one
     factorization of its block-diagonal implicit operator, with zero columns
     padding the groups that have fewer members.  The requested dt is shrunk
     uniformly so the steps tile [0, t_end] exactly.  Fibers of `size` points
@@ -184,19 +178,12 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
     psi = np.asarray(psi, dtype=float)
     if u0.shape[-grid.dim:] != grid.shape:
         raise InputError(f"u0 shape {u0.shape} does not end with grid shape {grid.shape}")
+    if psi.shape != u0.shape:
+        raise InputError(f"psi shape {psi.shape} is not the u0 shape {u0.shape}")
     size = int(np.prod(grid.shape))
     flat = u0.reshape(-1, size)
-    if psi.shape == grid.shape:
-        profiles = psi[np.newaxis]
-        inverse = np.zeros(len(flat), dtype=int)
-    elif psi.shape == u0.shape:
-        profiles, inverse = np.unique(psi.reshape(-1, size), axis=0, return_inverse=True)
-        profiles, inverse = profiles.reshape((-1,) + grid.shape), inverse.reshape(-1)
-    else:
-        raise InputError(
-            f"psi shape {psi.shape} is neither the grid shape {grid.shape} "
-            f"nor the u0 shape {u0.shape}"
-        )
+    profiles, inverse = np.unique(psi.reshape(-1, size), axis=0, return_inverse=True)
+    profiles, inverse = profiles.reshape((-1,) + grid.shape), inverse.reshape(-1)
     if not (np.isfinite(t_end) and t_end >= 0):
         raise InputError(f"t_end must be finite and nonnegative, got {t_end}")
     if t_end == 0:
@@ -226,27 +213,3 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
     if not np.all(np.isfinite(out)):
         raise SolveError("finite-difference march produced non-finite values")
     return out.reshape(u0.shape)
-
-
-def fd_mean_curvature_from_metric(state: "geometry.ProductState") -> np.ndarray:
-    """Leaf mean curvature by differencing the raw metric components.
-
-    The Koszul formula on coordinate fields gives, for the block-diagonal
-    conformal metric with identical diagonal entries exp(2*phi) over the
-    base and exp(2*psi) over the fiber,
-
-        H^j = -(1/2) g^{jj} sum_a g^{aa} d_j g_aa
-            = -(n/2) exp(-2*psi) exp(-2*phi) d_j exp(2*phi),
-
-    with d_j replaced by a centered difference along fiber axis j.  Agrees
-    with the spectral twisted_mean_curvature to second order in the fiber
-    spacing.
-    """
-    g_base_diag = np.exp(2.0 * state.phi)  # every base diagonal entry
-    out = np.empty((state.p,) + state.shape)
-    for j in range(state.p):
-        axis = state.n + j
-        h = state.fiber.spacing(j)
-        d = _roll_diff(g_base_diag, axis, h)
-        out[j] = -(state.n / 2.0) * np.exp(-2.0 * state.psi) * d / g_base_diag
-    return out

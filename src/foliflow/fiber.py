@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class FiberGrid:
 
     dim: int
     sides: tuple[float, ...]
-    points: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    points: tuple[int, ...]
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -63,16 +63,12 @@ class FiberGrid:
             raise InputError(f"expected {self.dim} side lengths, got {len(sides)}")
         if not all(math.isfinite(s) and s > 0 for s in sides):
             raise InputError(f"side lengths must be finite and positive, got {sides}")
-        pts = self.points
-        if pts is None:
-            pts = (DEFAULT_POINTS,) * self.dim
-        pts = np.atleast_1d(pts)
+        pts = np.atleast_1d(self.points)
         if not all(isinstance(p, numbers.Real) and math.isfinite(p) and p == int(p)
                    for p in pts):
-            raise InputError(f"points per dimension must be finite integers, got {pts.tolist()}")
+            raise InputError(f"points must be {self.dim} finite integer count(s), "
+                             f"got {pts.tolist()}")
         pts = tuple(int(p) for p in pts)
-        if len(pts) == 1 and self.dim == 2:
-            pts = pts * 2
         if len(pts) != self.dim:
             raise InputError(f"expected {self.dim} point counts, got {len(pts)}")
         for p in pts:
@@ -89,10 +85,6 @@ class FiberGrid:
     def volume(self) -> float:
         """Flat volume prod(L_k); positive by construction."""
         return float(np.prod(self.sides))
-
-    @property
-    def cell(self) -> float:
-        return self.volume / float(np.prod(self.points))
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Open meshgrid of node coordinates, x_k = j*L_k/N_k."""

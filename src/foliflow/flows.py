@@ -37,7 +37,7 @@ flow cannot converge to H = X unless that component vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -153,19 +153,13 @@ class Trajectory:
         return next(self.at((t,)))
 
 
-def _broadcast_x(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
+def _x_on_grid(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
     if x_field is None:
         return np.zeros((state.p,) + state.shape)
     x = np.asarray(x_field, dtype=float)
-    if x.shape == (state.p,) + state.fiber.shape:
-        x = np.broadcast_to(
-            x.reshape((state.p,) + (1,) * state.n + state.fiber.shape),
-            (state.p,) + state.shape,
-        ).copy()
     if x.shape != (state.p,) + state.shape:
-        raise InputError(
-            f"x_field shape {x.shape} is neither (p,)+fiber shape nor (p,)+full shape"
-        )
+        raise InputError(f"x_field shape {x.shape} is not (p,) + grid shape "
+                         f"{(state.p,) + state.shape}")
     return x
 
 
@@ -255,7 +249,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     always emits the analytic t -> inf limit.  A zero driving field
     short-circuits to a constant trajectory.
     """
-    x = _broadcast_x(config.x_field, initial)
+    x = _x_on_grid(config.x_field, initial)
     h0 = geo.twisted_mean_curvature(initial)
 
     if initial.p == 2:
@@ -331,20 +325,6 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         fiber_rate=rate,
         x=x,
     )
-
-
-def run_normalized(initial: ProductState, config: FlowConfig) -> Trajectory:
-    """Volume-preserving variant; forces variant='normalized'."""
-    if config.variant != "normalized":
-        config = replace(config, variant="normalized")
-    return run_extrinsic_flow(initial, config)
-
-
-def run_prescribed(initial: ProductState, x_field: np.ndarray,
-                   config: FlowConfig) -> Trajectory:
-    """Flow toward a prescribed mean-curvature target X; forces the variant."""
-    config = replace(config, variant="prescribed", x_field=np.asarray(x_field, dtype=float))
-    return run_extrinsic_flow(initial, config)
 
 
 def run_codim1(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid,

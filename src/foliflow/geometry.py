@@ -67,8 +67,6 @@ class ProductState:
         shape = self.base.shape + self.fiber.shape
         phi = np.asarray(self.phi, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
-        if np.isscalar(self.psi) or psi.ndim == 0:
-            psi = np.full(shape, float(psi))
         if phi.shape != shape or psi.shape != shape:
             raise InputError(
                 f"phi/psi shapes {phi.shape}, {psi.shape} do not match grid shape {shape}"
@@ -334,18 +332,13 @@ def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
 
 @dataclass(frozen=True)
 class DistributionFlags:
-    """Pointwise-uniform classification of one distribution."""
+    """Pointwise-uniform classification of one distribution.
+
+    Both distributions are umbilical by construction, so harmonicity is the
+    one flag; a harmonic distribution is totally geodesic.
+    """
 
     harmonic: bool
-
-    @property
-    def umbilical(self) -> bool:
-        """Always True: the twisted ansatz makes both distributions umbilical.
-
-        See ``SecondFundamentalData``; no state in scope has a traceless
-        part of b or bperp, so there is nothing to measure.
-        """
-        return True
 
     @property
     def totally_geodesic(self) -> bool:

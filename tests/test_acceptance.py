@@ -184,12 +184,11 @@ def test_c09_energy_monotonicity():
 
 def test_c10_prescribed_limit():
     """X = 0.1 d/dy: limit satisfies Div(H - X) = 0 and H = 0 within 1e-8."""
-    x = np.full((1,) + CIRCLE.shape, 0.1)
+    x = np.full((1,) + BASE.shape + CIRCLE.shape, 0.1)
     traj = single_mode_traj((0.0, 1.0, 2.0), variant="prescribed", x_field=x)
     limit = traj.limit
     h_inf = ff.twisted_mean_curvature(limit)
-    x_full = traj.x
-    div_res = float(np.max(np.abs(geo.div_perp(h_inf - x_full, limit))))
+    div_res = float(np.max(np.abs(geo.div_perp(h_inf - x, limit))))
     h_res = float(np.max(np.abs(h_inf)))
     ok = div_res < 1e-8 and h_res < 1e-8
     verdict(10, "prescribed-curvature limit", ok)

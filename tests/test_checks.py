@@ -194,9 +194,10 @@ class TestMonotonicity:
 
     def test_prescribed_driving_form(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2})
-        x = np.full((1,) + CIRCLE.shape, 0.1)
-        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
-        traj = ff.run_prescribed(state, x, config)
+        x = np.full((1,) + state.shape, 0.1)
+        config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0), variant="prescribed",
+                               x_field=x)
+        traj = ff.run_extrinsic_flow(state, config)
         assert all(r.passed for r in checks.check_monotonicity(traj))
 
 
@@ -248,11 +249,12 @@ BPERP_PATHS = {
 def bperp_cross_form_traj(path, variant):
     fiber, phi0, psi = BPERP_PATHS[path]
     state = ff.ProductState.from_harmonics(BASE4, fiber, phi0, psi)
-    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
+    x = None
     if variant == "prescribed":
         y = np.linspace(0.0, 2.0 * math.pi, fiber.shape[0], endpoint=False)
-        return ff.run_prescribed(state, (0.1 + 0.05 * np.cos(2.0 * y))[None], config)
-    return ff.run_extrinsic_flow(state, dataclasses.replace(config, variant=variant))
+        x = np.broadcast_to(0.1 + 0.05 * np.cos(2.0 * y), (1,) + state.shape)
+    config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0), variant=variant, x_field=x)
+    return ff.run_extrinsic_flow(state, config)
 
 
 class TestBperpScaling:
@@ -274,6 +276,20 @@ class TestBperpScaling:
     def test_normalized_variant(self):
         report = checks.check_bperp_scaling(self.base_twisted_traj("normalized"))
         assert report.passed
+
+    def test_residual_is_relative_to_sup_bperp(self):
+        """Unit volume scales b_perp up to ~182; the residual stays at round-off."""
+        traj = self.base_twisted_traj("normalized")
+        bt = geo.second_fundamental(traj.evaluate(1.0)).bperp_coeff
+        assert np.max(np.abs(bt)) > 100.0
+        assert checks.check_bperp_scaling(traj).residual < 1e-12
+
+    @pytest.mark.parametrize("variant", ["plain", "normalized"])
+    def test_scaled_exponent_fails(self, monkeypatch, variant):
+        exponent = checks._bperp_exponent
+        monkeypatch.setattr(checks, "_bperp_exponent",
+                            lambda *args: exponent(*args) * (1.0 + 1e-6))
+        assert not checks.check_bperp_scaling(self.base_twisted_traj(variant)).passed
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(InputError):
@@ -453,7 +469,8 @@ class TestBperpScaling:
         base = ff.FiberGrid(2, (2.0 * math.pi,) * 2, (4, 4))
         state = ff.ProductState.from_harmonics(
             base, TORUS, {(0, 0, 0, 1): 0.2, (1, 0, 1, 0): 0.1}, {(1, 0, 0, 0): 0.1})
-        traj = ff.run_normalized(state, ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0)))
+        traj = ff.run_extrinsic_flow(
+            state, ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0), variant="normalized"))
         assert traj.fiber_rate is not None
         nodes = np.linspace(0.0, 1.0, 513)
         weights = checks._simpson_weights(1.0, 513)
@@ -520,6 +537,15 @@ class TestOracleAgreement:
         config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))
         traj = ff.run_extrinsic_flow(state, config)
         assert checks.check_oracle_agreement(traj).residual < 1e-3
+
+    def test_frozen_trajectory_fails(self):
+        """The march is compared with the run's own phi, not a fresh multiplier."""
+        traj = single_mode_traj()
+        frozen = dataclasses.replace(
+            traj, at=lambda times: (traj.initial.replace_phi(traj.initial.phi, t)
+                                    for t in times))
+        report = checks.check_oracle_agreement(frozen)
+        assert report.residual > 0.1 and not report.passed
 
     def test_normalized_rejected(self):
         with pytest.raises(UnsupportedScenarioError):
@@ -682,10 +708,10 @@ def _matrix_traj(path):
                              MATRIX_BASE, fiber, config)
     state = ff.ProductState.from_harmonics(MATRIX_BASE, fiber, phi0, psi)
     if path.endswith("normalized"):
-        return ff.run_normalized(state, config)
+        config = dataclasses.replace(config, variant="normalized")
     if path.endswith("prescribed"):
         x = fb.harmonic_field((MATRIX_BASE, fiber), MATRIX_X)[None]
-        return ff.run_prescribed(state, x, config)
+        config = dataclasses.replace(config, variant="prescribed", x_field=x)
     return ff.run_extrinsic_flow(state, config)
 
 

@@ -312,8 +312,9 @@ class TestOutputs:
         rng = np.random.default_rng(3)
         phi = rng.normal(scale=10.0, size=(4, 4, 8))
         phi[0, 0, :5] = [-0.0, 5e-324, 1e16, 1.0 / 3.0, -1.0 / 3.0]
-        states = [ProductState(base, fiber, phi, 0.0),
-                  ProductState(base, fiber, rng.normal(size=phi.shape), 0.0)]
+        psi = np.zeros(phi.shape)
+        states = [ProductState(base, fiber, phi, psi),
+                  ProductState(base, fiber, rng.normal(size=phi.shape), psi)]
         _write_snapshots(tmp_path, SimpleNamespace(initial=states[0], states=states))
         for i, state in enumerate(states):
             table = state.phi.reshape(4, 32)
@@ -338,13 +339,23 @@ class TestFlags:
         rows = (out / "phi_000.csv").read_text(encoding="utf-8").splitlines()
         assert len(rows[0].split(",")) == 32
 
-    def test_grid_zero_exits_two_naming_fiber_points(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", ["0", "6"])
+    def test_bad_grid_exits_two_naming_the_flag(self, tmp_path, capsys, grid):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--grid", "0"]) == 2
+        assert main(["run", str(cfg), "--out", str(out), "--grid", grid]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "fiber_points" in err
+        assert "config error: --grid:" in err and "fiber_points" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, out):
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken").write_text("keep\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep\n"
 
     def test_oracle_check_appends_report(self, tmp_path):
         # appended once, and not again when the checks list names it already

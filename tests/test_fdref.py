@@ -35,8 +35,8 @@ def discrete_symbol(k, grid, axis=0):
 
 
 def laplacian(u, psi, grid):
-    """The centered conformal Laplacian of u, through its sparse matrix."""
-    return (fdref.operator_matrix(psi, grid) @ u.reshape(-1)).reshape(u.shape)
+    """The centered conformal Laplacian of u, through its one-profile matrix."""
+    return (fdref.operator_matrix(psi[np.newaxis], grid) @ u.reshape(-1)).reshape(u.shape)
 
 
 class CountingSolver:
@@ -165,7 +165,7 @@ class TestOperatorMatrix:
     def test_rows_annihilate_constants(self):
         rng = np.random.default_rng(2)
         psi = 0.3 * rng.standard_normal(SMALL.shape)
-        mat = fdref.operator_matrix(psi, SMALL)
+        mat = fdref.operator_matrix(psi[np.newaxis], SMALL)
         assert np.max(np.abs(mat @ np.ones(SMALL.shape))) < 1e-12
 
     def test_wrong_psi_shape(self):
@@ -184,14 +184,10 @@ class TestOperatorMatrix:
         stack = random_profiles(np.random.default_rng(k), k, grid)
         mat = fdref.operator_matrix(stack, grid)
         assert mat.has_sorted_indices
-        blocks = sp.block_diag([fdref.operator_matrix(q, grid) for q in stack], format="csr")
+        blocks = sp.block_diag([fdref.operator_matrix(stack[i:i + 1], grid) for i in range(k)],
+                               format="csr")
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(mat, attr), getattr(blocks, attr))
-        if k == 1:
-            single = fdref.operator_matrix(stack[0], grid)
-            assert single.has_sorted_indices
-            for attr in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(mat, attr), getattr(single, attr))
 
 
 class TestFdHeatRun:
@@ -249,7 +245,7 @@ class TestFdHeatRun:
         u0 = rng.standard_normal((2, 3) + SMALL.shape)
         psi = 0.1 * np.sin(SMALL.coordinates()[0])
         scheme = ff.FdScheme(dt=5e-3)
-        batched = ff.fd_heat_run(u0, psi, SMALL, 0.4, scheme)
+        batched = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.4, scheme)
         for i in range(2):
             for j in range(3):
                 single = ff.fd_heat_run(u0[i, j], psi, SMALL, 0.4, scheme)
@@ -277,7 +273,7 @@ def single_profile_march(u0, psi, grid, t_end, scheme):
     """The one-factorization theta march on one psi profile, written out."""
     steps = max(1, int(np.ceil(t_end / scheme.dt - 1e-12)))
     dt = t_end / steps
-    lap = fdref.operator_matrix(psi, grid)
+    lap = fdref.operator_matrix(psi[np.newaxis], grid)
     eye = sp.identity(lap.shape[0], format="csr")
     solver = splu((eye - scheme.theta * dt * lap).tocsc())
     rhs = (eye + (1.0 - scheme.theta) * dt * lap).tocsr()
@@ -349,13 +345,10 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(8)
         psi = random_profiles(rng, 1, SMALL)[0]
         u0 = rng.standard_normal((4,) + SMALL.shape)
-        shared = ff.fd_heat_run(u0, psi, SMALL, 0.2, self.scheme)
+        shared = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.2, self.scheme)
         np.testing.assert_array_equal(
             shared, single_profile_march(u0, psi, SMALL, 0.2, self.scheme))
-        repeated = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.2,
-                                  self.scheme)
-        np.testing.assert_array_equal(repeated, shared)
-        assert splu_calls == [64, 64]
+        assert splu_calls == [64]
 
     def test_torus_fiber_alone_in_its_chunk_is_bitwise(self, splu_calls):
         grid = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (64, 64))
@@ -438,17 +431,41 @@ class TestDenseRoute:
         assert peak <= 3e6
 
 
+def fd_mean_curvature_from_metric(state):
+    """Leaf mean curvature by differencing the raw metric components.
+
+    The Koszul formula on coordinate fields gives, for the block-diagonal
+    conformal metric with identical diagonal entries exp(2*phi) over the
+    base and exp(2*psi) over the fiber,
+
+        H^j = -(1/2) g^{jj} sum_a g^{aa} d_j g_aa
+            = -(n/2) exp(-2*psi) exp(-2*phi) d_j exp(2*phi),
+
+    with d_j replaced by a centered difference along fiber axis j.  Agrees
+    with the spectral twisted_mean_curvature to second order in the fiber
+    spacing, independently of it.
+    """
+    g_base_diag = np.exp(2.0 * state.phi)  # every base diagonal entry
+    out = np.empty((state.p,) + state.shape)
+    for j in range(state.p):
+        axis = state.n + j
+        d = (np.roll(g_base_diag, -1, axis=axis) - np.roll(g_base_diag, 1, axis=axis)) / (
+            2.0 * state.fiber.spacing(j))
+        out[j] = -(state.n / 2.0) * np.exp(-2.0 * state.psi) * d / g_base_diag
+    return out
+
+
 class TestFdMeanCurvature:
     def test_product_state_vanishes(self):
         state = ff.ProductState.from_harmonics(
             ff.FiberGrid(1, (2.0 * math.pi,), (4,)), SMALL, {})
-        assert np.max(np.abs(ff.fd_mean_curvature_from_metric(state))) == 0.0
+        assert np.max(np.abs(fd_mean_curvature_from_metric(state))) == 0.0
 
     def test_twisted_closed_form(self):
         base = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
         state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 1): 0.2})
         y = CIRCLE.coordinates()[0]
-        h = ff.fd_mean_curvature_from_metric(state)
+        h = fd_mean_curvature_from_metric(state)
         np.testing.assert_allclose(h[0], np.broadcast_to(0.2 * np.sin(y),
                                                          state.shape), atol=1e-4)
 
@@ -456,7 +473,7 @@ class TestFdMeanCurvature:
         base = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (4, 4))
         state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 0, 1): 0.2})
         y = CIRCLE.coordinates()[0]
-        h = ff.fd_mean_curvature_from_metric(state)
+        h = fd_mean_curvature_from_metric(state)
         np.testing.assert_allclose(h[0], np.broadcast_to(0.4 * np.sin(y),
                                                          state.shape), atol=2e-4)
 
@@ -466,7 +483,7 @@ class TestFdMeanCurvature:
         for pts in (64, 128):
             grid = ff.FiberGrid(1, (2.0 * math.pi,), (pts,))
             state = ff.ProductState.from_harmonics(base, grid, {(0, 1): 0.2})
-            gap = (ff.fd_mean_curvature_from_metric(state)
+            gap = (fd_mean_curvature_from_metric(state)
                    - ff.twisted_mean_curvature(state))
             errors[pts] = np.max(np.abs(gap))
         order = math.log2(errors[64] / errors[128])

@@ -44,7 +44,7 @@ class TestFiberGrid:
         assert CIRCLE.shape == (64,)
         assert CIRCLE.volume == pytest.approx(2.0 * math.pi)
         assert CIRCLE.spacing(0) == pytest.approx(2.0 * math.pi / 64)
-        assert TORUS.cell == pytest.approx((2.0 * math.pi / 32) ** 2)
+        assert TORUS.volume == pytest.approx((2.0 * math.pi) ** 2)
 
     def test_coordinates_start_at_zero(self):
         y = CIRCLE.coordinates()[0]
@@ -287,7 +287,7 @@ class TestHeatKernel:
         y = CIRCLE.coordinates()[0]
         for i in (0, 17, 40):
             kernel_row = np.array([ff.heat_kernel(t, y[i], yj, CIRCLE) for yj in y])
-            quad = float(np.sum(kernel_row * u) * CIRCLE.cell)
+            quad = float(np.sum(kernel_row * u) * CIRCLE.spacing(0))
             assert quad == pytest.approx(evolved[i], abs=1e-12)
 
 

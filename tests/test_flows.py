@@ -37,6 +37,10 @@ def plain_config(**kwargs):
     return ff.FlowConfig(**defaults)
 
 
+def prescribed_config(x, **kwargs):
+    return plain_config(variant="prescribed", x_field=x, **kwargs)
+
+
 class TestFlowConfig:
     @pytest.mark.parametrize("kwargs", [
         {"variant": "backwards"},
@@ -179,15 +183,15 @@ class TestPlainFlow:
 
     def test_target_field_is_zero_unless_prescribed(self):
         state = single_mode_state()
-        for run in (ff.run_extrinsic_flow, ff.run_normalized):
-            traj = run(state, plain_config())
+        for variant in ("plain", "normalized"):
+            traj = ff.run_extrinsic_flow(state, plain_config(variant=variant))
             assert traj.x.shape == (1,) + state.shape
             assert not np.any(traj.x)
 
 
 class TestNormalizedFlow:
     def test_unit_volume_at_all_samples(self):
-        traj = ff.run_normalized(single_mode_state(), plain_config())
+        traj = ff.run_extrinsic_flow(single_mode_state(), plain_config(variant="normalized"))
         for state in traj.states + (traj.limit,):
             assert geo.volume(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -195,7 +199,7 @@ class TestNormalizedFlow:
         """Normalized state = plain state rescaled to unit volume."""
         state = single_mode_state()
         plain = ff.run_extrinsic_flow(state, plain_config())
-        norm = ff.run_normalized(state, plain_config())
+        norm = ff.run_extrinsic_flow(state, plain_config(variant="normalized"))
         for t in (0.0, 1.0, 2.0):
             ps = plain.evaluate(t)
             shift = math.log(geo.volume(ps)) / ps.n
@@ -203,13 +207,13 @@ class TestNormalizedFlow:
                                        atol=1e-13)
 
     def test_rate_is_nonpositive(self):
-        traj = ff.run_normalized(single_mode_state(), plain_config())
+        traj = ff.run_extrinsic_flow(single_mode_state(), plain_config(variant="normalized"))
         for record in traj.diagnostics:
             assert record.rate <= 1e-12
 
     def test_normalized_pde_residual(self):
         """d/dt phi = Lap phi - r/2 for the unit-volume flow."""
-        traj = ff.run_normalized(single_mode_state(), plain_config())
+        traj = ff.run_extrinsic_flow(single_mode_state(), plain_config(variant="normalized"))
         h = 1e-4
         mid = traj.evaluate(0.5)
         dphi = (traj.evaluate(0.5 + h).phi - traj.evaluate(0.5 - h).phi) / (2 * h)
@@ -230,45 +234,43 @@ class TestPrescribedFlow:
         """X = 0.1 d/dy exactly absorbs a 0.1 d/dy harmonic remainder."""
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE,
                                                {(0, 1): 0.2}, None)
-        x = np.full((1,) + CIRCLE.shape, 0.1)
-        traj = ff.run_prescribed(state, x, plain_config())
+        x = np.full((1,) + state.shape, 0.1)
+        traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         h_inf = ff.twisted_mean_curvature(traj.limit)
         assert np.max(np.abs(h_inf)) < 1e-13
-        x_full = np.full((1,) + state.shape, 0.1)
-        drive = geo.div_perp(h_inf - x_full, traj.limit)
+        drive = geo.div_perp(h_inf - x, traj.limit)
         assert np.max(np.abs(drive)) < 1e-12
 
     def test_limit_theta_is_fiber_mean(self):
         state = single_mode_state()
         y = CIRCLE.coordinates()[0]
-        x = (0.1 + 0.05 * np.cos(2.0 * y))[None, :]
-        traj = ff.run_prescribed(state, x, plain_config())
+        x = np.broadcast_to(0.1 + 0.05 * np.cos(2.0 * y), (1,) + state.shape)
+        traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         h0 = ff.twisted_mean_curvature(state)
-        x_full = traj.x
-        np.testing.assert_array_equal(x_full, np.broadcast_to(x[:, None], (1,) + state.shape))
-        expected = x_full + np.mean(h0 - x_full, axis=-1, keepdims=True)
+        np.testing.assert_array_equal(traj.x, x)
+        expected = x + np.mean(h0 - x, axis=-1, keepdims=True)
         np.testing.assert_allclose(ff.twisted_mean_curvature(traj.limit),
                                    expected, atol=1e-12)
 
     def test_target_equal_to_h0_is_static(self):
         state = single_mode_state()
         x = ff.twisted_mean_curvature(state)
-        traj = ff.run_prescribed(state, x, plain_config())
+        traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         assert traj.converged_time == 0.0
         np.testing.assert_array_equal(traj.evaluate(1.7).phi, state.phi)
 
     def test_nonclosed_target_rejected_p2(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
         y1, y2 = np.meshgrid(*TORUS.coordinates(), indexing="ij")
-        x = np.stack([np.sin(y2), np.zeros(TORUS.shape)])
-        config = ff.FlowConfig(t_end=1.0, samples=(1.0,))
+        x = np.broadcast_to(np.stack([np.sin(y2), np.zeros(TORUS.shape)])[:, None],
+                            (2,) + state.shape)
+        config = ff.FlowConfig(t_end=1.0, samples=(1.0,), variant="prescribed", x_field=x)
         with pytest.raises(HypothesisViolationError):
-            ff.run_prescribed(state, x, config)
+            ff.run_extrinsic_flow(state, config)
 
     def test_bad_x_shape_rejected(self):
-        with pytest.raises(InputError):
-            ff.run_prescribed(single_mode_state(), np.zeros((1, 32)),
-                              plain_config())
+        with pytest.raises(InputError, match=r"x_field shape \(1, 32\) is not \(p,\) \+ grid"):
+            ff.run_extrinsic_flow(single_mode_state(), prescribed_config(np.zeros((1, 32))))
 
 
 class TestCodimensionOne:
@@ -389,7 +391,7 @@ class TestFiniteDifferencePath:
         config = plain_config(samples=(0.0, 0.5))
         traj = ff.run_extrinsic_flow(state, config)
         assert traj.fiber_rate is None
-        direct = ff.fd_heat_run(state.phi, state.psi[0], CIRCLE, 0.5,
+        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, 0.5,
                                 config.fd_scheme)
         np.testing.assert_array_equal(traj.states[1].phi, direct)
 
@@ -399,7 +401,7 @@ class TestFiniteDifferencePath:
         first = traj.evaluate(0.3).phi
         again = traj.evaluate(0.3).phi
         np.testing.assert_array_equal(first, again)
-        direct = ff.fd_heat_run(state.phi, state.psi[0], CIRCLE, 0.3,
+        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, 0.3,
                                 ff.FdScheme())
         np.testing.assert_array_equal(first, direct)
 
@@ -419,10 +421,10 @@ class TestFiniteDifferencePath:
         first, second, after_sample = traj.at((0.3, 0.4, 0.7))
         np.testing.assert_array_equal(first.phi, traj.evaluate(0.3).phi)
         np.testing.assert_array_equal(
-            second.phi, ff.fd_heat_run(first.phi, state.psi[0], CIRCLE, 0.4 - 0.3, scheme))
+            second.phi, ff.fd_heat_run(first.phi, state.psi, CIRCLE, 0.4 - 0.3, scheme))
         np.testing.assert_array_equal(
             after_sample.phi,
-            ff.fd_heat_run(traj.states[1].phi, state.psi[0], CIRCLE, 0.7 - 0.5, scheme))
+            ff.fd_heat_run(traj.states[1].phi, state.psi, CIRCLE, 0.7 - 0.5, scheme))
 
     def test_limit_is_weighted_fiber_average(self):
         state = self.fd_state()
@@ -433,6 +435,7 @@ class TestFiniteDifferencePath:
             np.broadcast_to(mean.reshape(4, 1), state.shape), atol=1e-14)
 
     def test_prescribed_needs_fiber_constant_psi(self):
-        x = np.full((1,) + CIRCLE.shape, 0.1)
+        state = self.fd_state()
+        x = np.full((1,) + state.shape, 0.1)
         with pytest.raises(UnsupportedScenarioError):
-            ff.run_prescribed(self.fd_state(), x, plain_config())
+            ff.run_extrinsic_flow(state, prescribed_config(x))

@@ -57,20 +57,15 @@ class TestProductState:
         assert state.shape == (4, 64)
         assert state.fiber_axes == (1,)
 
-    def test_scalar_psi_broadcast(self):
-        state = ff.ProductState(BASE4, CIRCLE, np.zeros((4, 64)), 0.3)
-        assert state.psi.shape == (4, 64)
-        assert float(state.psi[2, 5]) == 0.3
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
-            ff.ProductState(BASE4, CIRCLE, np.zeros((4, 32)), 0.0)
+            ff.ProductState(BASE4, CIRCLE, np.zeros((4, 32)), np.zeros((4, 64)))
 
     def test_nonfinite_rejected(self):
         phi = np.zeros((4, 64))
         phi[0, 0] = np.nan
         with pytest.raises(InputError):
-            ff.ProductState(BASE4, CIRCLE, phi, 0.0)
+            ff.ProductState(BASE4, CIRCLE, phi, np.zeros((4, 64)))
 
     def test_psi_fiber_constant_detection(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {}, {(1, 0): 0.2})
@@ -232,7 +227,7 @@ class TestMeanCurvature:
         # contravariant components carry the exp(-2 psi) factor
         c = 0.3
         flat = twisted_circle()
-        scaled = ff.ProductState(BASE4, CIRCLE, flat.phi, c)
+        scaled = ff.ProductState(BASE4, CIRCLE, flat.phi, np.full(flat.shape, c))
         np.testing.assert_allclose(ff.twisted_mean_curvature(scaled),
                                    math.exp(-2.0 * c) * ff.twisted_mean_curvature(flat),
                                    atol=1e-14)
@@ -343,22 +338,18 @@ class TestClassification:
 
     def test_twisted_umbilical_not_geodesic(self):
         report = ff.classify(twisted_circle())
-        assert report.tangent.umbilical
         assert not report.tangent.totally_geodesic
         assert report.tangent.label == "umbilical"
 
     def test_base_twist_breaks_normal_minimality(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {}, {(1, 0): 0.3})
         report = ff.classify(state)
-        assert report.normal.umbilical
         assert not report.normal.harmonic
+        assert report.normal.label == "umbilical"
 
     def test_umbilicity_is_stated_not_measured(self):
         flags = ff.classify(ff.ProductState.from_harmonics(BASE4, CIRCLE, {})).tangent
-        assert flags.umbilical is True
         assert [f.name for f in dataclasses.fields(flags)] == ["harmonic"]
-        with pytest.raises(AttributeError):
-            flags.umbilical = False
         assert {f.name for f in dataclasses.fields(ff.ClassificationReport)} == {
             "tangent", "normal"}
 

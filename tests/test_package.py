@@ -1,6 +1,17 @@
-"""The package's export list names only what the package defines."""
+"""The package's surface: the export list names only what the package
+defines, and each function takes one shape of each argument."""
+
+import math
+
+import numpy as np
+import pytest
 
 import foliflow as ff
+from foliflow import fdref
+from foliflow.errors import InputError
+
+BASE = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
+CIRCLE = ff.FiberGrid(1, (2.0 * math.pi,), (16,))
 
 
 def test_all_names_are_attributes():
@@ -16,3 +27,27 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from foliflow import *", namespace)
     assert set(ff.__all__) <= set(namespace)
+
+
+def run_with_fiber_shaped_x():
+    state = ff.ProductState.from_harmonics(BASE, CIRCLE, {(0, 1): 0.2})
+    config = ff.FlowConfig(t_end=1.0, samples=(1.0,), variant="prescribed",
+                           x_field=np.zeros((1,) + CIRCLE.shape))
+    return ff.run_extrinsic_flow(state, config)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: ff.ProductState(BASE, CIRCLE, np.zeros((4, 16)), 0.3),
+     r"do not match grid shape \(4, 16\)"),
+    (run_with_fiber_shaped_x, r"is not \(p,\) \+ grid shape \(1, 4, 16\)"),
+    (lambda: fdref.operator_matrix(np.zeros(16), CIRCLE),
+     r"is not a stack of profiles \(k,\) \+ \(16,\)"),
+    (lambda: ff.fd_heat_run(np.zeros((4, 16)), np.zeros(16), CIRCLE, 0.1, ff.FdScheme()),
+     r"is not the u0 shape \(4, 16\)"),
+    (lambda: ff.FiberGrid(1, (1.0,), None), r"points must be 1 finite integer count"),
+    (lambda: ff.FiberGrid(2, (1.0, 1.0), (8,)), r"expected 2 point counts, got 1"),
+], ids=["scalar-psi", "fiber-shaped-x", "one-profile-operator", "grid-psi-batched-u0",
+        "grid-without-points", "one-count-torus"])
+def test_other_argument_shapes_refused(call, expected):
+    with pytest.raises(InputError, match=expected):
+        call()
