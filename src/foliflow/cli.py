@@ -108,6 +108,10 @@ def _as_grid(dim: int, sides: tuple[float, ...], raw, label: str) -> FiberGrid:
         raise InputError(f"{label}: {exc}") from exc
 
 
+# The mode numbers harmonic_field can hold: numpy's default integer.
+_MODE_RANGE = np.iinfo(int)
+
+
 def _parse_modes(raw, dims: int, label: str) -> dict:
     """{'k,l': amp} JSON maps to {(k, l): (cos_amp, sin_amp)} term maps."""
     if raw is None:
@@ -123,6 +127,9 @@ def _parse_modes(raw, dims: int, label: str) -> dict:
             raise InputError(f"{label} key {key!r} is not a mode tuple") from exc
         if len(mode) != dims:
             raise InputError(f"{label} key {key!r} must have {dims} integers")
+        if not all(_MODE_RANGE.min <= m <= _MODE_RANGE.max for m in mode):
+            raise InputError(f"{label} key {key!r} has a mode number beyond "
+                             f"[{_MODE_RANGE.min}, {_MODE_RANGE.max}]")
         where = f"{label} value for {key!r}"
         if isinstance(amp, list):
             pair = tuple(_as_float(a, where) for a in amp)
@@ -301,7 +308,8 @@ def _svg_chart(traj: fl.Trajectory) -> str:
 def _run_command(args) -> int:
     try:
         payload = _load_config(args.config, args)
-    except (OSError, ValueError, TypeError, FlowError) as exc:
+    except (OSError, ValueError, TypeError, MemoryError, FlowError) as exc:
+        # MemoryError: a grid too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,6 +134,8 @@ class TestExitCodes:
         ("base_sides", ["6.5"]),
         ("phi0", {"0,1": True}),
         ("phi0", {"0,1": ["0.2", 0.0]}),
+        # a mode number beyond numpy's default integer
+        ("phi0", {"100000000000000000000,1": 0.1}),
         # a flag is a JSON true or false, not a truthy or falsy stand-in
         ("plot", "no"),
         ("plot", 1),
@@ -146,8 +148,8 @@ class TestExitCodes:
     ], ids=["dt-nan", "dt-inf", "theta-nan", "fiber_sides-nan", "base_sides-inf",
             "t_end-nan", "samples-nan", "dt-bool", "theta-string", "t_end-string",
             "tol_converge-string", "samples-string", "fiber_sides-bool",
-            "base_sides-string", "phi0-bool", "phi0-pair-string", "plot-string",
-            "plot-number", "oracle_check-string", "oracle_check-number",
+            "base_sides-string", "phi0-bool", "phi0-pair-string", "phi0-key-overflow",
+            "plot-string", "plot-number", "oracle_check-string", "oracle_check-number",
             "oracle_check-null", "out-number", "out-empty"])
     def test_non_finite_value_exits_two_without_outputs(self, tmp_path, capsys,
                                                         key, value):
@@ -178,6 +180,22 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+        assert not out.exists()
+
+    # 2**50 points need 8 PiB per axis array, beyond any address space, so the
+    # allocation fails at once and nothing this large is ever made.
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"fiber_points": 2 ** 50}, []),
+        ({"base_points": 2 ** 50}, []),
+        ({}, ["--grid", str(2 ** 50)]),
+    ], ids=["fiber_points", "base_points", "grid-flag"])
+    def test_unallocatable_grid_exits_two_without_outputs(self, tmp_path, capsys,
+                                                          overrides, flags):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "allocate" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["sampels", "thetaa"])

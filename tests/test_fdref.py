@@ -61,7 +61,7 @@ def factorizations(monkeypatch):
         made.append(CountingSolver(matrix))
         return made[-1]
 
-    monkeypatch.setattr(fdref.spla, "splu", counting)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", counting)
     return made
 
 
@@ -304,7 +304,7 @@ class TestPerMemberPsi:
             calls.append(matrix.shape[0])
             return splu(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(fdref.spla, "splu", counting)
+        monkeypatch.setattr("scipy.sparse.linalg.splu", counting)
         return calls
 
     def test_distinct_profiles_match_individual_runs_bitwise(self, splu_calls):

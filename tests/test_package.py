@@ -1,7 +1,13 @@
 """The package's surface: the export list names only what the package
-defines, and each function takes one shape of each argument."""
+defines, each function takes one shape of each argument, and scipy is
+loaded only by a march."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +57,32 @@ def run_with_fiber_shaped_x():
 def test_other_argument_shapes_refused(call, expected):
     with pytest.raises(InputError, match=expected):
         call()
+
+
+# Reports whether scipy is loaded after importing the CLI, after an exact-path
+# run and after a finite-difference run, as the last line of its output.
+LOADS_SCIPY = """
+import json, sys
+import foliflow.cli as cli
+loaded = ["scipy" in sys.modules]
+for name in ("exact", "fd"):
+    assert cli.main(["run", name + ".json", "--out", name]) == 0
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_march_loads_scipy(tmp_path):
+    # a fresh interpreter: this session has imported scipy already
+    exact = {"scenario": "twisted_torus", "base_points": 4, "fiber_points": 16,
+             "phi0": {"0,1": 0.2}, "samples": [0.0, 0.1],
+             "checks": ["divergence_identity"]}
+    fd = {**exact, "scenario": "double_twisted", "psi": {"0,1": 0.1}}
+    for name, cfg in (("exact", exact), ("fd", fd)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
