@@ -44,13 +44,19 @@ import numpy as np
 
 from . import fiber as fb
 from . import geometry as geo
-from .errors import HypothesisViolationError, InputError, UnsupportedScenarioError
+from .errors import (
+    DegenerateTrajectoryError,
+    HypothesisViolationError,
+    InputError,
+    UnsupportedScenarioError,
+)
 from .fdref import FdScheme, fd_heat_run
 from .fiber import FiberGrid
 from .geometry import ProductState
 
 VARIANTS = ("plain", "normalized", "prescribed")
 CLOSEDNESS_TOL = 1e-9       # sup |d theta| above which p = 2 initial data is not closed
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # the largest x with exp(x) finite, ~709.78
 
 
 @dataclass(frozen=True)
@@ -163,22 +169,58 @@ def _x_on_grid(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
     return x
 
 
+def _volume(state: ProductState) -> float:
+    """geo.volume, refused unless positive and finite.
+
+    An exp that overflows on the way is reported through that refusal,
+    not as a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = geo.volume(state)
+    if not 0.0 < vol < math.inf:
+        raise DegenerateTrajectoryError(
+            f"the volume at t = {state.t:g} is {vol:g}, not positive and finite")
+    return vol
+
+
 def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> float:
     """r(t) = -(2/n) int Div_perp H dvol / vol of one state.
 
     By the divergence identity this equals -(2/n) int |H|^2 dvol / vol,
     so it is nonpositive and vanishes exactly on product metrics.  A
-    caller that already holds Div_perp H passes it as ``div_h``.
+    caller that already holds Div_perp H passes it as ``div_h``.  A
+    volume that is not positive and finite raises DegenerateTrajectoryError.
     """
+    vol = _volume(state)
     if div_h is None:
         div_h = geo.div_perp(geo.twisted_mean_curvature(state), state)
-    return float(-(2.0 / state.n) * geo.integrate(state, div_h) / geo.volume(state))
+    return float(-(2.0 / state.n) * geo.integrate(state, div_h) / vol)
 
 
 def project_unit_volume(state: ProductState) -> ProductState:
-    """Rescale ghat conformally (fiber-constant) to unit total volume."""
-    shift = math.log(geo.volume(state)) / state.n
+    """Rescale ghat conformally (fiber-constant) to unit total volume.
+
+    A volume that is not positive and finite raises DegenerateTrajectoryError.
+    """
+    shift = math.log(_volume(state)) / state.n
     return state.replace_phi(state.phi - shift, state.t)
+
+
+def _check_float_range(initial: ProductState) -> None:
+    """Refuse initial data whose volume density or leaf factors overflow.
+
+    The flow takes exp(n phi + p psi), summed over the grid for the volume,
+    and the leaf factors exp(+-2 phi) and exp(+-2 psi).  Their exponents are
+    bounded here, so no exp ever overflows to find out.
+    """
+    density = float(np.max(np.abs(initial.n * initial.phi + initial.p * initial.psi)))
+    leaf = 2.0 * max(float(np.max(np.abs(initial.phi))), float(np.max(np.abs(initial.psi))))
+    density_max = _LOG_FLOAT_MAX - math.log(initial.phi.size)
+    if density > density_max or leaf > _LOG_FLOAT_MAX:
+        raise InputError(
+            f"initial phi0 and psi leave the float range: exp(n phi0 + p psi) needs "
+            f"exponents up to {density:.4g} (at most {density_max:.4g}) and "
+            f"exp(+-2 phi0), exp(+-2 psi) up to {leaf:.4g} (at most {_LOG_FLOAT_MAX:.4g})")
 
 
 def _ascending(times: Iterable[float]) -> list[float]:
@@ -221,6 +263,7 @@ def _plain_phis(initial: ProductState, driving0: np.ndarray, config: FlowConfig,
 
 
 def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRecord:
+    vol = _volume(state)        # first, so a degenerate state is refused before any exp
     data = geo.second_fundamental(state)
     div_h = geo.div_perp(data.h, state)
     if variant == "prescribed":
@@ -230,7 +273,7 @@ def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRe
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
         t=state.t,
-        vol=geo.volume(state),
+        vol=vol,
         int_h2=geo.integrate(state, geo.leaf_inner(state, data.h, data.h)),
         max_div_h=float(np.max(np.abs(div_h))),
         rate=normalization_rate(state, div_h),
@@ -247,8 +290,10 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     Chooses the exact spectral path when psi is fiber-constant and the
     finite-difference path otherwise, samples the requested times, and
     always emits the analytic t -> inf limit.  A zero driving field
-    short-circuits to a constant trajectory.
+    short-circuits to a constant trajectory.  Initial data whose exp
+    factors leave the float range are refused before anything is evolved.
     """
+    _check_float_range(initial)
     x = _x_on_grid(config.x_field, initial)
     h0 = geo.twisted_mean_curvature(initial)
 
@@ -292,7 +337,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             if not normalized:
                 return phi_sum, 0.0
             ends = (times[0], times[-1])
-            first, last = (geo.volume(initial.replace_phi(phi, t))
+            first, last = (_volume(initial.replace_phi(phi, t))
                            for t, phi in zip(ends, phis(list(ends))))
             return phi_sum, (2.0 / initial.n) * math.log(last / first)
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0

@@ -3,13 +3,15 @@
 Every invocation goes through ``main(argv)`` in process, with configs
 and outputs under tmp_path.  Covers the four exit codes, the
 no-partial-output guarantee on config errors, byte-identical reruns,
-and the flag surface (--grid, --plot, --out).
+the snapshot writer's split between two processes, and the flag surface
+(--grid, --plot, --out).
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,9 +21,31 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from foliflow import cli
 from foliflow.cli import DIAG_COLUMNS, _write_snapshots, main
 from foliflow.fiber import FiberGrid
 from foliflow.geometry import ProductState
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, and the list of pids that os.fork returned in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -145,12 +169,16 @@ class TestExitCodes:
         # out must name a directory even when --out overrides it
         ("out", 5),
         ("out", ""),
+        # exp(n phi0 + p psi) would overflow
+        ("phi0", {"0,1": 1e300}),
+        # more theta steps than fdref.MAX_STEPS
+        ("dt", 1e-300),
     ], ids=["dt-nan", "dt-inf", "theta-nan", "fiber_sides-nan", "base_sides-inf",
             "t_end-nan", "samples-nan", "dt-bool", "theta-string", "t_end-string",
             "tol_converge-string", "samples-string", "fiber_sides-bool",
             "base_sides-string", "phi0-bool", "phi0-pair-string", "phi0-key-overflow",
             "plot-string", "plot-number", "oracle_check-string", "oracle_check-number",
-            "oracle_check-null", "out-number", "out-empty"])
+            "oracle_check-null", "out-number", "out-empty", "phi0-overflow", "dt-tiny"])
     def test_non_finite_value_exits_two_without_outputs(self, tmp_path, capsys,
                                                         key, value):
         # an FD scenario, so that dt and theta reach the march
@@ -160,6 +188,15 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+        assert not out.exists()
+
+    def test_degenerate_volume_exits_two_without_outputs(self, tmp_path, capsys):
+        # the null mode's multiplier t scales the driving scalar's round-off mean
+        cfg = write_config(tmp_path, samples=[0.0, 1e300], t_end=1e300)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "volume" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -323,30 +360,91 @@ class TestOutputs:
         np.testing.assert_allclose(got, 0.2 * math.exp(-1.0) * np.cos(y),
                                    atol=1e-12)
 
-    def test_snapshot_text_matches_per_value_format(self, tmp_path):
-        """Row-formatted snapshots equal the per-value f"{x:.17g}" text."""
+    def test_snapshot_text_matches_per_value_format(self, tmp_path, forks):
+        """Row-formatted snapshots equal the per-value f"{x:.17g}" text, serial or split."""
         base = FiberGrid(1, (1.0,), (4,))
-        fiber = FiberGrid(2, (1.0, 2.0), (4, 8))
         rng = np.random.default_rng(3)
-        phi = rng.normal(scale=10.0, size=(4, 4, 8))
-        phi[0, 0, :5] = [-0.0, 5e-324, 1e16, 1.0 / 3.0, -1.0 / 3.0]
-        psi = np.zeros(phi.shape)
-        states = [ProductState(base, fiber, phi, psi),
-                  ProductState(base, fiber, rng.normal(size=phi.shape), psi)]
-        _write_snapshots(tmp_path, SimpleNamespace(initial=states[0], states=states))
-        for i, state in enumerate(states):
-            table = state.phi.reshape(4, 32)
-            expected = "".join(",".join(f"{float(x):.17g}" for x in row) + "\n"
-                               for row in table)
-            assert (tmp_path / f"phi_{i:03d}.csv").read_bytes() == expected.encode()
-        first = (tmp_path / "phi_000.csv").read_text().split("\n")[0].split(",")
-        assert first[:5] == ["-0", "4.9406564584124654e-324", "10000000000000000",
-                             "0.33333333333333331", "-0.33333333333333331"]
+        # 3 samples x 4 base points x 64 x 128 fiber points reach cli.SPLIT_VALUES
+        for fiber_points, split in (((4, 8), False), ((64, 128), True)):
+            fiber = FiberGrid(2, (1.0, 2.0), fiber_points)
+            phi = rng.normal(scale=10.0, size=(4,) + fiber_points)
+            phi[0, 0, :5] = [-0.0, 5e-324, 1e16, 1.0 / 3.0, -1.0 / 3.0]
+            psi = np.zeros(phi.shape)
+            states = [ProductState(base, fiber, phi, psi),
+                      ProductState(base, fiber, rng.normal(size=phi.shape), psi),
+                      ProductState(base, fiber, rng.normal(size=phi.shape), psi)]
+            assert (len(states) * phi.size >= cli.SPLIT_VALUES) == split
+            out = tmp_path / ("split" if split else "serial")
+            out.mkdir()
+            _write_snapshots(out, SimpleNamespace(initial=states[0], states=states))
+            assert len(forks) == split
+            assert_no_child_left()
+            for i, state in enumerate(states):
+                table = state.phi.reshape(4, -1)
+                expected = "".join(",".join(f"{float(x):.17g}" for x in row) + "\n"
+                                   for row in table)
+                assert (out / f"phi_{i:03d}.csv").read_bytes() == expected.encode()
+            first = (out / "phi_000.csv").read_text().split("\n")[0].split(",")
+            assert first[:5] == ["-0", "4.9406564584124654e-324", "10000000000000000",
+                                 "0.33333333333333331", "-0.33333333333333331"]
 
     def test_converged_line_for_static_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phi0={}, checks=[])
         main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert "converged at t=0" in capsys.readouterr().out
+
+
+# 4 samples x 16 base points x 1024 fiber points = 2^16 snapshot values
+SPLIT_RUN = {"base_points": 16, "fiber_points": 1024, "checks": []}
+
+
+class TestSnapshotSplit:
+    def test_split_run_matches_serial_run(self, tmp_path, forks, monkeypatch):
+        cfg = write_config(tmp_path, **SPLIT_RUN)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "split")]) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "serial")]) == 0
+        assert len(forks) == 1                  # one usable CPU: no split
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "split").iterdir())
+        for name in names:
+            assert ((tmp_path / "split" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    @pytest.mark.parametrize("blocked", ["phi_001.csv", "phi_000.csv"],
+                             ids=["child-share", "parent-share"])
+    def test_unwritable_snapshot_exits_two(self, tmp_path, capsys, forks, blocked):
+        cfg = write_config(tmp_path, **SPLIT_RUN)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and blocked in err, err
+        assert "Traceback" not in err
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_fork_failure_writes_every_file_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError("no process to be had")
+
+        cfg = write_config(tmp_path, **SPLIT_RUN)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("phi_*.csv")) == [
+            f"phi_{i:03d}.csv" for i in range(4)]
+
+    def test_small_run_never_forks(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("a run below cli.SPLIT_VALUES forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestFlags:

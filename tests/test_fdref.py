@@ -102,6 +102,21 @@ class TestFdScheme:
         with pytest.raises(InputError):
             ff.fd_heat_run(u0, psi, CIRCLE, 1.0, ff.FdScheme(dt=1e-3, theta=0.3))
 
+    @pytest.mark.parametrize("dt", [1e-300, 5e-324], ids=["tiny", "subnormal"])
+    def test_more_than_max_steps_refused_naming_dt_and_t_end(self, dt):
+        y = SMALL.coordinates()[0]
+        with pytest.raises(InputError, match=r"dt = .* t_end = .*MAX_STEPS"):
+            ff.fd_heat_run(np.cos(y), 0.1 * np.cos(y), SMALL, 1e-6, ff.FdScheme(dt=dt))
+
+    def test_max_steps_itself_is_accepted(self):
+        # exactly MAX_STEPS steps of a 4-point fiber take the dense route
+        grid = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
+        y = grid.coordinates()[0]
+        t_end = fdref.MAX_STEPS * 2.0 ** -40
+        out = ff.fd_heat_run(np.cos(y), np.zeros(4), grid, t_end,
+                             ff.FdScheme(dt=2.0 ** -40))
+        assert np.max(np.abs(out - np.cos(y))) < 1e-4
+
     def test_stable_explicit_step_accepted(self):
         y = CIRCLE.coordinates()[0]
         psi = np.zeros(CIRCLE.shape)

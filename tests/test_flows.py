@@ -18,8 +18,8 @@ import foliflow as ff
 from foliflow import fiber as fb
 from foliflow import flows
 from foliflow import geometry as geo
-from foliflow.errors import (HypothesisViolationError, InputError,
-                             UnsupportedScenarioError)
+from foliflow.errors import (DegenerateTrajectoryError, HypothesisViolationError,
+                             InputError, UnsupportedScenarioError)
 
 BASE4 = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
 BASE8 = ff.FiberGrid(1, (2.0 * math.pi,), (8,))
@@ -227,6 +227,47 @@ class TestNormalizedFlow:
         assert geo.volume(projected) == pytest.approx(1.0, abs=1e-13)
         again = flows.project_unit_volume(projected)
         np.testing.assert_allclose(again.phi, projected.phi, atol=1e-14)
+
+
+class TestFloatRange:
+    """Initial data whose exp factors overflow, and volumes that degenerate."""
+
+    @pytest.mark.parametrize("phi_terms, psi_terms", [
+        ({(0, 1): 1e300}, {}),
+        ({(0, 1): 400.0}, {}),              # exp(-2 phi) overflows, the density does not
+        ({(0, 0): 0.1}, {(1, 0): 360.0}),   # exp(+-2 psi) overflows
+        ({(0, 0): 354.0}, {(0, 0): 354.0}),  # the volume's sum over 256 points overflows
+    ], ids=["phi-huge", "phi-leaf", "psi-leaf", "density-sum"])
+    def test_overflowing_initial_data_refused_before_evolving(self, phi_terms, psi_terms,
+                                                              monkeypatch):
+        monkeypatch.setattr(flows, "_plain_phis", None)    # evolving would raise TypeError
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, phi_terms, psi_terms)
+        with pytest.raises(InputError, match="phi0 and psi leave the float range"):
+            ff.run_extrinsic_flow(state, plain_config())
+
+    def test_large_but_representable_data_runs(self):
+        traj = ff.run_extrinsic_flow(single_mode_state(300.0), plain_config())
+        assert all(math.isfinite(d.vol) and d.vol > 0 for d in traj.diagnostics)
+
+    def test_codim1_overflow_refused(self):
+        y = CIRCLE.coordinates()[0]
+        tau0 = np.broadcast_to(1e300 * np.cos(y), (8, 64))
+        with pytest.raises(InputError, match="float range"):
+            ff.run_codim1(tau0, BASE8, CIRCLE, plain_config())
+
+    @pytest.mark.parametrize("level", [-800.0, 800.0], ids=["underflow", "overflow"])
+    def test_degenerate_volume_refused(self, level):
+        phi = np.full(BASE4.shape + CIRCLE.shape, level)
+        state = ff.ProductState(BASE4, CIRCLE, phi, np.zeros_like(phi))
+        for evaluate in (flows.normalization_rate, flows.project_unit_volume):
+            with pytest.raises(DegenerateTrajectoryError, match="not positive and finite"):
+                evaluate(state)
+
+    def test_huge_sample_time_refused(self):
+        # the null mode's multiplier t scales the driving scalar's round-off mean
+        with pytest.raises(DegenerateTrajectoryError, match="t = 1e"):
+            ff.run_extrinsic_flow(single_mode_state(),
+                                  plain_config(samples=(0.0, 1e300), t_end=1e300))
 
 
 class TestPrescribedFlow:
