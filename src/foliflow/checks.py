@@ -62,21 +62,11 @@ class CheckReport:
                 f"vs {self.tolerance:.1e} ({verdict})")
 
 
-def _pair_h_xi(state: ProductState, xi: np.ndarray | None):
-    h = geo.twisted_mean_curvature(state)
-    if xi is None:
-        xi = h
-    else:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != h.shape:
-            raise InputError(f"xi shape {xi.shape} != {(state.p,) + state.shape}")
-    return h, xi
-
-
 def divergence_identity_sides(state: ProductState,
                               xi: np.ndarray | None = None) -> tuple[float, float]:
     """(int Div_perp xi dvol, int g(H, xi) dvol); xi defaults to H itself."""
-    h, xi = _pair_h_xi(state, xi)
+    h = geo.twisted_mean_curvature(state)
+    xi = h if xi is None else geo.fiber_vector(xi, state, "xi")
     lhs = geo.integrate(state, geo.div_perp(xi, state))
     rhs = geo.integrate(state, geo.leaf_inner(state, h, xi))
     return lhs, rhs
@@ -342,11 +332,14 @@ def flat_spectral_gap(grid: FiberGrid) -> float:
     return min((2.0 * math.pi / L) ** 2 for L in grid.sides)
 
 
-def _fiber_rate(trajectory: Trajectory, checker: str) -> np.ndarray:
-    """The exact path's per-fiber eigenvalue scale; ``checker`` refuses an FD run."""
+def _fiber_gap(trajectory: Trajectory, checker: str) -> np.ndarray:
+    """Per-fiber spectral gap of the exact path: the flat gap times ``fiber_rate``.
+
+    An FD run has no such spectrum, and ``checker`` refuses it.
+    """
     if trajectory.fiber_rate is None:
         raise UnsupportedScenarioError(f"{checker} needs a psi constant along fibers")
-    return trajectory.fiber_rate
+    return flat_spectral_gap(trajectory.initial.fiber) * trajectory.fiber_rate
 
 
 def uniform_equivalence_constant(trajectory: Trajectory) -> float:
@@ -354,12 +347,11 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
 
     The conformal exponent is 2(phi_t - phi_0) = -(2/n) * running time
     integral of the driving scalar, bounded per fiber by the summed
-    nonzero-mode amplitudes of the initial scalar over the effective
-    spectral gap, the flat gap times ``trajectory.fiber_rate`` (for
-    single-mode data this is exactly max amplitude over the gap).  An FD
-    run has no such spectrum and is refused.
+    nonzero-mode amplitudes of the initial scalar over the per-fiber
+    spectral gap (for single-mode data this is exactly max amplitude over
+    the gap).  An FD run has no such spectrum and is refused.
     """
-    rate = _fiber_rate(trajectory, "uniform_equivalence")
+    gap = _fiber_gap(trajectory, "uniform_equivalence")
     initial = trajectory.initial
     driving0 = _driving(initial, trajectory.x)
     axes = initial.fiber_axes
@@ -368,7 +360,6 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     zero = (slice(None),) * initial.n + (0,) * initial.p
     mags[zero] = 0.0
     summed = mags.sum(axis=axes)
-    gap = flat_spectral_gap(initial.fiber) * rate
     bound = float(np.max(summed / gap))
     return math.exp(2.0 * bound / initial.n)
 
@@ -406,7 +397,7 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
     march refuses on that grid is refused by name.
     """
     initial = trajectory.initial
-    _fiber_rate(trajectory, "oracle_agreement")
+    _fiber_gap(trajectory, "oracle_agreement")
     if trajectory.config.variant != "plain":
         raise UnsupportedScenarioError("oracle_agreement runs on the plain variant")
     psi_mean = geo.psi_fiber_mean(initial)
@@ -479,12 +470,10 @@ def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
                      skip: int = 0) -> CheckReport:
     """Fitted decay slope against ``expected``, by default minus the slowest fiber's gap.
 
-    That gap is the flat one times the least ``trajectory.fiber_rate``, so
-    without ``expected`` an FD run is refused.
+    Without ``expected`` an FD run, which has no per-fiber gap, is refused.
     """
     if expected is None:
-        rate = _fiber_rate(trajectory, "decay_rate")
-        expected = -flat_spectral_gap(trajectory.initial.fiber) * float(np.min(rate))
+        expected = -float(np.min(_fiber_gap(trajectory, "decay_rate")))
     slope = estimate_decay_rate(trajectory, skip)
     residual = abs(slope - expected) / abs(expected)
     return CheckReport("decay_rate", residual, DECAY_REL_TOL,

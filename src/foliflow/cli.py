@@ -58,15 +58,25 @@ CONFIG_KEYS = frozenset((
 
 # Snapshot values (samples x base points x fiber points) from which two
 # processes write a run's snapshots, when a second CPU is available.  A fork
-# and wait cost 3-4 ms in a 100 MB process and %.17g about 0.9 us per value,
-# so handing half the values to a child breaks even near 2^14 values: 11
-# files took 15 ms either way, and at 2^17 values 129 ms serial against
+# and wait cost 3-4 ms in a 100 MB process and formatting about 0.9 us per
+# value, so handing half the values to a child breaks even near 2^14 values:
+# 11 files took 15 ms either way, and at 2^17 values 129 ms serial against
 # 80 ms split (2-core Xeon VM).  The bound keeps a 4x margin above that.
 SPLIT_VALUES = 2 ** 16
 
 
+def _row_format(columns: int) -> str:
+    """%-format of one CSV row: `columns` numbers of 17 significant digits each."""
+    return ",".join(["%.17g"] * columns)
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _row_format(1) % float(x)
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write newline-terminated lines as UTF-8 with newline-only endings."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _as_float(raw, label: str) -> float:
@@ -256,7 +266,7 @@ def _write_diagnostics(path: Path, traj: fl.Trajectory) -> None:
     lines = [",".join(DIAG_COLUMNS)]
     for d in traj.diagnostics:
         lines.append(",".join(_fmt(getattr(d, attr)) for _, attr in _DIAG_FIELDS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
@@ -273,16 +283,13 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
     """
     base_size = int(np.prod(traj.initial.base.shape))
     fiber_size = int(np.prod(traj.initial.fiber.shape))
-    # One %-format per row writes the same text as _fmt on each value.
-    row_format = ",".join(["%.17g"] * fiber_size)
+    row_format = _row_format(fiber_size)
     tables = [state.phi.reshape(base_size, fiber_size) for state in traj.states]
 
     def write(indices: range) -> None:
         for i in indices:
-            lines = [row_format % tuple(row) for row in tables[i].tolist()]
-            (out_dir / f"phi_{i:03d}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-            )
+            _write_lines(out_dir / f"phi_{i:03d}.csv",
+                         [row_format % tuple(row) for row in tables[i].tolist()])
 
     indices = range(len(tables))
     if (len(tables) * base_size * fiber_size < SPLIT_VALUES
@@ -328,11 +335,11 @@ def _write_checks(path: Path, reports: list[ck.CheckReport]) -> None:
             r.name, _fmt(r.sample_time), _fmt(r.residual), _fmt(r.tolerance),
             "true" if r.passed else "false",
         ]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
-def _svg_chart(traj: fl.Trajectory) -> str:
-    """Small-multiple polyline chart of the diagnostics columns."""
+def _svg_chart(traj: fl.Trajectory) -> list[str]:
+    """Lines of a small-multiple polyline chart of the diagnostics columns."""
     panels = [(column, [getattr(d, attr) for d in traj.diagnostics])
               for column, attr in _DIAG_FIELDS[1:]]
     times = [d.t for d in traj.diagnostics]
@@ -363,7 +370,7 @@ def _svg_chart(traj: fl.Trajectory) -> str:
         parts.append(f'<text x="{ox}" y="{oy - 6}" font-family="monospace" '
                      f'font-size="12">{label} [{_fmt(lo)}, {_fmt(hi)}]</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 def _run_command(args) -> int:
@@ -396,8 +403,7 @@ def _run_command(args) -> int:
         _write_snapshots(out_dir, traj)
         _write_checks(out_dir / "checks.csv", reports)
         if payload["plot"]:
-            (out_dir / "diagnostics.svg").write_text(_svg_chart(traj), encoding="utf-8",
-                                                     newline="\n")
+            _write_lines(out_dir / "diagnostics.svg", _svg_chart(traj))
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

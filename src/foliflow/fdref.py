@@ -62,7 +62,9 @@ def operator_matrix(psi: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
 
     psi is a stack of k profiles, (k,) + grid.shape; the result is the
     block-diagonal operator on the k fibers in stack order, from one sparse
-    construction, in canonical CSR with sorted indices.
+    construction, in canonical CSR with sorted indices.  The stencil is
+    Lap_perp u = exp(-2 psi) (Lap u + (p - 2) grad psi . grad u), each
+    axis contributing centered second and first differences.
     """
     import scipy.sparse as sp
 
@@ -74,19 +76,12 @@ def operator_matrix(psi: np.ndarray, grid: FiberGrid) -> sp.csr_matrix:
     # (column, value) of each stencil entry; rolling the index array along a
     # grid axis keeps every periodic neighbour inside its own fiber's block
     index = np.arange(psi.size).reshape(psi.shape)
-    if grid.dim == 1:
-        h = grid.spacing(0)
-        dpsi = _roll_diff(psi, 1, h)
-        stencil = [
-            (index, -2.0 * conf / h ** 2),
-            (np.roll(index, -1, axis=1), conf * (1.0 / h ** 2 - dpsi / (2.0 * h))),
-            (np.roll(index, 1, axis=1), conf * (1.0 / h ** 2 + dpsi / (2.0 * h))),
-        ]
-    else:
-        inv = [1.0 / grid.spacing(axis) ** 2 for axis in range(2)]
-        stencil = [(index, conf * (-2.0 * inv[0] + -2.0 * inv[1]))]
-        stencil += [(np.roll(index, shift, axis=1 + axis), conf * inv[axis])
-                    for axis in range(2) for shift in (-1, 1)]
+    spacings = [grid.spacing(axis) for axis in range(grid.dim)]
+    stencil = [(index, sum(-2.0 * conf / h ** 2 for h in spacings))]
+    for axis, h in enumerate(spacings):
+        drift = (grid.dim - 2) * _roll_diff(psi, 1 + axis, h) / (2.0 * h)
+        stencil += [(np.roll(index, -1, axis=1 + axis), conf * (1.0 / h ** 2 + drift)),
+                    (np.roll(index, 1, axis=1 + axis), conf * (1.0 / h ** 2 - drift))]
     rows = np.tile(index.reshape(-1), len(stencil))
     cols = np.concatenate([c.reshape(-1) for c, _ in stencil])
     data = np.concatenate([v.reshape(-1) for _, v in stencil])

@@ -189,21 +189,20 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     """Integrate the heat evolution of the trailing axes over [0, t].
 
     Mode l picks up the factor (1 - exp(-lambda_l t)) / lambda_l and the
-    mean grows linearly.  For t = +inf the integral exists only when every
-    per-fiber mean vanishes (to round-off); nonzero modes tend to 1/lambda_l.
+    mean grows linearly; a finite t is time_integral_sum_values at the one
+    time t.  For t = +inf the integral exists only when every per-fiber
+    mean vanishes (to round-off); nonzero modes tend to 1/lambda_l.
     """
     values = np.asarray(values, dtype=float)
     if not t >= 0:          # also refuses NaN
         raise InputError(f"time integral needs t >= 0, got {t}")
+    if not math.isinf(t):
+        return time_integral_sum_values(values, grid, (t,), (1.0,), rate_scale)
     lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0
-    lam_safe = np.where(positive, lam, 1.0)
-    if math.isinf(t):
-        _require_zero_means(values, _rfft_axes(values, grid),
-                            "infinite-horizon time integral diverges: fiber mean is nonzero")
-        mult = np.where(positive, 1.0 / lam_safe, 0.0)
-    else:
-        mult = np.where(positive, -np.expm1(-lam_safe * t) / lam_safe, t)
+    _require_zero_means(values, _rfft_axes(values, grid),
+                        "infinite-horizon time integral diverges: fiber mean is nonzero")
+    mult = np.where(positive, 1.0 / np.where(positive, lam, 1.0), 0.0)
     return _apply_multiplier(values, grid, mult)
 
 
@@ -352,14 +351,8 @@ def heat_kernel(t: float, x, y, grid: FiberGrid) -> float:
     if len(x) != grid.dim or len(y) != grid.dim:
         raise InputError("kernel arguments must match the grid dimension")
     modes = np.arange(-KERNEL_CUTOFF, KERNEL_CUTOFF + 1, dtype=float)
-    total = 0.0
-    if grid.dim == 1:
-        k = 2.0 * math.pi * modes / grid.sides[0]
-        total = np.sum(np.exp(-(k ** 2) * t) * np.cos(k * (x[0] - y[0])))
-    else:
-        k1 = 2.0 * math.pi * modes / grid.sides[0]
-        k2 = 2.0 * math.pi * modes / grid.sides[1]
-        lam = k1[:, None] ** 2 + k2[None, :] ** 2
-        phase = k1[:, None] * (x[0] - y[0]) + k2[None, :] * (x[1] - y[1])
-        total = np.sum(np.exp(-lam * t) * np.cos(phase))
-    return float(total / grid.volume)
+    ks = np.meshgrid(*(2.0 * math.pi * modes / side for side in grid.sides),
+                     indexing="ij", sparse=True)
+    lam = sum(k ** 2 for k in ks)
+    phase = sum(k * (a - b) for k, a, b in zip(ks, x, y))
+    return float(np.sum(np.exp(-lam * t) * np.cos(phase)) / grid.volume)

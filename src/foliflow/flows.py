@@ -44,12 +44,7 @@ import numpy as np
 
 from . import fiber as fb
 from . import geometry as geo
-from .errors import (
-    DegenerateTrajectoryError,
-    HypothesisViolationError,
-    InputError,
-    UnsupportedScenarioError,
-)
+from .errors import HypothesisViolationError, InputError, UnsupportedScenarioError
 from .fdref import FdScheme, fd_heat_run
 from .fiber import FiberGrid
 from .geometry import ProductState
@@ -162,25 +157,7 @@ class Trajectory:
 def _x_on_grid(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
     if x_field is None:
         return np.zeros((state.p,) + state.shape)
-    x = np.asarray(x_field, dtype=float)
-    if x.shape != (state.p,) + state.shape:
-        raise InputError(f"x_field shape {x.shape} is not (p,) + grid shape "
-                         f"{(state.p,) + state.shape}")
-    return x
-
-
-def _volume(state: ProductState) -> float:
-    """geo.volume, refused unless positive and finite.
-
-    An exp that overflows on the way is reported through that refusal,
-    not as a floating-point warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vol = geo.volume(state)
-    if not 0.0 < vol < math.inf:
-        raise DegenerateTrajectoryError(
-            f"the volume at t = {state.t:g} is {vol:g}, not positive and finite")
-    return vol
+    return geo.fiber_vector(x_field, state, "x_field")
 
 
 def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> float:
@@ -191,7 +168,7 @@ def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> 
     caller that already holds Div_perp H passes it as ``div_h``.  A
     volume that is not positive and finite raises DegenerateTrajectoryError.
     """
-    vol = _volume(state)
+    vol = geo.volume(state)
     if div_h is None:
         div_h = geo.div_perp(geo.twisted_mean_curvature(state), state)
     return float(-(2.0 / state.n) * geo.integrate(state, div_h) / vol)
@@ -202,7 +179,7 @@ def project_unit_volume(state: ProductState) -> ProductState:
 
     A volume that is not positive and finite raises DegenerateTrajectoryError.
     """
-    shift = math.log(_volume(state)) / state.n
+    shift = math.log(geo.volume(state)) / state.n
     return state.replace_phi(state.phi - shift, state.t)
 
 
@@ -263,7 +240,7 @@ def _plain_phis(initial: ProductState, driving0: np.ndarray, config: FlowConfig,
 
 
 def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRecord:
-    vol = _volume(state)        # first, so a degenerate state is refused before any exp
+    vol = geo.volume(state)     # first, so a degenerate state is refused before any exp
     data = geo.second_fundamental(state)
     div_h = geo.div_perp(data.h, state)
     if variant == "prescribed":
@@ -337,7 +314,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             if not normalized:
                 return phi_sum, 0.0
             ends = (times[0], times[-1])
-            first, last = (_volume(initial.replace_phi(phi, t))
+            first, last = (geo.volume(initial.replace_phi(phi, t))
                            for t, phi in zip(ends, phis(list(ends))))
             return phi_sum, (2.0 / initial.n) * math.log(last / first)
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0

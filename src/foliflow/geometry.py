@@ -27,12 +27,13 @@ fiber axes trailing so the fiber-spectral helpers apply directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fiber as fb
-from .errors import InputError
+from .errors import DegenerateTrajectoryError, InputError
 from .fiber import FiberGrid
 
 # Fiber variation of psi below this (relative) threshold counts as
@@ -149,12 +150,15 @@ def psi_is_fiber_constant(state: ProductState) -> bool:
     return float(np.max(spread)) <= PSI_CONSTANT_TOL * scale
 
 
-def _check_fiber_vector(xi: np.ndarray, state: ProductState) -> np.ndarray:
+def fiber_vector(xi: np.ndarray, state: ProductState, name: str) -> np.ndarray:
+    """xi as a float array of a fiber-tangent field, shape (p,) + state.shape.
+
+    Any other shape raises InputError naming the argument ``name``.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (state.p,) + state.shape:
-        raise InputError(
-            f"fiber vector field shape {xi.shape} != {(state.p,) + state.shape}"
-        )
+        raise InputError(f"{name} shape {xi.shape} is not (p,) + grid shape "
+                         f"{(state.p,) + state.shape}")
     return xi
 
 
@@ -170,7 +174,7 @@ def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
     With the leaf metric exp(2*psi) g2 this is sum_i d_i xi^i plus the
     conformal correction p * sum_i (d_i psi) xi^i.
     """
-    xi = _check_fiber_vector(xi, state)
+    xi = fiber_vector(xi, state, "xi")
     psi_grad = state.psi_fiber_gradient
     out = np.zeros(state.shape)
     for k in range(state.p):
@@ -251,7 +255,7 @@ def conformal_change(b_coeff: np.ndarray, h: np.ndarray, phi_inc: np.ndarray,
     the mean curvature is untouched.
     """
     b_coeff = np.asarray(b_coeff, dtype=float)
-    h = _check_fiber_vector(h, state)
+    h = fiber_vector(h, state, "h")
     if b_coeff.shape != h.shape:
         raise InputError(f"b coefficient shape {b_coeff.shape} != H shape {h.shape}")
     g = grad_perp(np.broadcast_to(np.asarray(phi_inc, dtype=float), state.shape), state)
@@ -277,8 +281,17 @@ def integrate(state: ProductState, values: np.ndarray) -> float:
 
 
 def volume(state: ProductState) -> float:
-    """Total Riemannian volume of the product."""
-    return integrate(state, np.ones(state.shape))
+    """Total Riemannian volume of the product, refused unless positive and finite.
+
+    A volume that underflows to 0 or overflows, also through an exp on the
+    way, raises DegenerateTrajectoryError instead of a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = integrate(state, np.ones(state.shape))
+    if not 0.0 < vol < math.inf:
+        raise DegenerateTrajectoryError(
+            f"the volume at t = {state.t:g} is {vol:g}, not positive and finite")
+    return vol
 
 
 def fiber_average(state: ProductState, values: np.ndarray) -> np.ndarray:
@@ -294,7 +307,7 @@ def leaf_inner(state: ProductState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def h_norm_sup(state: ProductState, h: np.ndarray) -> float:
     """Sup over the grid of the metric norm of a fiber-tangent field."""
-    h = _check_fiber_vector(h, state)
+    h = fiber_vector(h, state, "h")
     return float(np.sqrt(np.max(leaf_inner(state, h, h))))
 
 
@@ -313,7 +326,7 @@ def theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
     """
     if h is None:
         h = twisted_mean_curvature(state)
-    return state.exp_psi(2) * _check_fiber_vector(h, state)
+    return state.exp_psi(2) * fiber_vector(h, state, "h")
 
 
 def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:

@@ -237,6 +237,16 @@ class TestVolumeOde:
             checks.check_volume_ode(traj, t=t)
         assert calls == [0]
 
+    def test_degenerate_volume_refused(self):
+        """States whose volume underflows to 0 would give 0 = 0 and a pass."""
+        traj = single_mode_traj()
+
+        def at(times):
+            return (s.replace_phi(s.phi - 800.0, s.t) for s in traj.at(times))
+
+        with pytest.raises(DegenerateTrajectoryError, match="is 0, not positive and finite"):
+            checks.check_volume_ode(dataclasses.replace(traj, at=at))
+
 
 BPERP_PATHS = {
     # psi = 0.1 cos x varies over the base only on the exact paths
@@ -512,6 +522,14 @@ class TestUniformEquivalence:
         worst = max(float(np.max(np.abs(s.phi - start.phi)))
                     for s in traj.states + (traj.limit,))
         assert bound < worst <= 2.0 * bound
+
+    def test_fiber_gap_is_the_flat_gap_times_the_fiber_rate(self):
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, {(1, 0): 0.1})
+        traj = ff.run_extrinsic_flow(state, ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0)))
+        np.testing.assert_array_equal(checks._fiber_gap(traj, "probe"),
+                                      checks.flat_spectral_gap(CIRCLE) * traj.fiber_rate)
+        with pytest.raises(UnsupportedScenarioError, match="^probe needs a psi constant"):
+            checks._fiber_gap(fd_path_traj(), "probe")
 
     def test_gap_of_anisotropic_torus(self):
         grid = ff.FiberGrid(2, (2.0 * math.pi, 4.0 * math.pi), (16, 16))

@@ -19,7 +19,8 @@ from scipy.special import i0
 import foliflow as ff
 from foliflow import fiber as fb
 from foliflow import geometry as geo
-from foliflow.errors import InputError
+from foliflow import checks
+from foliflow.errors import DegenerateTrajectoryError, InputError
 
 BASE4 = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
 CIRCLE = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
@@ -142,6 +143,22 @@ class TestPsiFields:
             state.exp_psi(scale)
         assert "_psi_fields" not in repr(state)
         assert "exp" not in repr(state)
+
+
+class TestFiberVectorShape:
+    """Every fiber-tangent argument has one shape check, naming the argument."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("xi", geo.div_perp),
+        ("h", lambda h, state: geo.h_norm_sup(state, h)),
+        ("h", lambda h, state: geo.theta_h(state, h)),
+        ("xi", lambda xi, state: checks.divergence_identity_sides(state, xi)),
+    ], ids=["div_perp", "h_norm_sup", "theta_h", "divergence_identity_sides"])
+    def test_wrong_shape_names_the_argument(self, name, call):
+        state = twisted_circle()
+        with pytest.raises(InputError, match=rf"^{name} shape \(2, 4, 64\) is not "
+                                             rf"\(p,\) \+ grid shape \(1, 4, 64\)$"):
+            call(np.zeros((2,) + state.shape), state)
 
 
 class TestConformalOperators:
@@ -288,6 +305,15 @@ class TestIntegration:
     def test_integrate_shape_checked(self):
         with pytest.raises(InputError):
             ff.integrate(twisted_circle(), np.ones(64))
+
+    @pytest.mark.parametrize("level, vol", [(-800.0, "0"), (800.0, "inf")],
+                             ids=["underflow", "overflow"])
+    def test_degenerate_volume_refused(self, level, vol):
+        phi = np.full(BASE4.shape + CIRCLE.shape, level)
+        state = ff.ProductState(BASE4, CIRCLE, phi, np.zeros_like(phi), 0.5)
+        with pytest.raises(DegenerateTrajectoryError,
+                           match=rf"^the volume at t = 0.5 is {vol}, not positive and finite$"):
+            geo.volume(state)
 
     def test_fiber_average_weighting(self):
         """The per-fiber average uses the leaf volume exp(p psi) dy."""
