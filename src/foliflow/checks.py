@@ -310,6 +310,12 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     the 513 nodes and, under the normalized variant, evaluates
     ``normalization_rate`` at each of them.  The residual is the sup gap
     over max(1, sup |b_perp(t)|), so a volume rescaling cannot grow it.
+
+    On the exact path the rule on every other node gives a second exponent
+    E', and sup |b_perp(t) (E - E')| / 15, relative as the residual, is
+    Richardson's estimate of the quadrature error.  Nodes too far apart to
+    follow the decay (a long t) put it above SPECTRAL_TOL, and the check
+    refuses the run with DegenerateTrajectoryError instead of failing it.
     """
     if t is None:
         t = trajectory.config.t_end
@@ -322,9 +328,20 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     start, end = trajectory.at((0.0, t))
     b0 = geo.second_fundamental(start).bperp_coeff
     bt = geo.second_fundamental(end).bperp_coeff
+    scale = max(1.0, float(np.max(np.abs(bt))))
+    if trajectory.fiber_rate is not None:
+        if quad_nodes % 4 != 1:
+            raise InputError(f"bperp_scaling's error estimate takes every other node, so "
+                             f"quad_nodes must be 1 mod 4, got {quad_nodes}")
+        coarse = _bperp_exponent(trajectory, t, (quad_nodes + 1) // 2)
+        estimate = float(np.max(np.abs(bt * (exponent - coarse)[None]))) / 15.0 / scale
+        if not estimate <= SPECTRAL_TOL:
+            raise DegenerateTrajectoryError(
+                f"bperp_scaling's {quad_nodes}-node Simpson rule does not resolve the "
+                f"decay on [0, {t:g}]: its error estimate {estimate:.3e} exceeds "
+                f"{SPECTRAL_TOL:.1e}")
     gap = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
-    return CheckReport("bperp_scaling", gap / max(1.0, float(np.max(np.abs(bt)))),
-                       SPECTRAL_TOL, t)
+    return CheckReport("bperp_scaling", gap / scale, SPECTRAL_TOL, t)
 
 
 def flat_spectral_gap(grid: FiberGrid) -> float:
@@ -452,7 +469,8 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
     The driving scalar obeys the leafwise heat equation, so the slope
     approaches minus the effective spectral gap; single-mode data hits
     it exactly.  Raises on degenerate (identically zero) trajectories or
-    when fewer than 4 usable samples remain.
+    when fewer than 4 usable samples, or fewer than 2 distinct usable
+    times, remain.
     """
     ts, logs = [], []
     for record in trajectory.diagnostics[skip:]:
@@ -462,6 +480,10 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
     if len(ts) < 4:
         raise DegenerateTrajectoryError(
             "decay_rate fit needs at least 4 samples with a nonzero driving field"
+        )
+    if len(set(ts)) < 2:
+        raise DegenerateTrajectoryError(
+            f"decay_rate fit needs at least 2 distinct sample times, got only t = {ts[0]:g}"
         )
     return float(np.polyfit(ts, logs, 1)[0])
 

@@ -130,16 +130,18 @@ def _as_grid(dim: int, sides: tuple[float, ...], raw, label: str) -> FiberGrid:
         raise InputError(f"{label}: {exc}") from exc
 
 
-# The mode numbers harmonic_field can hold: numpy's default integer.
-_MODE_RANGE = np.iinfo(int)
+def _parse_modes(raw, grids: tuple[FiberGrid, ...], label: str) -> dict:
+    """{'k,l': amp} JSON maps to {(k, l): (cos_amp, sin_amp)} term maps.
 
-
-def _parse_modes(raw, dims: int, label: str) -> dict:
-    """{'k,l': amp} JSON maps to {(k, l): (cos_amp, sin_amp)} term maps."""
+    Each mode number must satisfy 2|m_k| < N_k on the N_k points of its axis
+    of the grids: the Nyquist mode's derivative is zeroed and a higher mode
+    aliases onto a lower one, so neither would be the mode the config asks for.
+    """
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise InputError(f"{label} must be a mode map object, got {type(raw).__name__}")
+    points = tuple(n for grid in grids for n in grid.points)
     terms = {}
     for key, amp in raw.items():
         parts = key.replace(";", ",").split(",")
@@ -147,11 +149,12 @@ def _parse_modes(raw, dims: int, label: str) -> dict:
             mode = tuple(int(p.strip()) for p in parts)
         except ValueError as exc:
             raise InputError(f"{label} key {key!r} is not a mode tuple") from exc
-        if len(mode) != dims:
-            raise InputError(f"{label} key {key!r} must have {dims} integers")
-        if not all(_MODE_RANGE.min <= m <= _MODE_RANGE.max for m in mode):
-            raise InputError(f"{label} key {key!r} has a mode number beyond "
-                             f"[{_MODE_RANGE.min}, {_MODE_RANGE.max}]")
+        if len(mode) != len(points):
+            raise InputError(f"{label} key {key!r} must have {len(points)} integers")
+        if any(2 * abs(m) >= n for m, n in zip(mode, points)):
+            raise InputError(f"{label} key {key!r} is not resolved by the "
+                             f"{'x'.join(map(str, points))} grid: each |mode number| "
+                             f"must be below half its axis's points")
         where = f"{label} value for {key!r}"
         if isinstance(amp, list):
             pair = tuple(_as_float(a, where) for a in amp)
@@ -196,7 +199,7 @@ def _load_config(path: Path, args) -> dict:
         if not isinstance(raw_x, list) or len(raw_x) != p:
             raise InputError("x_field must be a list of p mode maps")
         x_field = np.stack([
-            fb.harmonic_field((base, fiber), _parse_modes(m, n + p, "x_field"))
+            fb.harmonic_field((base, fiber), _parse_modes(m, (base, fiber), "x_field"))
             for m in raw_x
         ])
 
@@ -247,14 +250,14 @@ def _load_config(path: Path, args) -> dict:
         if variant == "prescribed":
             raise InputError("codim1_fibration does not take the prescribed variant")
         out["tau0"] = fb.harmonic_field(
-            (base, fiber), _parse_modes(cfg["tau0"], n + 1, "tau0")
+            (base, fiber), _parse_modes(cfg["tau0"], (base, fiber), "tau0")
         )
         return out
 
     if "phi0" not in cfg:
         raise InputError(f"{scenario} needs a phi0 mode map")
-    phi_terms = _parse_modes(cfg["phi0"], n + p, "phi0")
-    psi_terms = _parse_modes(cfg.get("psi"), n + p, "psi")
+    phi_terms = _parse_modes(cfg["phi0"], (base, fiber), "phi0")
+    psi_terms = _parse_modes(cfg.get("psi"), (base, fiber), "psi")
     if scenario == "twisted_torus" and psi_terms:
         raise InputError("twisted_torus keeps the fiber factor flat; use double_twisted "
                          "for a nonzero psi")

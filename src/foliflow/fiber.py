@@ -74,6 +74,12 @@ class FiberGrid:
         for p in pts:
             if p < 4 or (p & (p - 1)) != 0:
                 raise InputError(f"points per dimension must be a power of two >= 4, got {p}")
+        # the largest flat eigenvalue, sum_k (pi N_k / L_k)^2; a float product
+        # overflows to inf where ** would raise OverflowError
+        wave = [math.pi * p / s for p, s in zip(pts, sides)]
+        if not math.isfinite(sum(w * w for w in wave)):
+            raise InputError(f"side lengths {sides} are too short for {pts} points: the "
+                             f"largest eigenvalue sum_k (pi N_k / L_k)^2 is not a finite float")
         object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "points", pts)
 

@@ -301,6 +301,22 @@ class TestBperpScaling:
                             lambda *args: exponent(*args) * (1.0 + 1e-6))
         assert not checks.check_bperp_scaling(self.base_twisted_traj(variant)).passed
 
+    @pytest.mark.parametrize("variant, t_end", [("plain", 60.0), ("normalized", 30.0)])
+    def test_unresolved_decay_refused(self, variant, t_end):
+        """Past t ~ 30 the 513 nodes no longer follow the decay (residual 2.6e-8 and up)."""
+        state = ff.ProductState.from_harmonics(
+            BASE4, ff.FiberGrid(1, (2.0 * math.pi,), (32,)), {(0, 1): 0.2}, {(1, 0): 0.1})
+        traj = ff.run_extrinsic_flow(
+            state, ff.FlowConfig(t_end=t_end, samples=(0.0, 1.0), variant=variant))
+        with pytest.raises(DegenerateTrajectoryError, match=r"error estimate .* exceeds 1.0e-08"):
+            checks.check_bperp_scaling(traj)
+        assert checks.check_bperp_scaling(traj, t=10.0).passed
+
+    def test_error_estimate_needs_every_other_node_to_be_a_rule(self):
+        assert checks.check_bperp_scaling(self.base_twisted_traj(), quad_nodes=129).passed
+        with pytest.raises(InputError, match="quad_nodes must be 1 mod 4, got 131"):
+            checks.check_bperp_scaling(self.base_twisted_traj(), quad_nodes=131)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(InputError):
             checks.check_bperp_scaling(self.base_twisted_traj(), t=0.0)
@@ -408,7 +424,11 @@ class TestBperpScaling:
         assert retained < 0.5 * 2 ** 20
 
     def test_speed_operator_applied_once(self, monkeypatch):
-        """On the exact path no node state is built and r is never evaluated."""
+        """On the exact path no node state is built and r is never evaluated.
+
+        The speed operator runs once per Simpson rule: on the 513 nodes and,
+        for the error estimate, on every other node.
+        """
         div_calls, rate_calls = [], []
         div_perp = geo.div_perp
         normalization_rate = flows.normalization_rate
@@ -430,8 +450,8 @@ class TestBperpScaling:
         for traj, sums_calls, calls in runs:
             div_calls.clear()
             assert checks.check_bperp_scaling(traj).passed
-            assert div_calls == [1.0]      # one call, on the summed state stamped t = 1
-            assert sums_calls == [1]       # every node in one weighted_sums call
+            assert div_calls == [1.0, 1.0]  # one call per rule, on summed states stamped t = 1
+            assert sums_calls == [2]        # every node of a rule in one weighted_sums call
             assert calls == [2]            # the start and end states
             assert rate_calls == []
 
@@ -617,6 +637,11 @@ class TestDecayRate:
         config = ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
         traj = ff.run_extrinsic_flow(state, config)
         with pytest.raises(DegenerateTrajectoryError):
+            checks.estimate_decay_rate(traj)
+
+    def test_one_distinct_time_degenerate(self):
+        traj = single_mode_traj(samples=(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(DegenerateTrajectoryError, match="2 distinct sample times"):
             checks.estimate_decay_rate(traj)
 
     def test_too_few_samples_degenerate(self):

@@ -315,6 +315,57 @@ class TestExitCodes:
         assert "config error" in err and all(name in err for name in names), err
         assert not out.exists()
 
+    BPERP = {"scenario": "double_twisted", "fiber_points": 32, "psi": {"1,0": 0.1},
+             "samples": [0.0, 1.0], "checks": ["bperp_scaling"]}
+
+    @pytest.mark.parametrize("overrides, drop, flags, names", [
+        # 2|m| >= N on some axis: the Nyquist mode, aliased modes, base axes too
+        ({"fiber_points": 32, "phi0": {"0,16": 0.2}, "checks": ["oracle_agreement"]}, (),
+         [], ("phi0", "'0,16'", "4x32")),
+        ({"fiber_points": 32, "phi0": {"0,40": 0.2}}, (), [], ("phi0", "'0,40'", "4x32")),
+        ({"phi0": {"0,10": 0.2}}, (), ["--grid", "16"], ("phi0", "'0,10'", "4x16")),
+        ({"scenario": "double_twisted", "psi": {"2,0": 0.1}}, (), [],
+         ("psi", "'2,0'", "4x64")),
+        ({"variant": "prescribed", "x_field": [{"0,32": 0.1}]}, (), [],
+         ("x_field", "'0,32'", "4x64")),
+        ({"scenario": "codim1_fibration", "tau0": {"-2,1": 0.1}}, ("phi0",), [],
+         ("tau0", "'-2,1'", "4x64")),
+        # Simpson nodes too far apart to follow the decay
+        ({**BPERP, "t_end": 60.0}, (), [], ("bperp_scaling", "Simpson", "[0, 60]")),
+        ({**BPERP, "t_end": 30.0, "variant": "normalized"}, (), [],
+         ("bperp_scaling", "Simpson", "[0, 30]")),
+        ({**BPERP, "t_end": 1e20}, (), [], ("bperp_scaling", "Simpson")),
+        # one time four times over: no slope to fit
+        ({"samples": [0.5, 0.5, 0.5, 0.5], "checks": ["decay_rate"]}, (), [],
+         ("decay_rate", "2 distinct")),
+        # sides so short that the largest eigenvalue overflows
+        ({"fiber_sides": 1e-155, "fiber_points": 32}, (), [],
+         ("fiber_points", "side lengths (1e-155,)")),
+        ({"scenario": "double_twisted", "psi": {"1,0": 0.1}, "base_sides": 1e-155}, (), [],
+         ("base_points", "side lengths (1e-155,)")),
+    ], ids=["phi0-nyquist", "phi0-aliased", "phi0-grid-flag", "psi-base-axis", "x_field",
+            "tau0-negative", "bperp-long-t", "bperp-long-t-normalized", "bperp-far-t",
+            "decay_rate-one-time", "fiber_sides-spectrum", "base_sides-spectrum"])
+    def test_unresolvable_config_exits_two_without_outputs(self, tmp_path, capsys,
+                                                          overrides, drop, flags, names):
+        cfg = write_config(tmp_path, **overrides)
+        raw = json.loads(cfg.read_text(encoding="utf-8"))
+        for key in drop:
+            del raw[key]
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and all(name in err for name in names), err
+        assert not out.exists()
+
+    def test_modes_are_refused_from_half_the_points_on(self, tmp_path):
+        for phi0, code in (({"1,15": 0.01, "-1,-15": 0.01}, 0), ({"1,-16": 0.01}, 2),
+                           ({"2,1": 0.01}, 2)):
+            cfg = write_config(tmp_path, fiber_points=32, phi0=phi0,
+                               checks=["divergence_identity"])
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code, phi0
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])

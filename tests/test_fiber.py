@@ -72,6 +72,24 @@ class TestFiberGrid:
         with pytest.raises(InputError, match="points"):
             ff.FiberGrid(1, (1.0,), (count,))
 
+    @pytest.mark.parametrize("dim, sides, points", [
+        (1, (1e-155,), (32,)),
+        (2, (1.0, 1e-155), (4, 4)),
+        (1, (5e-324,), (4,)),           # pi N / L itself is inf
+        (2, (1.26e-153, 1.26e-153), (4, 4)),  # each square finite, their sum not
+    ], ids=["circle", "torus-axis", "subnormal", "sum"])
+    def test_sides_whose_spectrum_overflows_refused(self, dim, sides, points):
+        with pytest.raises(InputError, match=r"too short for .* points: the largest "
+                                             r"eigenvalue .* is not a finite float"):
+            ff.FiberGrid(dim, sides, points)
+
+    def test_refused_exactly_where_the_spectrum_overflows(self):
+        # (pi 32 / L)^2 is 1e304 at L = 1e-150 and 1e314 at L = 1e-155
+        grid = ff.FiberGrid(1, (1e-150,), (32,))
+        assert math.isfinite(float(np.max(fb._symbols(grid)[0])))
+        with pytest.raises(InputError, match="too short"):
+            ff.FiberGrid(1, (1e-155,), (32,))
+
     @pytest.mark.parametrize("count", [32.0, np.int64(32), np.int32(32), 32])
     def test_integral_points_accepted(self, count):
         grid = ff.FiberGrid(1, (1.0,), (count,))
