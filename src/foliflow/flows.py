@@ -154,12 +154,6 @@ class Trajectory:
         return next(self.at((t,)))
 
 
-def _x_on_grid(x_field: np.ndarray | None, state: ProductState) -> np.ndarray:
-    if x_field is None:
-        return np.zeros((state.p,) + state.shape)
-    return geo.fiber_vector(x_field, state, "x_field")
-
-
 def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> float:
     """r(t) = -(2/n) int Div_perp H dvol / vol of one state.
 
@@ -271,7 +265,8 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     factors leave the float range are refused before anything is evolved.
     """
     _check_float_range(initial)
-    x = _x_on_grid(config.x_field, initial)
+    x = (np.zeros((initial.p,) + initial.shape) if config.x_field is None
+         else geo.fiber_vector(config.x_field, initial, "x_field"))
     h0 = geo.twisted_mean_curvature(initial)
 
     if initial.p == 2:
