@@ -6,7 +6,9 @@ the trajectory, and each asks ``Trajectory.at`` (or ``weighted_sums``)
 for its times in ascending batches, so a report does not depend on the
 checkers run before.
 
-Tolerances (module constants, like the steps and resolutions): 1e-8 for
+A checker takes the trajectory, or one state and the probe its identity
+holds for, and nothing else: tolerances, time steps, node counts and
+resolutions are module constants.  The tolerances are 1e-8 for
 spectral-path identities at 64 points per dimension, 1e-3 against the
 finite-difference oracle, and looser scheme-specific values where a
 finite-difference step enters (each report carries its own tolerance).
@@ -15,7 +17,6 @@ finite-difference step enters (each report carries its own tolerance).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,14 @@ MONOTONE_TOL = 1e-6
 MONOTONE_STEP = 1e-4        # time step of the energy derivative's finite difference
 VOLUME_ODE_TOL = 1e-4
 VOLUME_ODE_STEP = 1e-3      # time spacing of the central difference of vol(g_t)
+BPERP_NODES = 513           # Simpson nodes on [0, t_end]; 1 mod 4, so every other node is a rule
 EQUIVALENCE_SLACK = 1e-12
 ORACLE_TOL = 1e-3
 ORACLE_TIME = 1.0
 ORACLE_POINTS = 256         # refined p = 1 fiber resolution of the oracle march
 ORDER_TOL = 0.2
 ORDER_TIME = 1.0
+ORDER_RESOLUTIONS = (64, 128, 256)
 DECAY_REL_TOL = 0.02
 
 
@@ -217,29 +220,23 @@ def check_monotonicity(trajectory: Trajectory) -> list[CheckReport]:
     return reports
 
 
-def check_volume_ode(trajectory: Trajectory, t: float | None = None) -> CheckReport:
+def check_volume_ode(trajectory: Trajectory) -> CheckReport:
     """d/dt vol(g_t) = (n/2) int s_t dvol_t by central differences.
 
     s_t is the conformal speed of the evolving leaf factor; for the
     normalized variant it includes the -r(t) correction and both sides
     vanish.  The residual is relative when the analytic side is nonzero.
+    The check runs at the middle sample, clipped into
+    [VOLUME_ODE_STEP, t_end - VOLUME_ODE_STEP] so the stencil stays in the run.
     """
     config = trajectory.config
     spacing = VOLUME_ODE_STEP
-    if t is None:
-        t = trajectory.sample_times[len(trajectory.sample_times) // 2]
-        t = min(max(t, spacing), config.t_end - spacing)
-        if t < spacing:
-            raise InputError(
-                f"volume_ode needs t_end >= 2 * VOLUME_ODE_STEP = {2 * spacing:g} for its "
-                f"central difference, got t_end = {config.t_end:g}"
-            )
-    elif not math.isfinite(t):
-        raise InputError(f"volume_ode needs a finite t, got t = {t}")
-    elif t < spacing:
+    t = trajectory.sample_times[len(trajectory.sample_times) // 2]
+    t = min(max(t, spacing), config.t_end - spacing)
+    if t < spacing:
         raise InputError(
-            f"volume_ode needs t >= VOLUME_ODE_STEP = {spacing:g} for its central "
-            f"difference, got t = {t:g}"
+            f"volume_ode needs t_end >= 2 * VOLUME_ODE_STEP = {2 * spacing:g} for its "
+            f"central difference, got t_end = {config.t_end:g}"
         )
     before, state, after = trajectory.at((t - spacing, t, t + spacing))
     s = _speed(state, trajectory.x, config.variant == "normalized")
@@ -255,9 +252,6 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
     ``nodes`` equally spaced nodes must be an odd integer of at least 3,
     so that the panels pair up exactly.
     """
-    if (isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral)
-            or nodes < 3 or nodes % 2 == 0):
-        raise InputError(f"Simpson quadrature needs an odd node count >= 3, got {nodes}")
     weights = np.full(nodes, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
@@ -286,15 +280,14 @@ def _bperp_exponent(trajectory: Trajectory, t: float, quad_nodes: int) -> np.nda
     return (2.0 / initial.n) * _driving(summed, weight_sum * trajectory.x) + rate_sum
 
 
-def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
-                        quad_nodes: int = 513) -> CheckReport:
+def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     """Pointwise scaling of the base-distribution shape coefficient.
 
     The fiber-normal second fundamental form keeps its direction and
     scales by exp(-int_0^t s), i.e. by exp((2/n) int_0^t Div_perp(H - X))
     with the -r correction under the normalized variant.  The exponent
-    is recomputed here by Simpson quadrature over sampled states, fully
-    independent of the engine's closed-form reconstruction.
+    at t_end is recomputed here by Simpson quadrature over BPERP_NODES
+    states, fully independent of the engine's closed-form reconstruction.
 
     Div_perp(H - X) is affine in phi (H = -n grad_perp phi) and blind to
     anything constant along a fiber, so the Simpson sum of the per-node
@@ -307,7 +300,7 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     driving scalar, and the normalized variant's integral of r is the
     closed form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its
     Simpson sums; no node state is built.  The FD path marches through
-    the 513 nodes and, under the normalized variant, evaluates
+    the nodes and, under the normalized variant, evaluates
     ``normalization_rate`` at each of them.  The residual is the sup gap
     over max(1, sup |b_perp(t)|), so a volume rescaling cannot grow it.
 
@@ -317,27 +310,19 @@ def check_bperp_scaling(trajectory: Trajectory, t: float | None = None,
     follow the decay (a long t) put it above SPECTRAL_TOL, and the check
     refuses the run with DegenerateTrajectoryError instead of failing it.
     """
-    if t is None:
-        t = trajectory.config.t_end
-    if not math.isfinite(t):
-        raise InputError(f"bperp_scaling needs a finite t, got t = {t}")
-    if t <= 0:
-        raise InputError("bperp scaling needs t > 0")
-    exponent = _bperp_exponent(trajectory, t, quad_nodes)
+    t = trajectory.config.t_end
+    exponent = _bperp_exponent(trajectory, t, BPERP_NODES)
 
     start, end = trajectory.at((0.0, t))
     b0 = geo.second_fundamental(start).bperp_coeff
     bt = geo.second_fundamental(end).bperp_coeff
     scale = max(1.0, float(np.max(np.abs(bt))))
     if trajectory.fiber_rate is not None:
-        if quad_nodes % 4 != 1:
-            raise InputError(f"bperp_scaling's error estimate takes every other node, so "
-                             f"quad_nodes must be 1 mod 4, got {quad_nodes}")
-        coarse = _bperp_exponent(trajectory, t, (quad_nodes + 1) // 2)
+        coarse = _bperp_exponent(trajectory, t, (BPERP_NODES + 1) // 2)
         estimate = float(np.max(np.abs(bt * (exponent - coarse)[None]))) / 15.0 / scale
         if not estimate <= SPECTRAL_TOL:
             raise DegenerateTrajectoryError(
-                f"bperp_scaling's {quad_nodes}-node Simpson rule does not resolve the "
+                f"bperp_scaling's {BPERP_NODES}-node Simpson rule does not resolve the "
                 f"decay on [0, {t:g}]: its error estimate {estimate:.3e} exceeds "
                 f"{SPECTRAL_TOL:.1e}")
     gap = float(np.max(np.abs(bt - b0 * np.exp(exponent)[None])))
@@ -438,32 +423,30 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
     return CheckReport("oracle_agreement", gap, ORACLE_TOL, ORACLE_TIME)
 
 
-def fd_flow_error(points: int, t: float, dt: float) -> float:
-    """Sup error of the finite-difference heat march on cos(y) over a 2 pi circle."""
+def fd_flow_error(points: int) -> float:
+    """Sup error at ORDER_TIME of the default heat march on cos(y) over a 2 pi circle."""
     grid = FiberGrid(1, (2.0 * math.pi,), (points,))
     y = grid.coordinates()[0]
     u0 = np.cos(2.0 * math.pi * y / grid.sides[0])   # not cos(y): the rounding shows in checks.csv
-    exact = math.exp(-fb.eigenvalue((1,), grid) * t) * u0
-    stepped = fd_heat_run(u0, np.zeros(points), grid, t, FdScheme(dt=dt))
+    exact = math.exp(-fb.eigenvalue((1,), grid) * ORDER_TIME) * u0
+    stepped = fd_heat_run(u0, np.zeros(points), grid, ORDER_TIME, FdScheme())
     return float(np.max(np.abs(stepped - exact)))
 
 
-def check_fd_convergence_order(resolutions: tuple[int, ...] = (64, 128, 256)) -> CheckReport:
+def check_fd_convergence_order() -> CheckReport:
     """Measured spatial order of the theta-scheme against the closed form.
 
     Fits log error at ORDER_TIME (FdScheme().dt steps) versus log spacing
-    over the given resolutions; the centered second-difference stencil is
+    over ORDER_RESOLUTIONS; the centered second-difference stencil is
     second order, so the residual is |slope - 2|.
     """
-    if len(resolutions) < 2:
-        raise InputError("order measurement needs at least two resolutions")
-    errs = [fd_flow_error(pts, ORDER_TIME, FdScheme().dt) for pts in resolutions]
-    hs = [2.0 * math.pi / pts for pts in resolutions]
+    errs = [fd_flow_error(pts) for pts in ORDER_RESOLUTIONS]
+    hs = [2.0 * math.pi / pts for pts in ORDER_RESOLUTIONS]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     return CheckReport("fd_convergence_order", abs(slope - 2.0), ORDER_TOL, ORDER_TIME)
 
 
-def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
+def estimate_decay_rate(trajectory: Trajectory) -> float:
     """Least-squares slope of log sup|driving scalar| over the samples.
 
     The driving scalar obeys the leafwise heat equation, so the slope
@@ -473,7 +456,7 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
     times, remain.
     """
     ts, logs = [], []
-    for record in trajectory.diagnostics[skip:]:
+    for record in trajectory.diagnostics:
         if record.max_driving > 0.0:
             ts.append(record.t)
             logs.append(math.log(record.max_driving))
@@ -488,15 +471,13 @@ def estimate_decay_rate(trajectory: Trajectory, skip: int = 0) -> float:
     return float(np.polyfit(ts, logs, 1)[0])
 
 
-def check_decay_rate(trajectory: Trajectory, expected: float | None = None,
-                     skip: int = 0) -> CheckReport:
-    """Fitted decay slope against ``expected``, by default minus the slowest fiber's gap.
+def check_decay_rate(trajectory: Trajectory) -> CheckReport:
+    """Fitted decay slope against minus the slowest fiber's gap.
 
-    Without ``expected`` an FD run, which has no per-fiber gap, is refused.
+    An FD run, which has no per-fiber gap, is refused.
     """
-    if expected is None:
-        expected = -float(np.min(_fiber_gap(trajectory, "decay_rate")))
-    slope = estimate_decay_rate(trajectory, skip)
+    expected = -float(np.min(_fiber_gap(trajectory, "decay_rate")))
+    slope = estimate_decay_rate(trajectory)
     residual = abs(slope - expected) / abs(expected)
     return CheckReport("decay_rate", residual, DECAY_REL_TOL,
                        trajectory.sample_times[-1])

@@ -11,7 +11,9 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 the config
 is invalid or asks for something the scenario cannot provide, or the
 output cannot be written, 3 the closedness hypothesis of the requested
 flow fails on the initial data.
-Config errors are detected before any output file is created.
+Config errors are detected before any output file is created.  A rerun
+into an existing directory unlinks the snapshots and chart of the earlier
+run that it does not write again.
 
 All CSV output uses 17 significant digits and newline-only line
 endings, so reruns of one config on one version are byte-identical.
@@ -26,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -331,6 +334,21 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
         raise OSError(message or f"snapshot writer process ended with wait status {status}")
 
 
+def _remove_stale_outputs(out_dir: Path, samples: int, plot: bool) -> None:
+    """Unlink the outputs of an earlier run that this run does not replace.
+
+    Those are the ``phi_<digits>.csv`` snapshots numbered ``samples`` or
+    more and, when this run does not plot, ``diagnostics.svg``.  Every
+    other file in ``out_dir`` stays.
+    """
+    for path in out_dir.iterdir():
+        match = re.fullmatch(r"phi_([0-9]+)\.csv", path.name)
+        if match and int(match[1]) >= samples:
+            path.unlink()
+    if not plot:
+        (out_dir / "diagnostics.svg").unlink(missing_ok=True)
+
+
 def _write_checks(path: Path, reports: list[ck.CheckReport]) -> None:
     lines = ["name,sampleTime,residual,tolerance,pass"]
     for r in reports:
@@ -402,6 +420,7 @@ def _run_command(args) -> int:
     out_dir = payload["out_dir"]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        _remove_stale_outputs(out_dir, len(traj.states), payload["plot"])
         _write_diagnostics(out_dir / "diagnostics.csv", traj)
         _write_snapshots(out_dir, traj)
         _write_checks(out_dir / "checks.csv", reports)

@@ -439,6 +439,36 @@ class TestOutputs:
             assert first[:5] == ["-0", "4.9406564584124654e-324", "10000000000000000",
                                  "0.33333333333333331", "-0.33333333333333331"]
 
+    def test_rerun_with_fewer_samples_leaves_no_stale_output(self, tmp_path, capsys):
+        """A 5-sample run with a plot, then a 2-sample run without: only its files remain.
+
+        Files that no run writes stay, a refused rerun touches nothing, and an
+        output that cannot be unlinked is an output error.
+        """
+        out = tmp_path / "out"
+        five = write_config(tmp_path, "five.json", samples=[0.0, 0.5, 1.0, 1.5, 2.0],
+                            checks=["divergence_identity"])
+        assert main(["run", str(five), "--out", str(out), "--plot"]) == 0
+        kept = ["notes.txt", "phi_7.txt", "phi_x.csv", "phi_004.csv.bak"]
+        for name in kept:
+            (out / name).write_text("keep\n", encoding="utf-8")
+        (out / "phi_1000.csv").write_text("stale\n", encoding="utf-8")
+        two = write_config(tmp_path, "two.json", samples=[0.0, 2.0],
+                           checks=["divergence_identity"])
+        before = sorted(p.name for p in out.iterdir())
+        refused = write_config(tmp_path, "refused.json", samples=[0.0, 2.0], checks=["nope"])
+        assert main(["run", str(refused), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert main(["run", str(two), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["checks.csv", "diagnostics.csv", "phi_000.csv", "phi_001.csv"] + kept)
+        assert len((out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()) == 3
+        (out / "phi_002.csv").mkdir()
+        capsys.readouterr()
+        assert main(["run", str(two), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "phi_002.csv" in err, err
+
     def test_converged_line_for_static_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phi0={}, checks=[])
         main(["run", str(cfg), "--out", str(tmp_path / "out")])
