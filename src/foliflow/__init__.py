@@ -59,6 +59,7 @@ from .flows import (
 from .geometry import (
     ClassificationReport,
     DistributionFlags,
+    PhiFields,
     ProductState,
     SecondFundamentalData,
     classify,
@@ -68,6 +69,7 @@ from .geometry import (
     grad_perp,
     integrate,
     laplacian_perp,
+    phi_fields,
     second_fundamental,
     theta_h,
     twisted_mean_curvature,
@@ -88,6 +90,7 @@ __all__ = [
     "FlowError",
     "HypothesisViolationError",
     "InputError",
+    "PhiFields",
     "ProductState",
     "SecondFundamentalData",
     "SolveError",
@@ -121,6 +124,7 @@ __all__ = [
     "integrate",
     "laplacian_perp",
     "normalization_rate",
+    "phi_fields",
     "project_unit_volume",
     "run_checks",
     "run_codim1",

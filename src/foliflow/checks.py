@@ -68,9 +68,14 @@ class CheckReport:
 def divergence_identity_sides(state: ProductState,
                               xi: np.ndarray | None = None) -> tuple[float, float]:
     """(int Div_perp xi dvol, int g(H, xi) dvol); xi defaults to H itself."""
-    h = geo.twisted_mean_curvature(state)
-    xi = h if xi is None else geo.fiber_vector(xi, state, "xi")
-    lhs = geo.integrate(state, geo.div_perp(xi, state))
+    fields = geo.phi_fields(state)
+    h = fields.h
+    if xi is None:
+        xi, div_xi = h, fields.div_h
+    else:
+        xi = geo.fiber_vector(xi, state, "xi")
+        div_xi = geo.div_perp(xi, state)
+    lhs = geo.integrate(state, div_xi)
     rhs = geo.integrate(state, geo.leaf_inner(state, h, xi))
     return lhs, rhs
 
@@ -81,10 +86,18 @@ def check_divergence_identity(state: ProductState,
 
     For any fiber-tangent field xi on a closed product,
     int Div_perp(xi) dvol = int g(H, xi) dvol; with xi = H both sides are
-    int |H|^2 dvol >= 0, which also certifies r(t) <= 0.
+    int |H|^2 dvol >= 0, which also certifies r(t) <= 0.  A trajectory's
+    rows (``CHECKERS``) read both integrals of xi = H from its diagnostics
+    records, which ``flows`` fills from the same fields.
     """
     lhs, rhs = divergence_identity_sides(state, xi)
     return CheckReport("divergence_identity", abs(lhs - rhs), SPECTRAL_TOL, state.t)
+
+
+def _divergence_identity_rows(trajectory: Trajectory) -> list[CheckReport]:
+    """``check_divergence_identity`` with xi = H at every sample, from the records."""
+    return [CheckReport("divergence_identity", abs(record.int_div_h - record.int_h2),
+                        SPECTRAL_TOL, record.t) for record in trajectory.diagnostics]
 
 
 def check_codim1_identity(state: ProductState, f: np.ndarray | None = None) -> CheckReport:
@@ -105,6 +118,53 @@ def check_codim1_identity(state: ProductState, f: np.ndarray | None = None) -> C
     return CheckReport("codim1_identity", residual, SPECTRAL_TOL, state.t)
 
 
+@dataclass(frozen=True)
+class _RigidityProbe:
+    """The phi-independent terms of the rigidity identity for one probe f.
+
+    They depend on f, psi and the grids only, so one probe serves every
+    state of a trajectory (``replace_phi`` keeps psi).
+    """
+
+    f: np.ndarray
+    partials: np.ndarray     # flat fiber partials of f
+    zeta: np.ndarray         # f grad_perp f
+    rest: np.ndarray         # f Lap_perp f + |grad_perp f|^2
+
+    @classmethod
+    def build(cls, state: ProductState, f: np.ndarray) -> "_RigidityProbe":
+        f = np.asarray(f, dtype=float)
+        if f.shape != state.shape:
+            raise InputError(f"f shape {f.shape} != state shape {state.shape}")
+        partials = fb.gradient_values(f, state.fiber)
+        grad = state.exp_psi(-2) * partials      # grad_perp f
+        rest = f * geo.div_perp(grad, state) + geo.leaf_inner(state, grad, grad)
+        return cls(f, partials, f * grad, rest)
+
+    def residual(self, state: ProductState) -> float:
+        """Sup norm of Div(f grad_perp f) + f H(f) - (f Lap_perp f + |grad_perp f|^2).
+
+        Per state this takes H and the full divergence (1/w) sum_i d_i (w
+        zeta^i), w the volume density, whose component spectra are summed
+        before its one inverse transform.
+        """
+        weight = geo.volume_form_weight(state)
+        weighted = fb.spectrum(weight * self.zeta, state.fiber)
+        iks = fb.symbols(state.fiber)[1]
+        out = fb.nodal(sum(ik * part for ik, part in zip(iks, weighted)), state.fiber)
+        out /= weight
+        del weight, weighted
+        h = geo.phi_fields(state).h
+        h_of_f = h[0] * self.partials[0]
+        for i in range(1, state.p):
+            h_of_f += h[i] * self.partials[i]
+        del h
+        h_of_f *= self.f
+        out += h_of_f
+        out -= self.rest
+        return float(np.max(np.abs(out)))
+
+
 def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> CheckReport:
     """Pointwise Bochner-type identity behind leafwise-harmonic rigidity.
 
@@ -115,23 +175,7 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> Chec
     functions compatible with the mean curvature are leafwise constant.
     The residual is the sup-norm of the displayed identity.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != state.shape:
-        raise InputError(f"f shape {f.shape} != state shape {state.shape}")
-    partials = fb.gradient_values(f, state.fiber)
-    grad = state.exp_psi(-2) * partials      # grad_perp f
-    zeta = f * grad
-    weight = geo.volume_form_weight(state)
-    div_full = sum(
-        fb.gradient_values(weight * zeta[i], state.fiber, axis=i) for i in range(state.p)
-    ) / weight
-    h = geo.twisted_mean_curvature(state)
-    h_of_f = np.zeros(state.shape)
-    for i in range(state.p):
-        h_of_f += h[i] * partials[i]
-    lap = geo.div_perp(grad, state)          # Lap_perp f
-    grad_sq = geo.leaf_inner(state, grad, grad)
-    residual = float(np.max(np.abs(div_full + f * (h_of_f - lap) - grad_sq)))
+    residual = _RigidityProbe.build(state, f).residual(state)
     return CheckReport("harmonic_rigidity", residual, SPECTRAL_TOL, state.t)
 
 
@@ -160,9 +204,14 @@ def check_preservation(trajectory: Trajectory) -> list[CheckReport]:
     return reports
 
 
-def _driving(state: ProductState, x: np.ndarray) -> np.ndarray:
-    """The driving scalar Div_perp(H - X) of one state."""
-    return geo.div_perp(geo.twisted_mean_curvature(state) - x, state)
+def _driving(state: ProductState, x: np.ndarray,
+             fields: geo.PhiFields | None = None) -> np.ndarray:
+    """The driving scalar Div_perp(H - X) of one state, as Div_perp H - Div_perp X.
+
+    A caller that holds the state's ``PhiFields`` passes them.
+    """
+    div_h = (geo.phi_fields(state) if fields is None else fields).div_h
+    return div_h - geo.div_perp(x, state) if np.any(x) else div_h
 
 
 def _speed(state: ProductState, x: np.ndarray, normalized: bool) -> np.ndarray:
@@ -186,10 +235,11 @@ def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
     -Div_perp(H - X).  The leaf measure exp(p psi) dy and the leaf metric
     are frozen in time, so these norms see only the evolving field.
     """
-    field = geo.twisted_mean_curvature(state) - x
+    fields = geo.phi_fields(state)
+    field = fields.h - x
     leaf_weight = state.exp_psi(state.p)
     flat_vol = state.base.volume * state.fiber.volume
-    codiff = -geo.div_perp(field, state)
+    codiff = -_driving(state, x, fields)
     return (
         float(np.mean(geo.leaf_inner(state, field, field) * leaf_weight) * flat_vol),
         float(np.mean(codiff ** 2 * leaf_weight) * flat_vol),
@@ -314,8 +364,7 @@ def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     exponent = _bperp_exponent(trajectory, t, BPERP_NODES)
 
     start, end = trajectory.at((0.0, t))
-    b0 = geo.second_fundamental(start).bperp_coeff
-    bt = geo.second_fundamental(end).bperp_coeff
+    b0, bt = (geo.fiber_mean_curvature(state) / state.p for state in (start, end))
     scale = max(1.0, float(np.max(np.abs(bt))))
     if trajectory.fiber_rate is not None:
         coarse = _bperp_exponent(trajectory, t, (BPERP_NODES + 1) // 2)
@@ -490,17 +539,24 @@ def _per_sample(fn):
     return runner
 
 
-def _rigidity_probe(state: ProductState) -> CheckReport:
-    wave = np.sin(2.0 * math.pi * state.fiber.coordinates()[0] / state.fiber.sides[0])
-    f_fiber = np.broadcast_to(wave, state.fiber.shape)
-    f = np.broadcast_to(f_fiber.reshape((1,) * state.n + state.fiber.shape), state.shape)
-    return check_harmonic_function_rigidity(state, np.ascontiguousarray(f))
+def _rigidity_rows(trajectory: Trajectory) -> list[CheckReport]:
+    """``check_harmonic_function_rigidity`` at every sample for one fixed fiber wave f.
+
+    The wave's phi-independent terms are built once per trajectory.
+    """
+    initial = trajectory.initial
+    wave = np.sin(2.0 * math.pi * initial.fiber.coordinates()[0] / initial.fiber.sides[0])
+    f_fiber = np.broadcast_to(wave, initial.fiber.shape)
+    f = np.broadcast_to(f_fiber.reshape((1,) * initial.n + initial.fiber.shape), initial.shape)
+    probe = _RigidityProbe.build(initial, f)
+    return [CheckReport("harmonic_rigidity", probe.residual(state), SPECTRAL_TOL, state.t)
+            for state in trajectory.states]
 
 
 CHECKERS = {
-    "divergence_identity": _per_sample(check_divergence_identity),
+    "divergence_identity": _divergence_identity_rows,
     "codim1_identity": _per_sample(check_codim1_identity),
-    "harmonic_rigidity": _per_sample(_rigidity_probe),
+    "harmonic_rigidity": _rigidity_rows,
     "preservation": check_preservation,
     "monotonicity": check_monotonicity,
     "volume_ode": lambda traj: [check_volume_ode(traj)],

@@ -121,7 +121,7 @@ def _rfft_axes(values: np.ndarray, grid: FiberGrid) -> tuple[int, ...]:
 
 
 @functools.cache
-def _symbols(grid: FiberGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def symbols(grid: FiberGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Fourier symbols of the grid, laid out like rfftn output; built once per grid.
 
     Returns the flat-Laplacian eigenvalues |k|**2 and one ik factor per
@@ -155,8 +155,11 @@ def _require_zero_means(values: np.ndarray, axes: tuple[int, ...], message: str)
 
 def _scaled_eigenvalues(values: np.ndarray, grid: FiberGrid,
                         rate_scale: np.ndarray | None) -> np.ndarray:
-    """Eigenvalues of rate_scale * Lap, with a per-stack scale broadcast over mode axes."""
-    lam = _symbols(grid)[0]
+    """Eigenvalues of rate_scale * Lap, with a per-stack scale broadcast over mode axes.
+
+    ``values`` are the field or its spectrum: only their leading axes are read.
+    """
+    lam = symbols(grid)[0]
     if rate_scale is None:
         return lam
     rate = np.asarray(rate_scale, dtype=float)
@@ -166,11 +169,22 @@ def _scaled_eigenvalues(values: np.ndarray, grid: FiberGrid,
     return rate.reshape(rate.shape + (1,) * grid.dim) * lam
 
 
-def _apply_multiplier(values: np.ndarray, grid: FiberGrid, mult: np.ndarray) -> np.ndarray:
-    axes = _rfft_axes(values, grid)
-    spectrum = np.fft.rfftn(values, axes=axes)
-    spectrum *= mult
+def spectrum(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
+    """Real FFT of the trailing grid axes, laid out like the arrays of ``symbols``."""
+    values = np.asarray(values, dtype=float)
+    return np.fft.rfftn(values, axes=_rfft_axes(values, grid))
+
+
+def nodal(spectrum: np.ndarray, grid: FiberGrid) -> np.ndarray:
+    """Nodal values of a spectrum laid out as ``spectrum`` returns it."""
+    axes = tuple(range(spectrum.ndim - grid.dim, spectrum.ndim))
     return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+
+
+def _apply_multiplier(values: np.ndarray, grid: FiberGrid, mult: np.ndarray) -> np.ndarray:
+    out = spectrum(values, grid)
+    out *= mult
+    return nodal(out, grid)
 
 
 def evolve_values(values: np.ndarray, grid: FiberGrid, t: float,
@@ -217,20 +231,32 @@ def time_integral_sum_values(values: np.ndarray, grid: FiberGrid, times: np.ndar
                              rate_scale: np.ndarray | None = None) -> np.ndarray:
     """sum_k weights[k] * time_integral_values(values, grid, times[k]) as one multiplier.
 
-    Mode l picks up -sum_k w_k expm1(-lambda_l t_k) / lambda_l and the mean
-    sum_k w_k t_k.  The multiplier is accumulated in place one time at a
-    time, so memory stays a few multipliers however many times there are,
-    and the values take one forward and one inverse transform.  Every time
-    must be finite and >= 0.
+    The values take one forward and one inverse transform; the multiplier
+    is that of ``time_integral_sum_spectrum``.
     """
     values = np.asarray(values, dtype=float)
+    summed = time_integral_sum_spectrum(spectrum(values, grid), grid, times, weights, rate_scale)
+    return nodal(summed, grid)
+
+
+def time_integral_sum_spectrum(values_hat: np.ndarray, grid: FiberGrid, times: np.ndarray,
+                               weights: np.ndarray,
+                               rate_scale: np.ndarray | None = None) -> np.ndarray:
+    """``time_integral_sum_values`` on a spectrum: the summed multiplier times values_hat.
+
+    Mode l picks up -sum_k w_k expm1(-lambda_l t_k) / lambda_l and the mean
+    sum_k w_k t_k.  The multiplier is accumulated in place one time at a
+    time, so memory stays a few multipliers however many times there are.
+    Every time must be finite and >= 0.  No transform is taken, so a caller
+    that holds the spectrum of its values evaluates many sums for one.
+    """
     times = np.asarray(times, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if times.ndim != 1 or weights.shape != times.shape:
         raise InputError(f"{weights.shape} weights for {times.shape} times")
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise InputError(f"time integrals need finite times >= 0, got {times.tolist()}")
-    lam = _scaled_eigenvalues(values, grid, rate_scale)
+    lam = _scaled_eigenvalues(values_hat, grid, rate_scale)
     positive = lam > 0
     lam_safe = np.where(positive, lam, 1.0)
     acc = np.zeros(lam_safe.shape)
@@ -241,7 +267,7 @@ def time_integral_sum_values(values: np.ndarray, grid: FiberGrid, times: np.ndar
         term *= w
         acc -= term
     mult = np.where(positive, acc / lam_safe, float(np.dot(weights, times)))
-    return _apply_multiplier(values, grid, mult)
+    return values_hat * mult
 
 
 def gradient_values(values: np.ndarray, grid: FiberGrid,
@@ -253,14 +279,14 @@ def gradient_values(values: np.ndarray, grid: FiberGrid,
     cost of one inverse transform instead of grid.dim.
     """
     values = np.asarray(values, dtype=float)
-    axes = _rfft_axes(values, grid)
+    _rfft_axes(values, grid)
     if axis is not None and axis not in range(grid.dim):
         raise InputError(f"axis must be in range({grid.dim}), got {axis}")
-    spectrum = np.fft.rfftn(values, axes=axes)
-    iks = _symbols(grid)[1]
+    values_hat = spectrum(values, grid)
+    iks = symbols(grid)[1]
 
     def partial(k: int) -> np.ndarray:
-        return np.fft.irfftn(spectrum * iks[k], s=grid.shape, axes=axes)
+        return nodal(values_hat * iks[k], grid)
 
     if axis is not None:
         return partial(axis)
@@ -283,7 +309,7 @@ def antiderivative_values(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     _require_zero_means(values, _rfft_axes(values, grid),
                         "periodic antiderivative needs a zero fiber mean")
-    ik = _symbols(grid)[1][0]
+    ik = symbols(grid)[1][0]
     inv = np.zeros_like(ik)
     inv[ik != 0] = 1.0 / ik[ik != 0]
     return _apply_multiplier(values, grid, inv)

@@ -18,9 +18,15 @@ The metric is recovered from its running time integral,
 
 so for fiber-constant psi every sample is an exact Fourier multiplier
 with per-fiber eigenvalue scale exp(-2 psibar); sample times are
-arbitrary and no time-stepping error enters.  When psi varies along a
-fiber the leaf Laplacian has variable coefficients and the
-finite-difference path becomes the authoritative solver.
+arbitrary and no time-stepping error enters.  That path transforms
+phi(0) and the initial driving scalar D0 once per run: a sample's
+spectrum is phi_hat(t) = phi_hat(0) - m(t) D0_hat / n, its nodal phi one
+inverse transform, and its diagnostics read H and Div_perp H from that
+spectrum (``geometry.PhiFields``), so a sample takes no forward
+transform.  Only D0_hat outlives the run, inside the trajectory's
+evaluator.  When psi varies along a fiber the leaf Laplacian has
+variable coefficients and the finite-difference path becomes the
+authoritative solver.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
@@ -96,6 +102,7 @@ class DiagnosticsRecord:
     t: float
     vol: float
     int_h2: float            # int |H|^2 dvol
+    int_div_h: float         # int Div_perp H dvol; not a CSV column
     max_div_h: float         # sup |Div_perp H|
     rate: float              # r(t) of the sampled state
     max_driving: float       # sup |Div_perp (H - X)|; equals max_div_h unless prescribed
@@ -164,7 +171,7 @@ def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> 
     """
     vol = geo.volume(state)
     if div_h is None:
-        div_h = geo.div_perp(geo.twisted_mean_curvature(state), state)
+        div_h = geo.phi_fields(state).div_h
     return float(-(2.0 / state.n) * geo.integrate(state, div_h) / vol)
 
 
@@ -205,51 +212,87 @@ def _ascending(times: Iterable[float]) -> list[float]:
     return times
 
 
-def _plain_phis(initial: ProductState, driving0: np.ndarray, config: FlowConfig,
-                rate: np.ndarray | None) -> Callable[[list[float]], Iterator[np.ndarray]]:
-    """phi at each ascending time under d/dt phi = Lap_perp phi, closed form or marching.
+def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
+                ) -> tuple[Callable[[list[float]], Iterator[tuple[np.ndarray, np.ndarray | None]]],
+                           Callable[[Iterable[float], np.ndarray], np.ndarray]]:
+    """The exact path's closed form, from one transform of the driving scalar.
 
-    A march reaches each time from the previous time or a later anchor.
+    Returns ``(phis, integral)``.  ``integral(times, weights)`` is the
+    spectrum of sum_k w_k int_0^{t_k} of the driving scalar's evolution,
+    one summed multiplier on the driving spectrum, which is taken here
+    once per run.  ``phis(times)`` yields (phi, I(t)) at each ascending
+    time, with I(t) that spectrum at the one time t and phi = phi(0) -
+    irfftn(I(t))/n, so no forward transform is taken per time.  The t = inf
+    limit is taken once, here, through ``fiber.time_integral_values``, which
+    refuses a driving scalar whose fiber mean does not vanish; it is
+    yielded with no spectrum.
     """
-    if rate is not None:
-        return lambda times: (
-            initial.phi - fb.time_integral_values(driving0, initial.fiber, t, rate_scale=rate)
-            / initial.n for t in times)
+    fiber, n = initial.fiber, initial.n
+    driving_hat = fb.spectrum(driving0, fiber)
+    limit = initial.phi - fb.time_integral_values(driving0, fiber, math.inf, rate_scale=rate) / n
 
-    def phis(times: list[float]) -> Iterator[np.ndarray]:
+    def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:
+        return fb.time_integral_sum_spectrum(driving_hat, fiber, times, weights, rate)
+
+    def phis(times: list[float]) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        for t in times:
+            if math.isinf(t):
+                yield limit, None
+                continue
+            summed = integral((t,), (1.0,))
+            yield initial.phi - fb.nodal(summed, fiber) / n, summed
+
+    return phis, integral
+
+
+def _plain_phis(initial: ProductState,
+                config: FlowConfig) -> Callable[[list[float]], Iterator[tuple[np.ndarray, None]]]:
+    """(phi, None) at each ascending time under d/dt phi = Lap_perp phi, by marching.
+
+    A march reaches each time from the previous time or a later anchor;
+    it has no spectrum to hand on.
+    """
+    def phis(times: list[float]) -> Iterator[tuple[np.ndarray, None]]:
         k = 0
         for t in times:
             while k < len(anchors) and anchors[k][0] <= t:
                 (t0, phi), k = anchors[k], k + 1
             if t != t0:
                 t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, t - t0, config.fd_scheme)
-            yield phi
+            yield phi, None
 
     anchors = [(0.0, initial.phi)]          # the samples' chain, then the t = inf limit
     for s in config.samples:
-        anchors.append((s, next(phis([s]))))
+        anchors.append((s, next(phis([s]))[0]))
     mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
     anchors.append((math.inf, np.broadcast_to(mean, initial.shape).copy()))
     return phis
 
 
-def _diagnose(state: ProductState, x: np.ndarray, variant: str) -> DiagnosticsRecord:
+def _diagnose(state: ProductState, spectrum: np.ndarray | None = None,
+              div_x: np.ndarray | None = None) -> DiagnosticsRecord:
+    """The record of one state, from one ``geometry.PhiFields`` pass.
+
+    ``spectrum`` is the spectrum of the state's phi when the caller holds
+    it; ``div_x`` is Div_perp X under the prescribed variant, computed once
+    per run, and the driving scalar is then Div_perp H - Div_perp X.
+    """
     vol = geo.volume(state)     # first, so a degenerate state is refused before any exp
-    data = geo.second_fundamental(state)
-    div_h = geo.div_perp(data.h, state)
-    if variant == "prescribed":
-        driving = geo.div_perp(data.h - x, state)
-    else:
-        driving = div_h
+    fields = geo.phi_fields(state, spectrum)
+    data = geo.second_fundamental(state, fields)
+    div_h = fields.div_h
+    driving = div_h if div_x is None else div_h - div_x
+    int_div_h = geo.integrate(state, div_h)
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
         t=state.t,
         vol=vol,
         int_h2=geo.integrate(state, geo.leaf_inner(state, data.h, data.h)),
+        int_div_h=int_div_h,
         max_div_h=float(np.max(np.abs(div_h))),
-        rate=normalization_rate(state, div_h),
+        rate=float(-(2.0 / state.n) * int_div_h / vol),   # normalization_rate, from the integral
         max_driving=float(np.max(np.abs(driving))),
-        d_theta_sup=geo.d_theta_sup(state, data.h),
+        d_theta_sup=fields.d_theta_sup(),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
     )
@@ -265,11 +308,13 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     factors leave the float range are refused before anything is evolved.
     """
     _check_float_range(initial)
-    x = (np.zeros((initial.p,) + initial.shape) if config.x_field is None
-         else geo.fiber_vector(config.x_field, initial, "x_field"))
-    h0 = geo.twisted_mean_curvature(initial)
+    prescribed = config.x_field is not None
+    x = (geo.fiber_vector(config.x_field, initial, "x_field") if prescribed
+         else np.zeros((initial.p,) + initial.shape))
+    fields0 = geo.phi_fields(initial)
+    h0 = fields0.h
 
-    if initial.p == 2:
+    if initial.p == 2 and prescribed:       # theta_H = -n dphi itself is exact
         closed_sup = geo.d_theta_sup(initial, h0 - x)
         if closed_sup > CLOSEDNESS_TOL:
             raise HypothesisViolationError(
@@ -277,23 +322,35 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
                 f"{closed_sup:.3e} > {CLOSEDNESS_TOL:.1e}"
             )
 
+    div_x = geo.div_perp(x, initial) if prescribed else None
     driving0 = geo.div_perp(h0 - x, initial)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
+    integral = None
+    if rate is not None:
+        exact_phis, integral = _exact_phis(initial, driving0, rate)
     if not np.any(driving0):
-        phis = lambda times: (initial.phi for _ in times)
+        phis = lambda times: ((initial.phi, None) for _ in times)
+    elif integral is not None:
+        phis = exact_phis
     else:
-        if rate is None and config.variant == "prescribed":
+        if prescribed:
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
-        phis = _plain_phis(initial, driving0, config, rate)
+        phis = _plain_phis(initial, config)
+    phi_hat0 = fields0.spectrum
+    del fields0, h0, driving0   # no phi-derived field outlives the pass that builds it
 
     normalized = config.variant == "normalized"
 
+    def plain_states(times: list[float]) -> Iterator[tuple[ProductState, np.ndarray | None]]:
+        """(state before projection, spectrum of its time integral or None) per time."""
+        for t, (phi, summed) in zip(times, phis(times)):
+            yield initial.replace_phi(phi, t), summed
+
     def at(times: Iterable[float]) -> Iterator[ProductState]:
-        times = _ascending(times)
-        states = (initial.replace_phi(phi, t) for t, phi in zip(times, phis(times)))
+        states = (state for state, _ in plain_states(_ascending(times)))
         return map(project_unit_volume, states) if normalized else states
 
     def weighted_sums(times: Iterable[float],
@@ -303,25 +360,31 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         if not times or weights.shape != (len(times),) or not math.isfinite(times[-1]):
             raise InputError(f"weighted_sums needs one weight per finite time, got "
                              f"{weights.shape} weights for {len(times)} times")
-        if rate is not None:
-            phi_sum = float(weights.sum()) * initial.phi - fb.time_integral_sum_values(
-                driving0, initial.fiber, times, weights, rate_scale=rate) / initial.n
+        if integral is not None:
+            phi_sum = float(weights.sum()) * initial.phi - fb.nodal(
+                integral(times, weights), initial.fiber) / initial.n
             if not normalized:
                 return phi_sum, 0.0
             ends = (times[0], times[-1])
-            first, last = (geo.volume(initial.replace_phi(phi, t))
-                           for t, phi in zip(ends, phis(list(ends))))
+            first, last = (geo.volume(state) for state, _ in plain_states(list(ends)))
             return phi_sum, (2.0 / initial.n) * math.log(last / first)
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0
-        for t, weight, phi in zip(times, weights, phis(times)):
+        for t, weight, (phi, _) in zip(times, weights, phis(times)):
             phi_sum += weight * phi
             if normalized:
                 state = project_unit_volume(initial.replace_phi(phi, t))
                 rate_sum += weight * normalization_rate(state)
         return phi_sum, rate_sum
 
-    states = tuple(at(config.samples))
-    diagnostics = tuple(_diagnose(s, x, config.variant) for s in states)
+    states, diagnostics = [], []
+    for state, summed in plain_states(list(config.samples)):
+        # the spectrum of phi, phi_hat0 - I(t)/n; the projection's fiber-constant
+        # shift moves only its null entries, which no derivative reads
+        spectrum = None if summed is None else phi_hat0 - summed / initial.n
+        if normalized:
+            state = project_unit_volume(state)
+        states.append(state)
+        diagnostics.append(_diagnose(state, spectrum, div_x))
     limit = next(at((math.inf,)))
 
     converged_time = None
@@ -331,8 +394,8 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             break
 
     return Trajectory(
-        states=states,
-        diagnostics=diagnostics,
+        states=tuple(states),
+        diagnostics=tuple(diagnostics),
         limit=limit,
         converged_time=converged_time,
         config=config,

@@ -23,10 +23,18 @@ formula on coordinate fields:
 
 All fields are nodal arrays over the combined base x fiber grid, with the
 fiber axes trailing so the fiber-spectral helpers apply directly.
+
+``phi_fields`` is the one builder of the fields that depend on phi (H and
+Div_perp H): it reads them from one spectrum of phi, which a caller that
+already holds it passes in.  For fiber-constant psi, Div_perp H is
+-n exp(-2 psi) Lap_flat phi, a single Fourier symbol on that spectrum.
+No phi-derived field is kept on a state: a state's fields live only as
+long as the ``PhiFields`` object of the pass that uses them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,10 +58,10 @@ class ProductState:
     arrays as immutable once the state is built.
 
     Fields that depend on psi alone (the factors ``exp_psi(scale)``, one
-    entry per scale, and the fiber and base gradients of psi) are computed
-    on first use and kept in a store that ``replace_phi`` hands on, so every
-    state of one trajectory shares them; a state built any other way starts
-    with an empty store.  ``leaf_inner`` is the only leaf pairing and
+    entry per scale, the fiber and base gradients of psi, and whether psi
+    is constant along each fiber) are computed on first use and kept in a
+    store that ``replace_phi`` hands on, so every state of one trajectory
+    shares them; a state built any other way starts with an empty store.  ``leaf_inner`` is the only leaf pairing and
     ``fiber_rate`` the only per-fiber rate of the exact path.
     """
 
@@ -145,9 +153,12 @@ def psi_is_fiber_constant(state: ProductState) -> bool:
     This is the condition for the leaf Laplacian to be a scaled flat
     Laplacian, hence for the exact spectral evolution path.
     """
-    spread = state.psi.max(axis=state.fiber_axes) - state.psi.min(axis=state.fiber_axes)
-    scale = max(1.0, float(np.max(np.abs(state.psi))))
-    return float(np.max(spread)) <= PSI_CONSTANT_TOL * scale
+    def measure() -> bool:
+        spread = state.psi.max(axis=state.fiber_axes) - state.psi.min(axis=state.fiber_axes)
+        scale = max(1.0, float(np.max(np.abs(state.psi))))
+        return float(np.max(spread)) <= PSI_CONSTANT_TOL * scale
+
+    return state._psi_field("fiber_constant", measure)
 
 
 def fiber_vector(xi: np.ndarray, state: ProductState, name: str) -> np.ndarray:
@@ -198,6 +209,69 @@ def base_gradient(u: np.ndarray, state: ProductState) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class PhiFields:
+    """The fields of one state that depend on phi, all read from one spectrum of phi.
+
+    ``spectrum`` is the real FFT of phi over the fiber axes; its null
+    (fiber-mean) entries are never read, so a spectrum of phi shifted by a
+    fiber-constant field serves as well.  Each field is built on first use
+    and lives as long as this object, which a caller keeps for one pass
+    over one state and never stores on the state:
+
+      * ``h``, the mean curvature H = -n grad_perp phi, from the flat fiber
+        partials of phi, one inverse transform each;
+      * ``div_h``, Div_perp H.  For psi constant along each fiber the
+        divergence has no grad psi term and H's factor exp(-2 psi) passes
+        the fiber derivatives, so it is -n exp(-2 psi) irfftn(-|k|^2 phi_hat),
+        one inverse transform; otherwise it is ``div_perp(h)``.
+    """
+
+    state: ProductState
+    spectrum: np.ndarray
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        state = self.state
+        partials = np.empty((state.p,) + state.shape)
+        for k, ik in enumerate(fb.symbols(state.fiber)[1]):
+            partials[k] = fb.nodal(self.spectrum * ik, state.fiber)
+        return -state.n * (state.exp_psi(-2) * partials)
+
+    @functools.cached_property
+    def div_h(self) -> np.ndarray:
+        state = self.state
+        if not psi_is_fiber_constant(state):
+            return div_perp(self.h, state)
+        lam = fb.symbols(state.fiber)[0]
+        return -state.n * (state.exp_psi(-2) * fb.nodal(self.spectrum * -lam, state.fiber))
+
+    def d_theta_sup(self) -> float:
+        """``d_theta_sup`` of the state's H, from the spectrum when psi is fiber-constant.
+
+        theta = exp(2 psi) H = -n dphi, so its fiber exterior derivative
+        d1 theta_2 - d2 theta_1 is -n irfftn(ik1 (ik2 phi_hat) - ik2 (ik1
+        phi_hat)): one inverse transform instead of two transform pairs.
+        """
+        state = self.state
+        if state.p == 1 or not psi_is_fiber_constant(state):
+            return d_theta_sup(state, self.h)
+        ik0, ik1 = fb.symbols(state.fiber)[1]
+        curl = fb.nodal(ik0 * (ik1 * self.spectrum) - ik1 * (ik0 * self.spectrum), state.fiber)
+        return state.n * float(np.max(np.abs(curl)))
+
+
+def phi_fields(state: ProductState, spectrum: np.ndarray | None = None) -> PhiFields:
+    """The phi-derived fields of ``state`` (see ``PhiFields``).
+
+    ``spectrum`` is a spectrum of phi the caller already holds, such as the
+    exact path's closed form; without one, phi is transformed once here.
+    """
+    if spectrum is None:
+        spectrum = fb.spectrum(state.phi, state.fiber)
+    return PhiFields(state, spectrum)
+
+
 def twisted_mean_curvature(state: ProductState) -> np.ndarray:
     """Mean curvature of the leaves, as fiber-coordinate components.
 
@@ -205,7 +279,7 @@ def twisted_mean_curvature(state: ProductState) -> np.ndarray:
     directions gives H = -n grad_perp phi; each of the n unit base
     directions contributes one copy of -grad_perp phi.
     """
-    return -state.n * grad_perp(state.phi, state)
+    return phi_fields(state).h
 
 
 @dataclass(frozen=True)
@@ -234,11 +308,19 @@ class SecondFundamentalData:
         return self.hperp / self.h.shape[0]
 
 
-def second_fundamental(state: ProductState) -> SecondFundamentalData:
-    """Closed-form second fundamental data of the twisted product."""
-    h = twisted_mean_curvature(state)
-    hperp = -state.p * np.exp(-2.0 * state.phi) * state.psi_base_gradient
-    return SecondFundamentalData(h=h, hperp=hperp)
+def second_fundamental(state: ProductState,
+                       fields: PhiFields | None = None) -> SecondFundamentalData:
+    """Closed-form second fundamental data of the twisted product.
+
+    A caller that holds the state's ``PhiFields`` passes them, so H is not rebuilt.
+    """
+    h = (phi_fields(state) if fields is None else fields).h
+    return SecondFundamentalData(h=h, hperp=fiber_mean_curvature(state))
+
+
+def fiber_mean_curvature(state: ProductState) -> np.ndarray:
+    """Mean curvature of the fibers as base components, Hperp = -p exp(-2 phi) dpsi."""
+    return -state.p * np.exp(-2.0 * state.phi) * state.psi_base_gradient
 
 
 def conformal_change(b_coeff: np.ndarray, h: np.ndarray, phi_inc: np.ndarray,

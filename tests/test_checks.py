@@ -400,15 +400,16 @@ class TestBperpScaling:
         """On the exact path no node state is built and r is never evaluated.
 
         The speed operator runs once per Simpson rule: on the 513 nodes and,
-        for the error estimate, on every other node.
+        for the error estimate, on every other node.  Each application builds
+        the summed state's phi-derived fields once (``geometry.phi_fields``).
         """
         div_calls, rate_calls = [], []
-        div_perp = geo.div_perp
+        phi_fields = geo.phi_fields
         normalization_rate = flows.normalization_rate
 
-        def counting_div_perp(xi, state):
+        def counting_phi_fields(state, spectrum=None):
             div_calls.append(state.t)
-            return div_perp(xi, state)
+            return phi_fields(state, spectrum)
 
         def counting_rate(state, div_h=None):
             rate_calls.append(state.t)
@@ -418,7 +419,7 @@ class TestBperpScaling:
         for variant in ("plain", "normalized"):
             traj, calls = counting_at(self.base_twisted_traj(variant))
             runs.append(counting_sums(traj) + (calls,))
-        monkeypatch.setattr(geo, "div_perp", counting_div_perp)
+        monkeypatch.setattr(geo, "phi_fields", counting_phi_fields)
         monkeypatch.setattr(flows, "normalization_rate", counting_rate)
         for traj, sums_calls, calls in runs:
             div_calls.clear()

@@ -86,7 +86,7 @@ class TestFiberGrid:
     def test_refused_exactly_where_the_spectrum_overflows(self):
         # (pi 32 / L)^2 is 1e304 at L = 1e-150 and 1e314 at L = 1e-155
         grid = ff.FiberGrid(1, (1e-150,), (32,))
-        assert math.isfinite(float(np.max(fb._symbols(grid)[0])))
+        assert math.isfinite(float(np.max(fb.symbols(grid)[0])))
         with pytest.raises(InputError, match="too short"):
             ff.FiberGrid(1, (1e-155,), (32,))
 
@@ -475,8 +475,8 @@ class TestAnisotropicSymbols:
         np.testing.assert_allclose(grad[1], 0.0, atol=1e-12)
 
     def test_symbols_shared_and_read_only(self):
-        lam, iks = fb._symbols(self.GRID)
-        again = fb._symbols(ff.FiberGrid(2, [6, 7], [16, 8]))
+        lam, iks = fb.symbols(self.GRID)
+        again = fb.symbols(ff.FiberGrid(2, [6, 7], [16, 8]))
         assert again[0] is lam and all(a is b for a, b in zip(again[1], iks))
         assert lam.shape == (16, 5) and [ik.shape for ik in iks] == [(16, 1), (1, 5)]
         for array in (lam, *iks):

@@ -159,7 +159,7 @@ class TestPlainFlow:
                 return original(state, field)
 
             monkeypatch.setattr(geo, name, counting)
-        flows._diagnose(state, np.zeros((2,) + state.shape), "plain")
+        flows._diagnose(state)
         assert sorted(calls) == ["h_norm_sup", "hperp_norm_sup"]
 
     def test_rate_and_int_h2_quad_oracles(self):
