@@ -226,9 +226,16 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     limit is taken once, here, through ``fiber.time_integral_values``, which
     refuses a driving scalar whose fiber mean does not vanish; it is
     yielded with no spectrum.
+
+    The driving scalar is a leaf divergence, so its fiber means vanish;
+    on the grid they are round-off, which the null mode's multiplier t
+    would grow into a drift of phi's fiber mean.  Their entries of the
+    driving spectrum are set to zero once, so the mean of phi along each
+    fiber is conserved exactly.
     """
     fiber, n = initial.fiber, initial.n
     driving_hat = fb.spectrum(driving0, fiber)
+    driving_hat[(Ellipsis,) + (0,) * fiber.dim] = 0.0     # see below
     limit = initial.phi - fb.time_integral_values(driving0, fiber, math.inf, rate_scale=rate) / n
 
     def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:

@@ -190,9 +190,26 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"scenario": "double_twisted", "psi": {"1,0": 100.0}},
+        {"fiber_sides": 1e-100},
+    ], ids=["large-psi", "tiny-sides"])
+    def test_null_mode_round_off_stays_bounded(self, tmp_path, overrides):
+        """Driving scalars of size e^200 keep phi finite and bounded by its start, warning-free.
+
+        Their round-off fiber means, times the null mode's multiplier t,
+        used to take phi to -1.29e69 (large psi) or the volume to inf.
+        """
+        cfg = write_config(tmp_path, fiber_points=32, samples=[0.0, 1.0], t_end=1.0,
+                           checks=[], **overrides)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        phi = np.loadtxt(out / "phi_001.csv", delimiter=",")
+        assert np.all(np.isfinite(phi)) and np.max(np.abs(phi)) <= 0.2 + 1e-12
+
     def test_degenerate_volume_exits_two_without_outputs(self, tmp_path, capsys):
-        # the null mode's multiplier t scales the driving scalar's round-off mean
-        cfg = write_config(tmp_path, samples=[0.0, 1e300], t_end=1e300)
+        # a flat volume of 1e200 * 1e200 = 1e400 is not a finite float
+        cfg = write_config(tmp_path, base_sides=1e200, fiber_sides=1e200)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -263,11 +263,30 @@ class TestFloatRange:
             with pytest.raises(DegenerateTrajectoryError, match="not positive and finite"):
                 evaluate(state)
 
-    def test_huge_sample_time_refused(self):
-        # the null mode's multiplier t scales the driving scalar's round-off mean
-        with pytest.raises(DegenerateTrajectoryError, match="t = 1e"):
-            ff.run_extrinsic_flow(single_mode_state(),
-                                  plain_config(samples=(0.0, 1e300), t_end=1e300))
+    def test_huge_sample_time_keeps_the_volume(self):
+        """The null mode's multiplier t meets no round-off fiber mean of the driving scalar.
+
+        phi0 = 0.2 cos y has fiber mean 0, so the limit metric is flat with
+        volume (2 pi)^2 = 39.48; a drifting fiber mean took it to 3.6e-126
+        at t = 1e20 and to 0 at t = 1e300.
+        """
+        for t in (1e20, 1e300):
+            traj = ff.run_extrinsic_flow(single_mode_state(),
+                                         plain_config(samples=(0.0, t), t_end=t))
+            assert traj.diagnostics[-1].vol == pytest.approx(4.0 * math.pi ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("fiber, phi0, psi", [
+        (CIRCLE, {(0, 1): 0.2, (1, 3): 0.05}, {(1, 0): 0.3}),
+        (TORUS, {(0, 1, 0): 0.2, (1, 1, 2): 0.05}, {(1, 0, 0): 0.3}),
+    ], ids=["p1", "p2"])
+    def test_exact_path_conserves_the_fiber_mean(self, fiber, phi0, psi):
+        """At t = 1e10 the fiber mean of phi has not drifted (it moved by 2.9e-8 before)."""
+        state = ff.ProductState.from_harmonics(BASE4, fiber, phi0, psi)
+        traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 1e10), t_end=1e10))
+        assert traj.fiber_rate is not None
+        axes = state.fiber_axes
+        drift = traj.states[-1].phi.mean(axis=axes) - state.phi.mean(axis=axes)
+        assert np.max(np.abs(drift)) < 1e-15
 
 
 class TestPrescribedFlow:
