@@ -319,10 +319,9 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     x = (geo.fiber_vector(config.x_field, initial, "x_field") if prescribed
          else np.zeros((initial.p,) + initial.shape))
     fields0 = geo.phi_fields(initial)
-    h0 = fields0.h
 
     if initial.p == 2 and prescribed:       # theta_H = -n dphi itself is exact
-        closed_sup = geo.d_theta_sup(initial, h0 - x)
+        closed_sup = geo.d_theta_sup(initial, fields0.h - x)
         if closed_sup > CLOSEDNESS_TOL:
             raise HypothesisViolationError(
                 f"mean-curvature 1-form (minus X) is not closed: sup |d theta| = "
@@ -330,7 +329,8 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             )
 
     div_x = geo.div_perp(x, initial) if prescribed else None
-    driving0 = geo.div_perp(h0 - x, initial)
+    # Div_perp of H - X itself, so a target X equal to H0 drives exactly nothing
+    driving0 = geo.div_perp(fields0.h - x, initial) if prescribed else fields0.div_h
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
     integral = None
@@ -347,7 +347,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
             )
         phis = _plain_phis(initial, config)
     phi_hat0 = fields0.spectrum
-    del fields0, h0, driving0   # no phi-derived field outlives the pass that builds it
+    del fields0, driving0   # no phi-derived field outlives the pass that builds it
 
     normalized = config.variant == "normalized"
 
