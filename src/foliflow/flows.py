@@ -235,7 +235,7 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     """
     fiber, n = initial.fiber, initial.n
     driving_hat = fb.spectrum(driving0, fiber)
-    driving_hat[(Ellipsis,) + (0,) * fiber.dim] = 0.0     # see below
+    driving_hat[(Ellipsis,) + (0,) * fiber.dim] = 0.0     # the fiber means, as said above
     limit = initial.phi - fb.time_integral_values(driving0, fiber, math.inf, rate_scale=rate) / n
 
     def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:
