@@ -668,6 +668,62 @@ class TestRunChecks:
             "fd_convergence_order",
         }
 
+    EXACT_N2P2_CHECKS = ["divergence_identity", "preservation", "uniform_equivalence",
+                         "volume_ode", "harmonic_rigidity"]
+
+    @staticmethod
+    def exact_n2p2_state():
+        """n = p = 2, psi varying over the base only: the exact path, as in the exact-n2p2 bench."""
+        base = ff.FiberGrid(2, (2.0 * math.pi,) * 2, (4, 4))
+        fiber = ff.FiberGrid(2, (2.0 * math.pi,) * 2, (32, 32))
+        return ff.ProductState.from_harmonics(
+            base, fiber, {(0, 0, 1, 0): 0.1, (1, 0, 0, 1): (0.05, 0.02), (0, 1, 1, 1): 0.03},
+            {(1, 0, 0, 0): 0.1})
+
+    def test_fft_budget_of_an_exact_run(self, monkeypatch):
+        """Flow plus checks take at most 16 FFT calls per sample, the run's fixed ones included.
+
+        Each sample's H and Div_perp H come from its spectrum once, not once
+        per consumer (it took about 37 per sample when every consumer
+        rebuilt them from nodal phi).
+        """
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        samples = tuple(0.4 * k for k in range(11))
+        traj = ff.run_extrinsic_flow(self.exact_n2p2_state(),
+                                     ff.FlowConfig(t_end=4.0, samples=samples))
+        assert traj.fiber_rate is not None
+        reports = checks.run_checks(traj, self.EXACT_N2P2_CHECKS)
+        assert reports and all(r.passed for r in reports)
+        assert len(calls) <= 16 * len(samples), sorted(calls)
+
+    def test_no_phi_derived_field_outlives_the_run(self):
+        """The trajectory retains its states, X, the driving spectrum and psi's fields.
+
+        That is about 21 fields for 11 states.  Keeping H and Div_perp H on
+        each state would add 3 fields per state, and even Div_perp H alone
+        breaks the bound.
+        """
+        state = self.exact_n2p2_state()
+        field_bytes = state.phi.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = ff.run_extrinsic_flow(
+                state, ff.FlowConfig(t_end=4.0, samples=tuple(0.4 * k for k in range(11))))
+            checks.run_checks(traj, self.EXACT_N2P2_CHECKS)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < (len(traj.states) + 14) * field_bytes, retained / field_bytes
+
     def test_rigidity_probe_runs_on_torus(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
         config = ff.FlowConfig(t_end=1.0, samples=(0.0, 1.0))

@@ -267,6 +267,67 @@ class TestMeanCurvature:
                                    expected, atol=1e-13)
 
 
+class TestPhiFields:
+    """geometry.phi_fields, the one builder of H and Div_perp H.
+
+    The reference is the general route: H = -n grad_perp phi and
+    Div_perp H = div_perp(H), each derivative a nodal transform pair.
+    """
+
+    @pytest.mark.parametrize("fiber, phi_terms, psi_terms", [
+        (CIRCLE, {(0, 1): 0.2, (1, 3): 0.05, (2, 2): (0.03, 0.02)}, {(1, 0): 0.3}),
+        (TORUS, {(0, 1, 0): 0.2, (1, 1, 2): 0.05, (0, 2, 1): (0.03, 0.01)},
+         {(1, 0, 0): 0.3}),
+    ], ids=["p1", "p2"])
+    def test_fiber_constant_psi_matches_the_general_route(self, fiber, phi_terms, psi_terms):
+        state = ff.ProductState.from_harmonics(BASE4, fiber, phi_terms, psi_terms)
+        assert geo.psi_is_fiber_constant(state)
+        fields = geo.phi_fields(state)
+        np.testing.assert_allclose(fields.h, -state.n * geo.grad_perp(state.phi, state),
+                                   rtol=0, atol=1e-12)
+        reference = geo.div_perp(ff.twisted_mean_curvature(state), state)
+        assert np.max(np.abs(reference)) > 0.1
+        np.testing.assert_allclose(fields.div_h, reference, rtol=0, atol=1e-12)
+        assert fields.d_theta_sup() <= 1e-12
+
+    def test_fiber_varying_psi_takes_the_general_route(self, monkeypatch):
+        state = random_state(3)
+        assert not geo.psi_is_fiber_constant(state)
+        calls = []
+        div_perp = geo.div_perp
+
+        def counting_div_perp(xi, state):
+            calls.append(state.t)
+            return div_perp(xi, state)
+
+        monkeypatch.setattr(geo, "div_perp", counting_div_perp)
+        fields = geo.phi_fields(state)
+        np.testing.assert_array_equal(fields.div_h, div_perp(fields.h, state))
+        assert calls == [0.0]
+        assert fields.d_theta_sup() == geo.d_theta_sup(state, fields.h)
+
+    @pytest.mark.parametrize("fiber", [CIRCLE, TORUS], ids=["p1", "p2"])
+    def test_null_entries_of_a_given_spectrum_are_not_read(self, fiber):
+        """A fiber-constant shift of phi, as a volume projection makes, changes no field."""
+        state = ff.ProductState.from_harmonics(BASE4, fiber, {(0,) * 1 + (1,) * fiber.dim: 0.2},
+                                               {(1,) + (0,) * fiber.dim: 0.1})
+        spectrum = fb.spectrum(state.phi, fiber)
+        shifted = spectrum.copy()
+        shifted[(Ellipsis,) + (0,) * fiber.dim] += 123.0
+        plain, moved = geo.phi_fields(state, spectrum), geo.phi_fields(state, shifted)
+        np.testing.assert_array_equal(plain.h, moved.h)
+        np.testing.assert_array_equal(plain.div_h, moved.div_h)
+        assert plain.d_theta_sup() == moved.d_theta_sup()
+
+    def test_fields_are_not_kept_on_the_state(self):
+        state = random_state(5)
+        fields = geo.phi_fields(state)
+        assert fields.h is not None and fields.div_h is not None
+        assert set(vars(state)) == {f.name for f in dataclasses.fields(state)}
+        for key in state._psi_fields:     # the psi store holds psi-derived entries only
+            assert key in ("fiber_gradient", "base_gradient", "fiber_constant") or key[0] == "exp"
+
+
 class TestConformalChange:
     def test_matches_recomputed_state(self):
         state = twisted_circle()
