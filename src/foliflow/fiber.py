@@ -14,7 +14,9 @@ here.
 Fields are stored nodally.  Transforms go through real FFTs, which keep
 the conjugate (Hermitian) symmetry of the spectrum intact after every
 multiplier application, so evolved fields stay exactly real.  The
-symbols every multiplier reads are built once per grid.
+symbols every multiplier reads are built once per grid; ``spectrum`` and
+``nodal`` move a field to their layout and back, so a caller that keeps
+a spectrum applies further multipliers without transforming again.
 
 Array-level helpers (evolve_values, time_integral_values, ...) act on the
 trailing ``grid.dim`` axes and broadcast over any leading axes; the flow
@@ -278,11 +280,9 @@ def gradient_values(values: np.ndarray, grid: FiberGrid,
     only the partial along that grid axis, shape values.shape, at the
     cost of one inverse transform instead of grid.dim.
     """
-    values = np.asarray(values, dtype=float)
-    _rfft_axes(values, grid)
+    values_hat = spectrum(values, grid)
     if axis is not None and axis not in range(grid.dim):
         raise InputError(f"axis must be in range({grid.dim}), got {axis}")
-    values_hat = spectrum(values, grid)
     iks = symbols(grid)[1]
 
     def partial(k: int) -> np.ndarray:
