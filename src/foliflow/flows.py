@@ -23,10 +23,11 @@ phi(0) and the initial driving scalar D0 once per run: a sample's
 spectrum is phi_hat(t) = phi_hat(0) - m(t) D0_hat / n, its nodal phi one
 inverse transform, and its diagnostics read H and Div_perp H from that
 spectrum (``geometry.PhiFields``), so a sample takes no forward
-transform.  Only D0_hat outlives the run, inside the trajectory's
-evaluator.  When psi varies along a fiber the leaf Laplacian has
-variable coefficients and the finite-difference path becomes the
-authoritative solver.
+transform.  D0_hat has its fiber-mean entries zeroed, so the fiber mean
+of phi is conserved exactly; it is the only spectrum that outlives the
+run, inside the trajectory's evaluator.  When psi varies along a fiber
+the leaf Laplacian has variable coefficients and the finite-difference
+path becomes the authoritative solver.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
