@@ -246,20 +246,6 @@ class PhiFields:
         lam = fb.symbols(state.fiber)[0]
         return -state.n * (state.exp_psi(-2) * fb.nodal(self.spectrum * -lam, state.fiber))
 
-    def d_theta_sup(self) -> float:
-        """``d_theta_sup`` of the state's H, from the spectrum when psi is fiber-constant.
-
-        theta = exp(2 psi) H = -n dphi, so its fiber exterior derivative
-        d1 theta_2 - d2 theta_1 is -n irfftn(ik1 (ik2 phi_hat) - ik2 (ik1
-        phi_hat)): one inverse transform instead of two transform pairs.
-        """
-        state = self.state
-        if state.p == 1 or not psi_is_fiber_constant(state):
-            return d_theta_sup(state, self.h)
-        ik0, ik1 = fb.symbols(state.fiber)[1]
-        curl = fb.nodal(ik0 * (ik1 * self.spectrum) - ik1 * (ik0 * self.spectrum), state.fiber)
-        return state.n * float(np.max(np.abs(curl)))
-
 
 def phi_fields(state: ProductState, spectrum: np.ndarray | None = None) -> PhiFields:
     """The phi-derived fields of ``state`` (see ``PhiFields``).
@@ -415,14 +401,15 @@ def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
     """Sup norm of the fiber exterior derivative of the mean-curvature 1-form.
 
     The derivative d theta has the single component d1 theta_2 - d2 theta_1,
-    so the sup is 0 when p = 1.
+    so the sup is 0 when p = 1.  The two partials are combined in spectral
+    space: two forward transforms and one inverse.
     """
     if state.p == 1:
         return 0.0
     theta = theta_h(state, h)
-    d1 = fb.gradient_values(theta[1], state.fiber, axis=0)
-    d2 = fb.gradient_values(theta[0], state.fiber, axis=1)
-    return float(np.max(np.abs(d1 - d2)))
+    ik1, ik2 = fb.symbols(state.fiber)[1]
+    curl_hat = ik1 * fb.spectrum(theta[1], state.fiber) - ik2 * fb.spectrum(theta[0], state.fiber)
+    return float(np.max(np.abs(fb.nodal(curl_hat, state.fiber))))
 
 
 @dataclass(frozen=True)
