@@ -26,7 +26,7 @@ from . import geometry as geo
 from .errors import DegenerateTrajectoryError, InputError, UnsupportedScenarioError
 from .fdref import FdScheme, fd_heat_run
 from .fiber import FiberGrid
-from .flows import Trajectory, normalization_rate, tau_of_state
+from .flows import Trajectory, driving_scalar, normalization_rate, tau_of_state
 from .geometry import ProductState
 
 SPECTRAL_TOL = 1e-8
@@ -204,23 +204,13 @@ def check_preservation(trajectory: Trajectory) -> list[CheckReport]:
     return reports
 
 
-def _driving(state: ProductState, x: np.ndarray,
-             fields: geo.PhiFields | None = None) -> np.ndarray:
-    """The driving scalar Div_perp(H - X) of one state, as Div_perp H - Div_perp X.
-
-    A caller that holds the state's ``PhiFields`` passes them.
-    """
-    div_h = (geo.phi_fields(state) if fields is None else fields).div_h
-    return div_h - geo.div_perp(x, state) if np.any(x) else div_h
-
-
 def _speed(state: ProductState, x: np.ndarray, normalized: bool) -> np.ndarray:
     """Conformal speed s = -(2/n) Div_perp(H - X) - r of the leaf factor.
 
     r enters only under the normalized variant, where X = 0 and the
     driving scalar is Div_perp H itself.
     """
-    driving = _driving(state, x)
+    driving = driving_scalar(geo.phi_fields(state), x)
     s = -(2.0 / state.n) * driving
     if normalized:
         s = s - normalization_rate(state, driving)
@@ -239,7 +229,7 @@ def _theta_norms(state: ProductState, x: np.ndarray) -> tuple[float, float]:
     field = fields.h - x
     leaf_weight = state.exp_psi(state.p)
     flat_vol = state.base.volume * state.fiber.volume
-    codiff = -_driving(state, x, fields)
+    codiff = -driving_scalar(fields, x)
     return (
         float(np.mean(geo.leaf_inner(state, field, field) * leaf_weight) * flat_vol),
         float(np.mean(codiff ** 2 * leaf_weight) * flat_vol),
@@ -327,7 +317,8 @@ def _bperp_exponent(trajectory: Trajectory, t: float, quad_nodes: int) -> np.nda
     phi_sum, rate_sum, weight_sum = _bperp_node_sums(trajectory, t, quad_nodes)
     initial = trajectory.initial
     summed = initial.replace_phi(phi_sum, t)
-    return (2.0 / initial.n) * _driving(summed, weight_sum * trajectory.x) + rate_sum
+    driving = driving_scalar(geo.phi_fields(summed), weight_sum * trajectory.x)
+    return (2.0 / initial.n) * driving + rate_sum
 
 
 def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
@@ -404,7 +395,7 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     """
     gap = _fiber_gap(trajectory, "uniform_equivalence")
     initial = trajectory.initial
-    driving0 = _driving(initial, trajectory.x)
+    driving0 = driving_scalar(geo.phi_fields(initial), trajectory.x)
     axes = initial.fiber_axes
     coeffs = np.fft.fftn(driving0, axes=axes) / np.prod(initial.fiber.shape)
     mags = np.abs(coeffs)

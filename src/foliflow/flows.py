@@ -173,7 +173,24 @@ def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> 
     vol = geo.volume(state)
     if div_h is None:
         div_h = geo.phi_fields(state).div_h
-    return float(-(2.0 / state.n) * geo.integrate(state, div_h) / vol)
+    return _rate(state.n, geo.integrate(state, div_h), vol)
+
+
+def _rate(n: int, int_div_h: float, vol: float) -> float:
+    """r = -(2/n) int Div_perp H dvol / vol, from the integral and the volume."""
+    return float(-(2.0 / n) * int_div_h / vol)
+
+
+def driving_scalar(fields: geo.PhiFields, x: np.ndarray) -> np.ndarray:
+    """The driving scalar Div_perp(H - X) of the state ``fields`` were built for.
+
+    With no target (X = 0) it is the builder's Div_perp H.  Otherwise the
+    divergence is taken of H - X itself, so a target X equal to H drives
+    exactly nothing, in the run and in its diagnostics alike.
+    """
+    if not np.any(x):
+        return fields.div_h
+    return geo.div_perp(fields.h - x, fields.state)
 
 
 def project_unit_volume(state: ProductState) -> ProductState:
@@ -277,19 +294,17 @@ def _plain_phis(initial: ProductState,
     return phis
 
 
-def _diagnose(state: ProductState, spectrum: np.ndarray | None = None,
-              div_x: np.ndarray | None = None) -> DiagnosticsRecord:
+def _diagnose(state: ProductState, x: np.ndarray,
+              spectrum: np.ndarray | None = None) -> DiagnosticsRecord:
     """The record of one state, from one ``geometry.PhiFields`` pass.
 
-    ``spectrum`` is the spectrum of the state's phi when the caller holds
-    it; ``div_x`` is Div_perp X under the prescribed variant, computed once
-    per run, and the driving scalar is then Div_perp H - Div_perp X.
+    ``x`` is the target field, zero unless the variant is prescribed;
+    ``spectrum`` is the spectrum of the state's phi when the caller holds it.
     """
     vol = geo.volume(state)     # first, so a degenerate state is refused before any exp
     fields = geo.phi_fields(state, spectrum)
     data = geo.second_fundamental(state, fields)
     div_h = fields.div_h
-    driving = div_h if div_x is None else div_h - div_x
     int_div_h = geo.integrate(state, div_h)
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
@@ -298,9 +313,9 @@ def _diagnose(state: ProductState, spectrum: np.ndarray | None = None,
         int_h2=geo.integrate(state, geo.leaf_inner(state, data.h, data.h)),
         int_div_h=int_div_h,
         max_div_h=float(np.max(np.abs(div_h))),
-        rate=float(-(2.0 / state.n) * int_div_h / vol),   # normalization_rate, from the integral
-        max_driving=float(np.max(np.abs(driving))),
-        d_theta_sup=fields.d_theta_sup(),
+        rate=_rate(state.n, int_div_h, vol),
+        max_driving=float(np.max(np.abs(driving_scalar(fields, x)))),
+        d_theta_sup=geo.d_theta_sup(state, data.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
     )
@@ -329,9 +344,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
                 f"{closed_sup:.3e} > {CLOSEDNESS_TOL:.1e}"
             )
 
-    div_x = geo.div_perp(x, initial) if prescribed else None
-    # Div_perp of H - X itself, so a target X equal to H0 drives exactly nothing
-    driving0 = geo.div_perp(fields0.h - x, initial) if prescribed else fields0.div_h
+    driving0 = driving_scalar(fields0, x)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
     integral = None
@@ -392,7 +405,7 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
         if normalized:
             state = project_unit_volume(state)
         states.append(state)
-        diagnostics.append(_diagnose(state, spectrum, div_x))
+        diagnostics.append(_diagnose(state, x, spectrum))
     limit = next(at((math.inf,)))
 
     converged_time = None

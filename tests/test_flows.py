@@ -159,7 +159,7 @@ class TestPlainFlow:
                 return original(state, field)
 
             monkeypatch.setattr(geo, name, counting)
-        flows._diagnose(state)
+        flows._diagnose(state, np.zeros((2,) + state.shape))
         assert sorted(calls) == ["h_norm_sup", "hperp_norm_sup"]
 
     def test_rate_and_int_h2_quad_oracles(self):
@@ -318,6 +318,19 @@ class TestPrescribedFlow:
         traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         assert traj.converged_time == 0.0
         np.testing.assert_array_equal(traj.evaluate(1.7).phi, state.phi)
+
+    def test_steep_target_equal_to_h0_drives_exactly_nothing(self):
+        """The run and its diagnostics take the same Div_perp(H - X): exactly 0.
+
+        Here |Div_perp H| ~ 2e6, so the round-off of a different form,
+        Div_perp H - Div_perp X, would alone exceed tol_converge.
+        """
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 30): 5.0}, {(1, 0): -3.0})
+        x = ff.twisted_mean_curvature(state)
+        traj = ff.run_extrinsic_flow(state, prescribed_config(x))
+        assert traj.diagnostics[0].max_div_h > 1e6
+        assert [d.max_driving for d in traj.diagnostics] == [0.0] * 4
+        assert traj.converged_time == 0.0
 
     def test_nonclosed_target_rejected_p2(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
