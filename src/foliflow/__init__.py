@@ -59,7 +59,6 @@ from .flows import (
 from .geometry import (
     ClassificationReport,
     DistributionFlags,
-    PhiFields,
     ProductState,
     SecondFundamentalData,
     classify,
@@ -69,7 +68,6 @@ from .geometry import (
     grad_perp,
     integrate,
     laplacian_perp,
-    phi_fields,
     second_fundamental,
     theta_h,
     twisted_mean_curvature,
@@ -90,7 +88,6 @@ __all__ = [
     "FlowError",
     "HypothesisViolationError",
     "InputError",
-    "PhiFields",
     "ProductState",
     "SecondFundamentalData",
     "SolveError",
@@ -124,7 +121,6 @@ __all__ = [
     "integrate",
     "laplacian_perp",
     "normalization_rate",
-    "phi_fields",
     "project_unit_volume",
     "run_checks",
     "run_codim1",

@@ -190,18 +190,14 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides", [
-        {"scenario": "double_twisted", "psi": {"1,0": 100.0}},
-        {"fiber_sides": 1e-100},
-    ], ids=["large-psi", "tiny-sides"])
-    def test_null_mode_round_off_stays_bounded(self, tmp_path, overrides):
-        """Driving scalars of size e^200 keep phi finite and bounded by its start, warning-free.
+    def test_null_mode_round_off_stays_bounded(self, tmp_path):
+        """A driving scalar of size e^200 keeps phi finite and bounded by its start, warning-free.
 
-        Their round-off fiber means, times the null mode's multiplier t,
-        used to take phi to -1.29e69 (large psi) or the volume to inf.
+        Its round-off fiber means, times the null mode's multiplier t, used
+        to take phi to -1.29e69.
         """
         cfg = write_config(tmp_path, fiber_points=32, samples=[0.0, 1.0], t_end=1.0,
-                           checks=[], **overrides)
+                           checks=[], scenario="double_twisted", psi={"1,0": 100.0})
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         phi = np.loadtxt(out / "phi_001.csv", delimiter=",")
