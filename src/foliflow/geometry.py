@@ -61,8 +61,9 @@ class ProductState:
     entry per scale, the fiber and base gradients of psi, and whether psi
     is constant along each fiber) are computed on first use and kept in a
     store that ``replace_phi`` hands on, so every state of one trajectory
-    shares them; a state built any other way starts with an empty store.  ``leaf_inner`` is the only leaf pairing and
-    ``fiber_rate`` the only per-fiber rate of the exact path.
+    shares them; a state built any other way starts with an empty store.
+    ``leaf_inner`` is the only leaf pairing and ``fiber_rate`` the only
+    per-fiber rate of the exact path.
     """
 
     base: FiberGrid
