@@ -60,26 +60,160 @@ CONFIG_KEYS = frozenset((
 ))
 
 # Snapshot values (samples x base points x fiber points) from which two
-# processes write a run's snapshots, when a second CPU is available.  A fork
-# and wait cost 3-4 ms in a 100 MB process and formatting about 0.9 us per
-# value, so handing half the values to a child breaks even near 2^14 values:
-# 11 files took 15 ms either way, and at 2^17 values 129 ms serial against
-# 80 ms split (2-core Xeon VM).  The bound keeps a 4x margin above that.
+# processes write a run's snapshots, when a second CPU is available.  In a
+# 100 MB process, handing half the files to a forked child broke even between
+# 2^13 and 2^15 values, and 11 files of 2^16 values in all took 24-27 ms from
+# two processes against 36-42 ms from one (2-core Xeon VM, two runs).
 SPLIT_VALUES = 2 ** 16
 
 
-def _row_format(columns: int) -> str:
-    """%-format of one CSV row: `columns` numbers of 17 significant digits each."""
-    return ",".join(["%.17g"] * columns)
+_FLOAT_FORMAT = "%.17g"
 
 
 def _fmt(x: float) -> str:
-    return _row_format(1) % float(x)
+    return _FLOAT_FORMAT % float(x)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write newline-terminated lines as UTF-8 with newline-only endings."""
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+# Values per block of _format_table, whose temporaries then stay at a few MB.
+# Of 2^11 to 2^15, 2^14 formatted an 8^2 x 64^2 snapshot fastest: 44.5 ms
+# against 48.8-52.8 ms.
+_TABLE_BLOCK = 2 ** 14
+# 10^k is an exact double for k <= 22.
+_POW10 = 10.0 ** np.arange(23)
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two halves of at most 26 significant bits each.
+
+    Every product of two halves is then exact.
+    """
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4 ASCII digits of 0000..9999 as one uint32 each, and their trailing zeros."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    zero = digits == 0
+    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    return (digits + ord("0")).copy().view(np.uint32).ravel(), trailing.astype(np.int8)
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+_QUADS, _TRAILING_ZEROS = _digit_tables()
+
+
+def _layouts() -> np.ndarray:
+    """Byte layout of one value per (exponent X, significant digits S, sign).
+
+    A value takes 52 bytes (13 words); a byte left 0 is dropped:
+      3      "-" when negative
+      4-19   digits 0-15 before the point: up to digit X, or digit 0 when X <= -5
+      20-24  "." when digits follow the point, or "0." and -X-1 zeros when X < 0
+      28-44  digits 0-16 after the point, up to the S-th
+      45-48  "e-05" or "e-06" when X <= -5
+      49     ","; the caller writes "\\n" at the end of a row
+    A digit byte is 0xFF here, for the caller to AND its digit into.  Column
+    ((X + 6) * 17 + S - 1) * 2 + sign covers X in [-6, 16] and S in [1, 17].
+    """
+    x = np.arange(-6, 17).reshape(-1, 1, 1, 1)
+    s = np.arange(1, 18).reshape(-1, 1, 1)
+    digit = np.arange(17)
+    fixed_below_one = (x >= -4) & (x <= -1)
+    point = (x >= 0) & (s > x + 1) | (x <= -5) & (s > 1)
+    out = np.zeros((x.size, s.size, 2, 52), np.uint8)
+    out[:, :, 1, 3] = ord("-")
+    out[..., 4:20] = ((digit[:16] <= x) | (x <= -5) & (digit[:16] == 0)) * 0xFF
+    out[..., 20:21] = np.where(fixed_below_one, ord("0"), point * ord("."))
+    out[..., 21:22] = fixed_below_one * ord(".")
+    out[..., 22:25] = (fixed_below_one & (x <= -2 - np.arange(3))) * ord("0")
+    out[..., 28:45] = ((digit < s) & (digit > np.where(x <= -5, 0, x))) * 0xFF
+    out[..., 45:49] = (x <= -5) * np.where(x == -6, np.frombuffer(b"e-06", np.uint8),
+                                           np.frombuffer(b"e-05", np.uint8))
+    out[..., 49] = ord(",")
+    return np.ascontiguousarray(out.reshape(-1, 52).view(np.uint32).T)
+
+
+_LAYOUTS = _layouts()
+
+
+def _format_block(values: np.ndarray, first: int, columns: int) -> bytes:
+    """The text of `values`, a table's entries from flat index `first` on.
+
+    `columns` is the table's row length; each value ends in "," or, at the
+    end of a row, "\\n".
+
+    A value with 1e-6 < |v| < 1e16 has a decimal exponent X in [-6, 15] and
+    17 significant digits D, 10^16 <= D < 10^17.  With e = floor(log10|v|)
+    and k = 16 - e, the exact product |v| 10^k is hi + lo by Dekker's
+    TwoProduct (Numer. Math. 18, 1971).  When e is X, hi >= 2^53 is an even
+    integer, so D = hi + rint(lo) is that product rounded to an integer,
+    ties to even.  A value whose product lies outside [10^16, 10^17 - 1/2),
+    because log10 put it in the next or the previous decade, and every value
+    outside the range above (zeros, subnormals, nan, inf), is formatted by
+    _fmt instead.  Such a value's digits and layout may be out of range, so
+    the table lookups clip their indices.
+    """
+    magnitude = np.abs(values)
+    bulk = (magnitude > 1e-6) & (magnitude < 1e16)
+    magnitude = np.where(bulk, magnitude, 1.0)
+    exponent = np.clip(np.floor(np.log10(magnitude)), -6, 16).astype(np.int64)
+    k = 16 - exponent
+    hi = magnitude * np.take(_POW10, k)
+    a_high, a_low = _halves(magnitude)
+    b_high, b_low = np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
+    lo = ((a_high * b_high - hi) + a_high * b_low + a_low * b_high) + a_low * b_low
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact = bulk & ((hi - 1e16) + lo >= 0) & (digits < 10 ** 17)
+
+    # D = g0 g1 g2 g3 last: four groups of 4 digits and one digit
+    first8 = digits // 10 ** 9
+    last9 = digits - first8 * 10 ** 9
+    g0 = first8 // 10 ** 4
+    g1 = first8 - g0 * 10 ** 4
+    tens = last9 // 10
+    last = last9 - tens * 10
+    g2 = tens // 10 ** 4
+    g3 = tens - g2 * 10 ** 4
+    zeros = np.take(_TRAILING_ZEROS, g0, mode="clip")
+    for group in (g1, g2, g3):
+        zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS, group, mode="clip"))
+    zeros = np.where(last == 0, zeros + 1, 0)
+    layout = ((exponent + 6) * 17 + 16 - zeros) * 2 + np.signbit(values)
+
+    words = np.take(_LAYOUTS, layout, axis=1, mode="clip")
+    quads = np.take(_QUADS, np.stack((g0, g1, g2, g3)), mode="clip")
+    words[1:5] &= quads
+    words[7:11] &= quads
+    tail = words[11:].view(np.uint8).reshape(2, -1, 4)
+    tail[0, :, 0] &= (last + ord("0")).astype(np.uint8)
+    tail[1, columns - 1 - first % columns::columns, 1] = ord("\n")
+    out = words.T.copy().view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        out[slow, :49] = 0
+        out[slow, :24] = np.array([_fmt(v) for v in values[slow].tolist()],
+                                  dtype="S24").view(np.uint8).reshape(-1, 24)
+    return out.tobytes().translate(None, b"\0")
+
+
+def _format_table(table: np.ndarray) -> str:
+    """``"".join(",".join(_fmt(x) for x in row) + "\\n" for row in table)``, in bulk.
+
+    Works through blocks of _TABLE_BLOCK values, so its temporaries stay at
+    a few MB whatever the table's size.
+    """
+    flat = table.reshape(-1)
+    columns = table.shape[1]
+    return b"".join([_format_block(flat[i:i + _TABLE_BLOCK], i, columns)
+                     for i in range(0, flat.size, _TABLE_BLOCK)]).decode("ascii")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write text as UTF-8 with newline-only endings."""
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _as_float(raw, label: str) -> float:
@@ -272,7 +406,7 @@ def _write_diagnostics(path: Path, traj: fl.Trajectory) -> None:
     lines = [",".join(DIAG_COLUMNS)]
     for d in traj.diagnostics:
         lines.append(",".join(_fmt(getattr(d, attr)) for _, attr in _DIAG_FIELDS))
-    _write_lines(path, lines)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
@@ -283,19 +417,18 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
     process writes the even-numbered ones.  The child formats each file
     itself, so no text crosses between the processes; only a failure's
     message comes back through a pipe, and is raised here as an OSError.
-    The child runs nothing but Python formatting and file writes, so it
-    takes no lock that another thread (numpy's BLAS pool, say) may have
-    held at the fork.
+    The child runs only _format_table and file writes: numpy elementwise
+    ufuncs, integer division, take, copies and a transpose, with no BLAS,
+    FFT or thread of its own.  So it takes no lock that another thread
+    (numpy's BLAS pool, say) may have held at the fork.
     """
     base_size = int(np.prod(traj.initial.base.shape))
     fiber_size = int(np.prod(traj.initial.fiber.shape))
-    row_format = _row_format(fiber_size)
     tables = [state.phi.reshape(base_size, fiber_size) for state in traj.states]
 
     def write(indices: range) -> None:
         for i in indices:
-            _write_lines(out_dir / f"phi_{i:03d}.csv",
-                         [row_format % tuple(row) for row in tables[i].tolist()])
+            _write_text(out_dir / f"phi_{i:03d}.csv", _format_table(tables[i]))
 
     indices = range(len(tables))
     if (len(tables) * base_size * fiber_size < SPLIT_VALUES
@@ -356,7 +489,7 @@ def _write_checks(path: Path, reports: list[ck.CheckReport]) -> None:
             r.name, _fmt(r.sample_time), _fmt(r.residual), _fmt(r.tolerance),
             "true" if r.passed else "false",
         ]))
-    _write_lines(path, lines)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _svg_chart(traj: fl.Trajectory) -> list[str]:
@@ -425,7 +558,7 @@ def _run_command(args) -> int:
         _write_snapshots(out_dir, traj)
         _write_checks(out_dir / "checks.csv", reports)
         if payload["plot"]:
-            _write_lines(out_dir / "diagnostics.svg", _svg_chart(traj))
+            _write_text(out_dir / "diagnostics.svg", "\n".join(_svg_chart(traj)) + "\n")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@
 Every invocation goes through ``main(argv)`` in process, with configs
 and outputs under tmp_path.  Covers the four exit codes, the
 no-partial-output guarantee on config errors, byte-identical reruns,
-the snapshot writer's split between two processes, and the flag surface
-(--grid, --plot, --out).
+the bulk snapshot formatter against one %.17g per value, the snapshot
+writer's split between two processes, and the flag surface (--grid,
+--plot, --out).
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,6 +48,11 @@ def forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def per_value_text(table):
+    """The snapshot text of a 2-D table, one f"{x:.17g}" per value."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -444,9 +451,7 @@ class TestOutputs:
             assert len(forks) == split
             assert_no_child_left()
             for i, state in enumerate(states):
-                table = state.phi.reshape(4, -1)
-                expected = "".join(",".join(f"{float(x):.17g}" for x in row) + "\n"
-                                   for row in table)
+                expected = per_value_text(state.phi.reshape(4, -1))
                 assert (out / f"phi_{i:03d}.csv").read_bytes() == expected.encode()
             first = (out / "phi_000.csv").read_text().split("\n")[0].split(",")
             assert first[:5] == ["-0", "4.9406564584124654e-324", "10000000000000000",
@@ -486,6 +491,74 @@ class TestOutputs:
         cfg = write_config(tmp_path, phi0={}, checks=[])
         main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert "converged at t=0" in capsys.readouterr().out
+
+
+def edge_values():
+    """Values at every border of _format_table's bulk range and layouts."""
+    values = [0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
+              1234567890123456.5, 1000000000000000.25, 1000000000000000.75,
+              100000000000000.125, 0.1, 1.0 / 3.0, 2.0 ** 53, 2.0 ** 53 + 2.0]
+    for v in [10.0 ** k for k in range(-8, 18)] + [1e-6, 1e-5, 1e-4, 1e16]:
+        values += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+@st.composite
+def float_tables(draw):
+    """Float64 tables of any small shape: any double, any bit pattern, decade borders."""
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    element = st.one_of(
+        st.floats(width=64),
+        st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+        st.floats(1e-6, 1e-4),
+        st.builds(lambda k, ulps: 10.0 ** k * (1.0 + ulps * 2.0 ** -52),
+                  st.integers(-8, 17), st.integers(-4, 4)),
+    )
+    values = draw(st.lists(element, min_size=rows * columns, max_size=rows * columns))
+    return np.array(values, dtype=np.float64).reshape(rows, columns)
+
+
+class TestFormatTable:
+    """_format_table against one f"{x:.17g}" per value, byte for byte."""
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+    @hyp.given(table=float_tables())
+    def test_matches_per_value_format(self, table):
+        assert cli._format_table(table) == per_value_text(table)
+
+    @pytest.mark.parametrize("shape", ["row", "column", "table"])
+    def test_edge_values(self, shape):
+        values = edge_values()
+        table = {"row": values[None, :], "column": values[:, None],
+                 "table": values.reshape(2, -1)}[shape]
+        assert cli._format_table(table) == per_value_text(table)
+
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf], ids=["low", "high"])
+    def test_log10_one_ulp_off(self, monkeypatch, direction):
+        """A log10 that puts a value in the wrong decade still gives the exact text."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+        table = edge_values()[None, :]
+        assert cli._format_table(table) == per_value_text(table)
+
+    def test_rows_straddling_blocks(self):
+        """Rows that start and end inside blocks, over every decade of the bulk range."""
+        rng = np.random.default_rng(11)
+        shape = (3, cli._TABLE_BLOCK // 2 + 3)
+        table = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-7.0, 17.0, shape)
+        assert cli._format_table(table) == per_value_text(table)
+
+    def test_one_snapshot_peaks_below_three_file_sizes(self):
+        """Formatting an 8^2 x 64^2 snapshot allocates at most 3x its text at the peak."""
+        table = np.random.default_rng(5).normal(scale=0.1, size=(8 ** 2, 64 ** 2))
+        tracemalloc.start()
+        try:
+            text = cli._format_table(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
 
 
 # 4 samples x 16 base points x 1024 fiber points = 2^16 snapshot values
