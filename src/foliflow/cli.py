@@ -11,26 +11,40 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 the config
 is invalid or asks for something the scenario cannot provide, or the
 output cannot be written, 3 the closedness hypothesis of the requested
 flow fails on the initial data.
-Config errors are detected before any output file is created.  A rerun
-into an existing directory unlinks the snapshots and chart of the earlier
-run that it does not write again.
+
+Every file of a run is written first into a staging directory, made in
+the output directory when it exists and else in its nearest existing
+ancestor, and moved into the output directory with os.replace only once
+all of them are written (a new output directory is the staging
+directory, renamed).  So every exit 2 (and exit 3, which comes before
+anything is staged) leaves the output directory exactly as it was, or
+absent when it was: a target name taken by a directory is refused before
+the first file moves, and the staging directory is removed whatever the
+exit.  A run that succeeds replaces its own files,
+unlinks the earlier run's snapshots numbered at or beyond its sample
+count and, when it does not plot, its chart, and leaves every other
+file in the directory alone.
 
 All CSV output uses 17 significant digits and newline-only line
 endings, so reruns of one config on one version are byte-identical.
 A run of at least SPLIT_VALUES snapshot values on a host with a second
-usable CPU writes its snapshots from two processes, itself and one
-forked child, with the same bytes.
+usable CPU writes its snapshots from one forked child, with the same
+bytes, while this process diagnoses the samples and runs the checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,11 +73,14 @@ CONFIG_KEYS = frozenset((
     "tol_converge", "checks", "oracle_check", "plot", "out",
 ))
 
-# Snapshot values (samples x base points x fiber points) from which two
-# processes write a run's snapshots, when a second CPU is available.  In a
-# 100 MB process, handing half the files to a forked child broke even between
-# 2^13 and 2^15 values, and 11 files of 2^16 values in all took 24-27 ms from
-# two processes against 36-42 ms from one (2-core Xeon VM, two runs).
+# Snapshot values (samples x base points x fiber points) from which a forked
+# child writes a run's snapshots while this process diagnoses and checks it,
+# when a second CPU is available.  Whole warm runs in a 100 MB process (4
+# samples of 16 base points, no checks or two; 2-core Xeon VM, median of 15):
+# forking broke even between 2^16 and 2^17 values (53-58 ms against 52-55 ms
+# from one process at 2^16, 78-85 ms against 83-84 ms at 2^17) and gained at
+# 2^18 (137-139 ms against 145-151 ms).  The bound stays at 2^16, since below
+# 2^17 either way costs at most 3 ms.
 SPLIT_VALUES = 2 ** 16
 
 
@@ -409,39 +426,44 @@ def _write_diagnostics(path: Path, traj: fl.Trajectory) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
-    """Write phi_NNN.csv per sample, from two processes when the run is large.
+@contextlib.contextmanager
+def _writing_snapshots(staging: Path, states: Sequence[ProductState]) -> Iterator[None]:
+    """Write phi_NNN.csv per state into ``staging``, alongside the body when the run is large.
 
     A run of at least SPLIT_VALUES snapshot values, given a second usable
-    CPU, forks one child that writes the odd-numbered files while this
-    process writes the even-numbered ones.  The child formats each file
-    itself, so no text crosses between the processes; only a failure's
-    message comes back through a pipe, and is raised here as an OSError.
-    The child runs only _format_table and file writes: numpy elementwise
-    ufuncs, integer division, take, copies and a transpose, with no BLAS,
-    FFT or thread of its own.  So it takes no lock that another thread
-    (numpy's BLAS pool, say) may have held at the fork.
+    CPU, forks one child as the body starts; the child writes every
+    snapshot while this process runs the body.  Leaving the body, this
+    process waits for the child and raises its failure, whose message
+    comes back through a pipe, as an OSError.  If the body raises, the
+    child is killed; either way it is reaped before this returns.  A
+    smaller run, one usable CPU or a failed fork writes every snapshot
+    here, after the body.
+
+    _run_command enters it right after the flow's sampling step, so the
+    child is forked before any diagnostics exist.  The child runs only _format_table and file
+    writes: numpy elementwise ufuncs, integer division, take, copies and a
+    transpose, with no BLAS, FFT or thread of its own.  So it takes no lock
+    that another thread (numpy's BLAS pool, say) may have held at the fork.
     """
-    base_size = int(np.prod(traj.initial.base.shape))
-    fiber_size = int(np.prod(traj.initial.fiber.shape))
-    tables = [state.phi.reshape(base_size, fiber_size) for state in traj.states]
+    base_size, fiber_size = math.prod(states[0].base.shape), math.prod(states[0].fiber.shape)
 
-    def write(indices: range) -> None:
-        for i in indices:
-            _write_text(out_dir / f"phi_{i:03d}.csv", _format_table(tables[i]))
+    def write() -> None:
+        for i, state in enumerate(states):
+            _write_text(staging / f"phi_{i:03d}.csv",
+                        _format_table(state.phi.reshape(base_size, fiber_size)))
 
-    indices = range(len(tables))
-    if (len(tables) * base_size * fiber_size < SPLIT_VALUES
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
-        write(indices)
-        return
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:         # no process to be had: write every file here
-        os.close(read_end)
-        os.close(write_end)
-        write(indices)
+    pid = None
+    if (len(states) * base_size * fiber_size >= SPLIT_VALUES
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:         # no process to be had: write every file here
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        yield
+        write()
         return
     if pid == 0:
         # The child never returns into its caller's stack and never flushes
@@ -450,7 +472,7 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
         try:
             os.close(read_end)
             try:
-                write(indices[1::2])
+                write()
                 status = 0
             except BaseException as exc:    # interrupts too: report, then end
                 os.write(write_end, str(exc).encode("utf-8", "replace"))
@@ -458,7 +480,11 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
             os._exit(status)
     os.close(write_end)
     try:
-        write(indices[0::2])
+        yield
+    except BaseException:
+        import signal           # only here: a run that ends normally never needs it
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         with open(read_end, "rb") as pipe:
             message = pipe.read().decode("utf-8", "replace")
@@ -467,19 +493,51 @@ def _write_snapshots(out_dir: Path, traj: fl.Trajectory) -> None:
         raise OSError(message or f"snapshot writer process ended with wait status {status}")
 
 
-def _remove_stale_outputs(out_dir: Path, samples: int, plot: bool) -> None:
-    """Unlink the outputs of an earlier run that this run does not replace.
+def _staging_dir(out_dir: Path) -> Path:
+    """A new empty directory for a run's files, on the filesystem of ``out_dir``.
 
-    Those are the ``phi_<digits>.csv`` snapshots numbered ``samples`` or
-    more and, when this run does not plot, ``diagnostics.svg``.  Every
-    other file in ``out_dir`` stays.
+    It is made in ``out_dir`` when that exists, else in its nearest
+    existing ancestor, so no directory on the way to ``out_dir`` is made
+    before the run succeeds.  Its mode is that of any new directory, since
+    it may become ``out_dir``.
     """
-    for path in out_dir.iterdir():
-        match = re.fullmatch(r"phi_([0-9]+)\.csv", path.name)
-        if match and int(match[1]) >= samples:
-            path.unlink()
-    if not plot:
-        (out_dir / "diagnostics.svg").unlink(missing_ok=True)
+    anchor = out_dir
+    while not anchor.exists() and anchor != anchor.parent:
+        anchor = anchor.parent
+    staging = anchor / f".foliflow-staging-{os.getpid()}-{os.urandom(6).hex()}"
+    staging.mkdir()
+    return staging
+
+
+def _publish(staging: Path, out_dir: Path, samples: int, plot: bool) -> None:
+    """Move every staged file into ``out_dir`` and unlink what this run replaces.
+
+    A new ``out_dir`` is the staging directory itself, renamed.  In an
+    existing one the unlinked files are an earlier run's
+    ``phi_<digits>.csv`` snapshots numbered ``samples`` or more and, when
+    this run does not plot, ``diagnostics.svg``.  Every other file in
+    ``out_dir`` stays.  A target or stale name taken by a directory is
+    refused before anything moves, so such a refusal leaves ``out_dir`` as
+    it was.
+    """
+    if not os.path.lexists(out_dir):
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        os.rename(staging, out_dir)
+        return
+    staged = sorted(staging.iterdir())
+    stale = [path for path in out_dir.iterdir()
+             if (match := re.fullmatch(r"phi_([0-9]+)\.csv", path.name))
+             and int(match[1]) >= samples]
+    chart = out_dir / "diagnostics.svg"
+    if not plot and os.path.lexists(chart):
+        stale.append(chart)
+    for path in [out_dir / source.name for source in staged] + stale:
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for source in staged:
+        os.replace(source, out_dir / source.name)
+    for path in stale:
+        path.unlink()
 
 
 def _write_checks(path: Path, reports: list[ck.CheckReport]) -> None:
@@ -537,12 +595,9 @@ def _run_command(args) -> int:
 
     flow_cfg = payload["flow"]
     try:
-        if payload["scenario"] == "codim1_fibration":
-            traj = fl.run_codim1(payload["tau0"], payload["base"], payload["fiber"],
-                                 flow_cfg)
-        else:
-            traj = fl.run_extrinsic_flow(payload["initial"], flow_cfg)
-        reports = ck.run_checks(traj, payload["checks"])
+        initial = (fl.codim1_initial(payload["tau0"], payload["base"], payload["fiber"])
+                   if payload["scenario"] == "codim1_fibration" else payload["initial"])
+        states, diagnose = fl.sample_flow(initial, flow_cfg)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
@@ -551,17 +606,26 @@ def _run_command(args) -> int:
         return 2
 
     out_dir = payload["out_dir"]
+    staging = None
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_outputs(out_dir, len(traj.states), payload["plot"])
-        _write_diagnostics(out_dir / "diagnostics.csv", traj)
-        _write_snapshots(out_dir, traj)
-        _write_checks(out_dir / "checks.csv", reports)
-        if payload["plot"]:
-            _write_text(out_dir / "diagnostics.svg", "\n".join(_svg_chart(traj)) + "\n")
+        staging = _staging_dir(out_dir)
+        with _writing_snapshots(staging, states):
+            traj = diagnose()
+            reports = ck.run_checks(traj, payload["checks"])
+            _write_diagnostics(staging / "diagnostics.csv", traj)
+            _write_checks(staging / "checks.csv", reports)
+            if payload["plot"]:
+                _write_text(staging / "diagnostics.svg", "\n".join(_svg_chart(traj)) + "\n")
+        _publish(staging, out_dir, len(states), payload["plot"])
+    except FlowError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
     failed = [r for r in reports if not r.passed]
     for r in reports:

@@ -23,7 +23,9 @@ phi(0) and the initial driving scalar D0 once per run: a sample's
 spectrum is phi_hat(t) = phi_hat(0) - m(t) D0_hat / n, its nodal phi one
 inverse transform, and its diagnostics read H and Div_perp H from that
 spectrum (``geometry.PhiFields``), so a sample takes no forward
-transform.  D0_hat has its fiber-mean entries zeroed, so the fiber mean
+transform.  A run samples every state first and diagnoses them after
+(``sample_flow``); the diagnosis takes each spectrum again from m(t), so
+no per-sample spectrum is held in between.  D0_hat has its fiber-mean entries zeroed, so the fiber mean
 of phi is conserved exactly; it is the only spectrum that outlives the
 run, inside the trajectory's evaluator.  When psi varies along a fiber
 the leaf Laplacian has variable coefficients and the finite-difference
@@ -231,19 +233,18 @@ def _ascending(times: Iterable[float]) -> list[float]:
 
 
 def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
-                ) -> tuple[Callable[[list[float]], Iterator[tuple[np.ndarray, np.ndarray | None]]],
+                ) -> tuple[Callable[[list[float]], Iterator[np.ndarray]],
                            Callable[[Iterable[float], np.ndarray], np.ndarray]]:
     """The exact path's closed form, from one transform of the driving scalar.
 
     Returns ``(phis, integral)``.  ``integral(times, weights)`` is the
     spectrum of sum_k w_k int_0^{t_k} of the driving scalar's evolution,
     one summed multiplier on the driving spectrum, which is taken here
-    once per run.  ``phis(times)`` yields (phi, I(t)) at each ascending
-    time, with I(t) that spectrum at the one time t and phi = phi(0) -
-    irfftn(I(t))/n, so no forward transform is taken per time.  The t = inf
-    limit is taken once, here, through ``fiber.time_integral_values``, which
-    refuses a driving scalar whose fiber mean does not vanish; it is
-    yielded with no spectrum.
+    once per run.  ``phis(times)`` yields phi at each ascending time,
+    phi(0) - irfftn(I(t))/n with I(t) = ``integral((t,), (1.0,))``, so no
+    forward transform is taken per time.  The t = inf limit is taken once,
+    here, through ``fiber.time_integral_values``, which refuses a driving
+    scalar whose fiber mean does not vanish.
 
     The driving scalar is a leaf divergence, so its fiber means vanish;
     on the grid they are round-off, which the null mode's multiplier t
@@ -259,36 +260,34 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:
         return fb.time_integral_sum_spectrum(driving_hat, fiber, times, weights, rate)
 
-    def phis(times: list[float]) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    def phis(times: list[float]) -> Iterator[np.ndarray]:
         for t in times:
             if math.isinf(t):
-                yield limit, None
-                continue
-            summed = integral((t,), (1.0,))
-            yield initial.phi - fb.nodal(summed, fiber) / n, summed
+                yield limit
+            else:
+                yield initial.phi - fb.nodal(integral((t,), (1.0,)), fiber) / n
 
     return phis, integral
 
 
 def _plain_phis(initial: ProductState,
-                config: FlowConfig) -> Callable[[list[float]], Iterator[tuple[np.ndarray, None]]]:
-    """(phi, None) at each ascending time under d/dt phi = Lap_perp phi, by marching.
+                config: FlowConfig) -> Callable[[list[float]], Iterator[np.ndarray]]:
+    """phi at each ascending time under d/dt phi = Lap_perp phi, by marching.
 
-    A march reaches each time from the previous time or a later anchor;
-    it has no spectrum to hand on.
+    A march reaches each time from the previous time or a later anchor.
     """
-    def phis(times: list[float]) -> Iterator[tuple[np.ndarray, None]]:
+    def phis(times: list[float]) -> Iterator[np.ndarray]:
         k = 0
         for t in times:
             while k < len(anchors) and anchors[k][0] <= t:
                 (t0, phi), k = anchors[k], k + 1
             if t != t0:
                 t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, t - t0, config.fd_scheme)
-            yield phi, None
+            yield phi
 
     anchors = [(0.0, initial.phi)]          # the samples' chain, then the t = inf limit
     for s in config.samples:
-        anchors.append((s, next(phis([s]))[0]))
+        anchors.append((s, next(phis([s]))))
     mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
     anchors.append((math.inf, np.broadcast_to(mean, initial.shape).copy()))
     return phis
@@ -300,17 +299,17 @@ def _diagnose(state: ProductState, x: np.ndarray,
 
     ``x`` is the target field, zero unless the variant is prescribed;
     ``spectrum`` is the spectrum of the state's phi when the caller holds it.
+    The volume and both integrals share one volume-form weight.
     """
-    vol = geo.volume(state)     # first, so a degenerate state is refused before any exp
     fields = geo.phi_fields(state, spectrum)
     data = geo.second_fundamental(state, fields)
     div_h = fields.div_h
-    int_div_h = geo.integrate(state, div_h)
+    vol, int_div_h, int_h2 = geo.integrals(state, div_h, geo.leaf_inner(state, data.h, data.h))
     report = geo.classify(state, data=data)
     return DiagnosticsRecord(
         t=state.t,
         vol=vol,
-        int_h2=geo.integrate(state, geo.leaf_inner(state, data.h, data.h)),
+        int_h2=int_h2,
         int_div_h=int_div_h,
         max_div_h=float(np.max(np.abs(div_h))),
         rate=_rate(state.n, int_div_h, vol),
@@ -329,6 +328,23 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     always emits the analytic t -> inf limit.  A zero driving field
     short-circuits to a constant trajectory.  Initial data whose exp
     factors leave the float range are refused before anything is evolved.
+    This is ``sample_flow`` with its diagnosis step taken at once.
+    """
+    _, diagnose = sample_flow(initial, config)
+    return diagnose()
+
+
+def sample_flow(initial: ProductState, config: FlowConfig
+                ) -> tuple[tuple[ProductState, ...], Callable[[], Trajectory]]:
+    """The sampled states of ``run_extrinsic_flow``, and the step that diagnoses them.
+
+    Returns ``(states, diagnose)``; ``diagnose()`` takes each sample's
+    record and returns the Trajectory.  A caller with other work for the
+    states calls it later (the CLI writes their snapshots in between).
+    Every refusal of the initial data, HypothesisViolationError included,
+    comes from this first step.  No sample's spectrum is held between the
+    steps: on the exact path ``diagnose`` takes each again as phi_hat(0) -
+    I(t)/n, from the same ``integral`` call the sampling made.
     """
     _check_float_range(initial)
     prescribed = config.x_field is not None
@@ -347,31 +363,33 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     driving0 = driving_scalar(fields0, x)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
-    integral = None
+    integral = spectrum_at = None
     if rate is not None:
         exact_phis, integral = _exact_phis(initial, driving0, rate)
     if not np.any(driving0):
-        phis = lambda times: ((initial.phi, None) for _ in times)
+        phis = lambda times: (initial.phi for _ in times)
     elif integral is not None:
         phis = exact_phis
+        phi_hat0 = fields0.spectrum
+        # the spectrum of phi at t; the projection's fiber-constant shift
+        # moves only its null entries, which no derivative reads
+        spectrum_at = lambda t: phi_hat0 - integral((t,), (1.0,)) / initial.n
     else:
         if prescribed:
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
         phis = _plain_phis(initial, config)
-    phi_hat0 = fields0.spectrum
     del fields0, driving0   # no phi-derived field outlives the pass that builds it
 
     normalized = config.variant == "normalized"
 
-    def plain_states(times: list[float]) -> Iterator[tuple[ProductState, np.ndarray | None]]:
-        """(state before projection, spectrum of its time integral or None) per time."""
-        for t, (phi, summed) in zip(times, phis(times)):
-            yield initial.replace_phi(phi, t), summed
+    def plain_states(times: list[float]) -> Iterator[ProductState]:
+        """The state before projection at each time."""
+        return map(initial.replace_phi, phis(times), times)
 
     def at(times: Iterable[float]) -> Iterator[ProductState]:
-        states = (state for state, _ in plain_states(_ascending(times)))
+        states = plain_states(_ascending(times))
         return map(project_unit_volume, states) if normalized else states
 
     def weighted_sums(times: Iterable[float],
@@ -386,46 +404,38 @@ def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
                 integral(times, weights), initial.fiber) / initial.n
             if not normalized:
                 return phi_sum, 0.0
-            ends = (times[0], times[-1])
-            first, last = (geo.volume(state) for state, _ in plain_states(list(ends)))
+            first, last = map(geo.volume, plain_states([times[0], times[-1]]))
             return phi_sum, (2.0 / initial.n) * math.log(last / first)
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0
-        for t, weight, (phi, _) in zip(times, weights, phis(times)):
+        for t, weight, phi in zip(times, weights, phis(times)):
             phi_sum += weight * phi
             if normalized:
                 state = project_unit_volume(initial.replace_phi(phi, t))
                 rate_sum += weight * normalization_rate(state)
         return phi_sum, rate_sum
 
-    states, diagnostics = [], []
-    for state, summed in plain_states(list(config.samples)):
-        # the spectrum of phi, phi_hat0 - I(t)/n; the projection's fiber-constant
-        # shift moves only its null entries, which no derivative reads
-        spectrum = None if summed is None else phi_hat0 - summed / initial.n
-        if normalized:
-            state = project_unit_volume(state)
-        states.append(state)
-        diagnostics.append(_diagnose(state, x, spectrum))
-    limit = next(at((math.inf,)))
+    states = tuple(at(config.samples))
 
-    converged_time = None
-    for record in diagnostics:
-        if record.max_driving < config.tol_converge:
-            converged_time = record.t
-            break
+    def diagnose() -> Trajectory:
+        diagnostics = tuple(
+            _diagnose(state, x, None if spectrum_at is None else spectrum_at(state.t))
+            for state in states)
+        converged_time = next((record.t for record in diagnostics
+                               if record.max_driving < config.tol_converge), None)
+        return Trajectory(
+            states=states,
+            diagnostics=diagnostics,
+            limit=next(at((math.inf,))),
+            converged_time=converged_time,
+            config=config,
+            initial=initial,
+            at=at,
+            weighted_sums=weighted_sums,
+            fiber_rate=rate,
+            x=x,
+        )
 
-    return Trajectory(
-        states=tuple(states),
-        diagnostics=tuple(diagnostics),
-        limit=limit,
-        converged_time=converged_time,
-        config=config,
-        initial=initial,
-        at=at,
-        weighted_sums=weighted_sums,
-        fiber_rate=rate,
-        x=x,
-    )
+    return states, diagnose
 
 
 def run_codim1(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid,
@@ -434,11 +444,19 @@ def run_codim1(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid,
 
     With unit normal N along one-dimensional flat fibers the state's H is
     tau * N and the law reduces to d/dt tau = N(N(tau)), the fiber heat
-    equation.  The scalar must have zero fiber means: tau = -n N(phi) for
-    a genuine metric, so the periodic primitive fixes phi(0) and the
-    constructed run keeps int tau dvol = 0 along the way (the circle-wise
-    integral of a mean curvature against the evolving volume vanishes).
-    The limit scalar is the fiber average, hence zero.
+    equation.  The limit scalar is the fiber average, hence zero.  The
+    initial state is ``codim1_initial(tau0, base, fiber_grid)``.
+    """
+    return run_extrinsic_flow(codim1_initial(tau0, base, fiber_grid), config)
+
+
+def codim1_initial(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid) -> ProductState:
+    """The initial state of a codimension-one run, from its mean-curvature scalar.
+
+    The scalar must have zero fiber means: tau = -n N(phi) for a genuine
+    metric, so the periodic primitive fixes phi(0) and the constructed run
+    keeps int tau dvol = 0 along the way (the circle-wise integral of a
+    mean curvature against the evolving volume vanishes).  psi is zero.
     """
     if fiber_grid.dim != 1:
         raise UnsupportedScenarioError("codimension-one runs need a one-dimensional fiber")
@@ -455,8 +473,7 @@ def run_codim1(tau0: np.ndarray, base: FiberGrid, fiber_grid: FiberGrid,
             "periodic conformal product"
         ) from exc
     phi0 = -primitive / base.dim
-    initial = ProductState(base, fiber_grid, phi0, np.zeros_like(phi0), 0.0)
-    return run_extrinsic_flow(initial, config)
+    return ProductState(base, fiber_grid, phi0, np.zeros_like(phi0), 0.0)
 
 
 def tau_of_state(state: ProductState) -> np.ndarray:

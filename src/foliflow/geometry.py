@@ -342,11 +342,16 @@ def integrate(state: ProductState, values: np.ndarray) -> float:
     On a uniform periodic grid the trapezoidal rule collapses to the mean
     times the flat volume and is spectrally accurate for smooth fields.
     """
+    return _quadrature(state, values, volume_form_weight(state))
+
+
+def _quadrature(state: ProductState, values: np.ndarray, weight: np.ndarray) -> float:
+    """mean(values * weight) times the flat volume, the one form of ``integrate``."""
     values = np.asarray(values, dtype=float)
     if values.shape != state.shape:
         raise InputError(f"integrand shape {values.shape} != state shape {state.shape}")
     flat_vol = state.base.volume * state.fiber.volume
-    return float(np.mean(values * volume_form_weight(state)) * flat_vol)
+    return float(np.mean(values * weight) * flat_vol)
 
 
 def volume(state: ProductState) -> float:
@@ -355,12 +360,22 @@ def volume(state: ProductState) -> float:
     A volume that underflows to 0 or overflows, also through an exp on the
     way, raises DegenerateTrajectoryError instead of a floating-point warning.
     """
+    return integrals(state)[0]
+
+
+def integrals(state: ProductState, *fields: np.ndarray) -> tuple[float, ...]:
+    """``volume(state)``, then ``integrate(state, f)`` for each field, from one weight.
+
+    The same floats as one call each, with exp(n phi + p psi) built once.
+    The volume is refused before any field is integrated.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        vol = integrate(state, np.ones(state.shape))
+        weight = volume_form_weight(state)
+        vol = _quadrature(state, np.ones(state.shape), weight)
     if not 0.0 < vol < math.inf:
         raise DegenerateTrajectoryError(
             f"the volume at t = {state.t:g} is {vol:g}, not positive and finite")
-    return vol
+    return (vol,) + tuple(_quadrature(state, f, weight) for f in fields)
 
 
 def fiber_average(state: ProductState, values: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every invocation goes through ``main(argv)`` in process, with configs
 and outputs under tmp_path.  Covers the four exit codes, the
 no-partial-output guarantee on config errors, byte-identical reruns,
-the bulk snapshot formatter against one %.17g per value, the snapshot
-writer's split between two processes, and the flag surface (--grid,
---plot, --out).
+the bulk snapshot formatter against one %.17g per value, the forked
+snapshot writer, an --out that every exit 2 leaves as it was, and the
+flag surface (--grid, --plot, --out).
 """
 
 import contextlib
@@ -14,9 +14,9 @@ import json
 import math
 import os
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from foliflow import cli
-from foliflow.cli import DIAG_COLUMNS, _write_snapshots, main
+from foliflow.cli import DIAG_COLUMNS, main
 from foliflow.fiber import FiberGrid
 from foliflow.geometry import ProductState
 
@@ -48,6 +48,16 @@ def forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def tree_bytes(root):
+    """Every file's bytes and every directory under root, by relative path."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else "dir"
+            for path in sorted(root.rglob("*"))}
+
+
+def staging_left(where):
+    return sorted(p.name for p in where.rglob(".foliflow-staging-*"))
 
 
 def per_value_text(table):
@@ -411,6 +421,17 @@ class TestOutputs:
         for name in ("diagnostics.csv", "checks.csv", "phi_000.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_new_out_is_made_like_any_new_directory(self, tmp_path):
+        """A new --out, parents included, gets the mode mkdir gives and holds only the run's files."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        (tmp_path / "plain").mkdir()
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["checks.csv", "diagnostics.csv"] + [f"phi_{i:03d}.csv" for i in range(4)])
+        assert staging_left(tmp_path) == []
+
     def test_snapshot_per_sample_with_base_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -447,7 +468,8 @@ class TestOutputs:
             assert (len(states) * phi.size >= cli.SPLIT_VALUES) == split
             out = tmp_path / ("split" if split else "serial")
             out.mkdir()
-            _write_snapshots(out, SimpleNamespace(initial=states[0], states=states))
+            with cli._writing_snapshots(out, states):
+                pass
             assert len(forks) == split
             assert_no_child_left()
             for i, state in enumerate(states):
@@ -483,9 +505,35 @@ class TestOutputs:
         assert len((out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()) == 3
         (out / "phi_002.csv").mkdir()
         capsys.readouterr()
+        before = tree_bytes(out)
         assert main(["run", str(two), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and "phi_002.csv" in err, err
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("blocked", ["phi_003.csv", "phi_007.csv"], ids=["target", "stale"])
+    def test_blocked_name_leaves_out_as_it_was(self, tmp_path, capsys, blocked):
+        """A directory named like a snapshot to write or to unlink is found before any move.
+
+        The earlier run's outputs, its stale snapshots and chart included,
+        and every other file stay byte for byte, and no staging directory is left.
+        """
+        out = tmp_path / "out"
+        earlier = write_config(tmp_path, "earlier.json", samples=[0.0, 1.0, 2.0],
+                               checks=["divergence_identity"])
+        assert main(["run", str(earlier), "--out", str(out), "--plot"]) == 0
+        (out / "notes.txt").write_text("keep\n", encoding="utf-8")
+        (out / "phi_009.csv").write_text("stale\n", encoding="utf-8")
+        (out / blocked).mkdir()
+        before = tree_bytes(out)
+        cfg = write_config(tmp_path, base_points=4, fiber_points=32,
+                           samples=[0.0, 0.5, 1.0, 1.5, 2.0], checks=["divergence_identity"])
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno 21] Is a directory") and blocked in err
+        assert tree_bytes(out) == before
+        assert staging_left(tmp_path) == []
 
     def test_converged_line_for_static_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, phi0={}, checks=[])
@@ -580,9 +628,9 @@ class TestSnapshotSplit:
             assert ((tmp_path / "split" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
 
-    @pytest.mark.parametrize("blocked", ["phi_001.csv", "phi_000.csv"],
-                             ids=["child-share", "parent-share"])
+    @pytest.mark.parametrize("blocked", ["phi_001.csv", "checks.csv"])
     def test_unwritable_snapshot_exits_two(self, tmp_path, capsys, forks, blocked):
+        """A target taken by a directory: one the child staged, or one this process did."""
         cfg = write_config(tmp_path, **SPLIT_RUN)
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
@@ -592,6 +640,49 @@ class TestSnapshotSplit:
         assert "Traceback" not in err
         assert len(forks) == 1
         assert_no_child_left()
+        assert tree_bytes(out) == {blocked: "dir"} and staging_left(tmp_path) == []
+
+    def test_checker_refusal_after_the_fork_exits_two(self, tmp_path, capsys, forks,
+                                                      monkeypatch):
+        """decay_rate refuses one distinct time while the child writes; the child is killed.
+
+        The child's writes stall for a minute here, so only a kill ends it in time.
+        """
+        monkeypatch.setattr(cli, "_write_text", lambda path, text: time.sleep(60))
+        cfg = write_config(tmp_path, **{**SPLIT_RUN, "samples": [0.5] * 4,
+                                        "checks": ["decay_rate"]})
+        out = tmp_path / "out"
+        start = time.monotonic()
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert time.monotonic() - start < 30
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "decay_rate" in err and "2 distinct" in err
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert not out.exists() and staging_left(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", ["phi_002.csv", "diagnostics.csv"],
+                             ids=["child", "parent"])
+    def test_write_failure_exits_two(self, tmp_path, capsys, forks, monkeypatch, failing):
+        """A write that fails in the child, or in this process, leaves --out as it was."""
+        write_text = cli._write_text
+
+        def failing_write(path, text):
+            if path.name == failing:
+                raise OSError(f"no space left writing {path.name}")
+            write_text(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", failing_write)    # the fork inherits it
+        cfg = write_config(tmp_path, **SPLIT_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"output error: no space left writing {failing}\n", err
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert tree_bytes(out) == {"notes.txt": b"keep\n"} and staging_left(tmp_path) == []
 
     def test_fork_failure_writes_every_file_here(self, tmp_path, monkeypatch):
         def no_fork():
@@ -757,4 +848,4 @@ class TestHostileConfigs:
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
             if code == 2:
-                assert not out.exists()
+                assert sorted(p.name for p in Path(tmp).iterdir()) == ["scenario.json"]

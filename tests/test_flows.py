@@ -9,6 +9,7 @@ against direct heat marches with the same scheme.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,24 @@ class TestPlainFlow:
             monkeypatch.setattr(geo, name, counting)
         flows._diagnose(state, np.zeros((2,) + state.shape))
         assert sorted(calls) == ["h_norm_sup", "hperp_norm_sup"]
+
+    def test_diagnose_builds_one_volume_weight(self, monkeypatch):
+        """vol, int Div_perp H and int |H|^2 share one weight, with the floats of one call each."""
+        state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
+                                               {(1, 0, 0): 0.1})
+        fields = geo.phi_fields(state)
+        expected = (geo.volume(state), geo.integrate(state, fields.div_h),
+                    geo.integrate(state, geo.leaf_inner(state, fields.h, fields.h)))
+        calls, weight = [], geo.volume_form_weight
+
+        def counting(state):
+            calls.append(state.t)
+            return weight(state)
+
+        monkeypatch.setattr(geo, "volume_form_weight", counting)
+        record = flows._diagnose(state, np.zeros((2,) + state.shape))
+        assert calls == [0.0]
+        assert (record.vol, record.int_div_h, record.int_h2) == expected
 
     def test_rate_and_int_h2_quad_oracles(self):
         """r = -2 int |H|^2 dvol / vol, both integrals from scipy.quad."""
@@ -452,6 +471,43 @@ class TestTrajectoryAt:
 
     def test_fd_path_has_no_fiber_rate(self):
         assert self.traj("fd").fiber_rate is None
+
+
+class TestSampleFlow:
+    """sample_flow's states exist before their diagnosis, which holds no sample spectrum."""
+
+    @pytest.mark.parametrize("psi", [{(1, 0): 0.1}, {(0, 1): 0.1}], ids=["exact", "fd"])
+    def test_states_come_before_their_diagnosis(self, monkeypatch, psi):
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, psi)
+        calls, diagnose_one = [], flows._diagnose
+
+        def counting(state, x, spectrum=None):
+            calls.append(state.t)
+            return diagnose_one(state, x, spectrum)
+
+        monkeypatch.setattr(flows, "_diagnose", counting)
+        states, diagnose = flows.sample_flow(state, plain_config())
+        assert calls == [] and [s.t for s in states] == [0.0, 0.5, 1.0, 2.0]
+        traj = diagnose()
+        assert calls == [0.0, 0.5, 1.0, 2.0] and traj.states is states
+
+    def test_no_sample_spectrum_is_held_between_the_steps(self):
+        """Between the steps the run keeps its states and a few run-wide fields.
+
+        One spectrum per sample would add about one field per sample.
+        """
+        state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
+                                               {(1, 0, 0): 0.1})
+        config = plain_config(samples=tuple(0.2 * k for k in range(11)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states, diagnose = flows.sample_flow(state, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < (len(states) + 9) * state.phi.nbytes, held / state.phi.nbytes
+        assert [record.t for record in diagnose().diagnostics] == list(config.samples)
 
 
 class TestFiniteDifferencePath:
