@@ -67,9 +67,7 @@ from .geometry import (
     fiber_average,
     grad_perp,
     integrate,
-    laplacian_perp,
     second_fundamental,
-    theta_h,
     twisted_mean_curvature,
     volume,
 )
@@ -119,7 +117,6 @@ __all__ = [
     "harmonic_field",
     "heat_kernel",
     "integrate",
-    "laplacian_perp",
     "normalization_rate",
     "project_unit_volume",
     "run_checks",
@@ -127,7 +124,6 @@ __all__ = [
     "run_extrinsic_flow",
     "second_fundamental",
     "tau_of_state",
-    "theta_h",
     "time_integral_values",
     "twisted_mean_curvature",
     "volume",

@@ -455,7 +455,8 @@ def check_oracle_agreement(trajectory: Trajectory) -> CheckReport:
         psi_mean.shape + fine_grid.shape,
     )
     try:
-        stepped = fd_heat_run(phi0, psi_nodal, fine_grid, ORACLE_TIME, trajectory.config.fd_scheme)
+        stepped = fd_heat_run(phi0, psi_nodal, fine_grid, (ORACLE_TIME,),
+                              trajectory.config.fd_scheme)[0]
     except InputError as exc:
         points = "x".join(map(str, fine_grid.points))
         raise InputError(f"oracle_agreement's march on {points} fiber points: {exc}") from exc
@@ -469,7 +470,7 @@ def fd_flow_error(points: int) -> float:
     y = grid.coordinates()[0]
     u0 = np.cos(2.0 * math.pi * y / grid.sides[0])   # not cos(y): the rounding shows in checks.csv
     exact = math.exp(-fb.eigenvalue((1,), grid) * ORDER_TIME) * u0
-    stepped = fd_heat_run(u0, np.zeros(points), grid, ORDER_TIME, FdScheme())
+    stepped = fd_heat_run(u0, np.zeros(points), grid, (ORDER_TIME,), FdScheme())[0]
     return float(np.max(np.abs(stepped - exact)))
 
 

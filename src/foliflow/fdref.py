@@ -3,16 +3,19 @@
 This module deliberately avoids Fourier transforms so that it can serve as
 an independent cross-check of the spectral machinery: the centered
 conformal leaf Laplacian on a stack of fiber profiles as a sparse
-block-diagonal matrix, and a theta time-stepping scheme with one sparse
-periodic factorization per chunk of fibers.  It is also the authoritative
-evolution path whenever psi varies along a fiber, where the leaf Laplacian
-has variable coefficients and no exact multiplier exists.
+block-diagonal matrix, and a theta time-stepping scheme that marches a
+chain of ascending times in one call.  Each chunk of fibers builds its
+operator once and makes one sparse periodic factorization per distinct
+step (step count and dt) of the chain, so intervals of equal length share
+one.  It is also the authoritative evolution path whenever psi varies
+along a fiber, where the leaf Laplacian has variable coefficients and no
+exact multiplier exists.
 
-The theta march takes one of two routes through the same factorization.
+Each interval's march takes one of two routes through its factorization.
 Small fibers over many steps form each fiber's dense step matrix with one
-solve and raise it to the step count by repeated squaring; large fibers or
-few steps apply one sparse solve per step.  Both give the same scheme, and
-differ only at round-off.
+solve and raise it to the step count by repeated squaring, once per
+distinct step; large fibers or few steps apply one sparse solve per step.
+Both give the same scheme, and differ only at round-off.
 
 scipy is loaded on the first march, not with this module, so importing
 the package, or any run that never marches, does not load it.
@@ -21,7 +24,7 @@ the package, or any run that never marches, does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -106,7 +109,7 @@ def _validate_explicit_step(dt: float, theta: float, psi: np.ndarray, grid: Fibe
 # tiny solve calls by a few.  A factor that outgrows the cache slows every step
 # down, hence the bound: a p = 2 run over 16 distinct fibers of 64^2 took
 # 1.6-1.8 s and 79 MB with it, 2.1-2.6 s and 177 MB as one block (2-core Xeon
-# VM).  The dense route packs by _DENSE_ENTRIES as well.
+# VM).  A chain with any dense interval packs by _DENSE_ENTRIES as well.
 _BLOCK_UNKNOWNS = 4096
 
 # The dense route is taken iff size^2 <= _DENSE_STEPS_PER_ENTRY * steps for
@@ -138,21 +141,21 @@ _DENSE_ENTRIES = 2 ** 16
 MAX_STEPS = 2 ** 22
 
 
-def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
-                 theta: float, dense: bool) -> np.ndarray:
-    """Apply `steps` theta steps of du/dt = lap u to the columns of each block.
+def _step_map(lap: sp.csr_matrix, blocks: int, size: int, steps: int, dt: float,
+              theta: float, dense: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The map that applies `steps` theta steps of du/dt = lap u to a chunk's columns.
 
-    work is (blocks, size, width) and lap the block-diagonal operator on the
-    blocks in order.  Both routes factor I - theta dt lap once.  The stepped
-    route solves once per step.  The dense route solves once against the
-    stacked block identities, giving every block's step matrix
-    S_b = (I - theta dt L_b)^-1 (I + (1 - theta) dt L_b), raises the stack of
-    S_b to `steps` by repeated squaring and applies it to the block's columns.
+    The map takes and returns work arrays (blocks, size, width), and lap is
+    the block-diagonal operator on the blocks in order.  Both routes factor
+    I - theta dt lap once, here.  The stepped route keeps the factorization
+    and solves once per step of each application.  The dense route solves
+    once against the stacked block identities, giving every block's step
+    matrix S_b = (I - theta dt L_b)^-1 (I + (1 - theta) dt L_b), raises the
+    stack of S_b to `steps` by repeated squaring and keeps only that power.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    blocks, size, width = work.shape
     eye = sp.identity(lap.shape[0], format="csr")
     lhs = (eye - theta * dt * lap).tocsc()
     rhs = (eye + (1.0 - theta) * dt * lap).tocsr()
@@ -162,29 +165,73 @@ def _theta_march(lap: sp.csr_matrix, work: np.ndarray, steps: int, dt: float,
         raise SolveError(f"implicit step factorization failed: {exc}") from exc
     if dense:
         step = solver.solve(rhs @ np.tile(np.eye(size), (blocks, 1)))
-        return np.linalg.matrix_power(step.reshape(blocks, size, size), steps) @ work
-    work = work.reshape(-1, width)
-    for _ in range(steps):
-        work = solver.solve(rhs @ work)
-    return work.reshape(blocks, size, width)
+        power = np.linalg.matrix_power(step.reshape(blocks, size, size), steps)
+        return lambda work: power @ work
+
+    def march(work: np.ndarray) -> np.ndarray:
+        flat = work.reshape(-1, work.shape[-1])
+        for _ in range(steps):
+            flat = solver.solve(rhs @ flat)
+        return flat.reshape(work.shape)
+
+    return march
 
 
-def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
+def _chain_steps(times: np.ndarray, scheme: FdScheme, psi: np.ndarray,
+                 grid: FiberGrid) -> list[tuple[int, float] | None]:
+    """(steps, dt) of each interval of the chain 0 -> times[0] -> times[1] -> ...
+
+    None marks a zero interval.  Each interval shrinks the requested dt
+    uniformly so its steps tile it exactly.  A time that is not finite and
+    nonnegative, a descending time, an interval of more than MAX_STEPS
+    steps and an unstable explicit step raise InputError.
+    """
+    keys, t0 = [], 0.0
+    for t in times.tolist():
+        if not (np.isfinite(t) and t >= 0):
+            raise InputError(f"t_end must be finite and nonnegative, got {t}")
+        if t < t0:
+            raise InputError(f"times must ascend, got t_end = {t:g} after {t0:g}")
+        if t == t0:
+            keys.append(None)
+            continue
+        ratio = (t - t0) / scheme.dt - 1e-12
+        if not ratio <= MAX_STEPS:      # inf included
+            raise InputError(f"dt = {scheme.dt:g} from {t0:g} to t_end = {t:g} takes more "
+                             f"than MAX_STEPS = {MAX_STEPS} theta steps, whose round-off "
+                             f"drifts")
+        steps = max(1, int(np.ceil(ratio)))
+        keys.append((steps, (t - t0) / steps))
+        _validate_explicit_step(keys[-1][1], scheme.theta, psi, grid)
+        t0 = t
+    return keys
+
+
+def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, times,
                 scheme: FdScheme) -> np.ndarray:
-    """March du/dt = Lap_conformal u on the grid from 0 to t_end.
+    """March du/dt = Lap_conformal u on the grid from 0 through ascending times.
+
+    Returns the stack (len(times),) + u0.shape of u at each time; a single
+    time is ``(t,)``.  Interval k runs from times[k - 1] (0 for k = 0) to
+    times[k]; its requested dt is shrunk uniformly so the steps tile it
+    exactly, and a zero interval copies the previous state.  The whole
+    chain is validated before anything is factored: times that are not
+    finite, nonnegative and ascending, an interval of more than MAX_STEPS
+    steps, or an explicit step (theta < 0.5) beyond its stability bound
+    raise InputError.
 
     u0 may carry leading batch axes, and psi has u0's shape: one profile
     per member.  Members whose profiles are bit-equal are marched together
     as the columns of one right-hand side.  Distinct profiles are packed,
-    in turn, into chunks, and each chunk is marched through one
-    factorization of its block-diagonal implicit operator, with zero columns
-    padding the groups that have fewer members.  The requested dt is shrunk
-    uniformly so the steps tile [0, t_end] exactly; more than MAX_STEPS
-    steps raise InputError.  Fibers of `size` points
-    take the dense route of _theta_march iff
-    size^2 <= _DENSE_STEPS_PER_ENTRY * steps, in chunks of at most
-    _DENSE_ENTRIES step-matrix entries (and _BLOCK_UNKNOWNS unknowns);
-    otherwise they take the stepped route in chunks of at most
+    in turn, into chunks, with zero columns padding the groups that have
+    fewer members.  Each chunk builds its block-diagonal operator once and
+    carries its columns through every interval; per call it makes one
+    factorization of the implicit operator per distinct (steps, dt) of the
+    chain, kept only until the last interval that uses it.  An interval of
+    `steps` steps on fibers of `size` points takes the dense route of
+    _step_map iff size^2 <= _DENSE_STEPS_PER_ENTRY * steps, and chunks hold
+    at most _DENSE_ENTRIES step-matrix entries (and _BLOCK_UNKNOWNS
+    unknowns) if any interval does; otherwise at most
     max(size, _BLOCK_UNKNOWNS) unknowns.  With the flat stencil (psi = 0) the
     column sums of the operator vanish, so the scheme conserves the grid mean
     of u to solver round-off.
@@ -195,40 +242,39 @@ def fd_heat_run(u0: np.ndarray, psi: np.ndarray, grid: FiberGrid, t_end: float,
         raise InputError(f"u0 shape {u0.shape} does not end with grid shape {grid.shape}")
     if psi.shape != u0.shape:
         raise InputError(f"psi shape {psi.shape} is not the u0 shape {u0.shape}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise InputError(f"times shape {times.shape} is not a sequence (k,) of k >= 1 times")
+    keys = _chain_steps(times, scheme, psi, grid)
     size = int(np.prod(grid.shape))
     flat = u0.reshape(-1, size)
     profiles, inverse = np.unique(psi.reshape(-1, size), axis=0, return_inverse=True)
     profiles, inverse = profiles.reshape((-1,) + grid.shape), inverse.reshape(-1)
-    if not (np.isfinite(t_end) and t_end >= 0):
-        raise InputError(f"t_end must be finite and nonnegative, got {t_end}")
-    if t_end == 0:
-        return u0.copy()
-    ratio = t_end / scheme.dt - 1e-12
-    if not ratio <= MAX_STEPS:      # inf included
-        raise InputError(f"dt = {scheme.dt:g} over t_end = {t_end:g} takes more than "
-                         f"MAX_STEPS = {MAX_STEPS} theta steps, whose round-off drifts")
-    steps = max(1, int(np.ceil(ratio)))
-    dt = t_end / steps
-    _validate_explicit_step(dt, scheme.theta, psi, grid)
-
     counts = np.bincount(inverse, minlength=len(profiles))
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    dense = size ** 2 <= _DENSE_STEPS_PER_ENTRY * steps
+    dense = {key: size ** 2 <= _DENSE_STEPS_PER_ENTRY * key[0] for key in keys if key}
     per_chunk = _BLOCK_UNKNOWNS // size
-    if dense:
+    if any(dense.values()):
         per_chunk = min(per_chunk, _DENSE_ENTRIES // size ** 2)
     per_chunk = max(1, per_chunk)
-    out = np.empty_like(flat)
+    last = {key: k for k, key in enumerate(keys)}   # the last interval each key marches
+    out = np.empty(times.shape + flat.shape)
     for first in range(0, len(profiles), per_chunk):
         chunk = groups[first:first + per_chunk]
         width = max(len(g) for g in chunk)
         work = np.zeros((len(chunk), size, width))  # one column per member rank
         for block, members in zip(work, chunk):
             block[:, :len(members)] = flat[members].T
-        work = _theta_march(operator_matrix(profiles[first:first + per_chunk], grid),
-                            work, steps, dt, scheme.theta, dense)
-        for block, members in zip(work, chunk):
-            out[members] = block[:, :len(members)].T
+        lap = operator_matrix(profiles[first:first + per_chunk], grid)
+        maps = {}       # (steps, dt) -> step map, until its last interval
+        for k, key in enumerate(keys):
+            if key is not None:
+                if key not in maps:
+                    maps[key] = _step_map(lap, len(chunk), size, *key, scheme.theta,
+                                          dense[key])
+                work = (maps.pop(key) if last[key] == k else maps[key])(work)
+            for block, members in zip(work, chunk):
+                out[k, members] = block[:, :len(members)].T
     if not np.all(np.isfinite(out)):
         raise SolveError("finite-difference march produced non-finite values")
-    return out.reshape(u0.shape)
+    return out.reshape(times.shape + u0.shape)

@@ -29,7 +29,9 @@ no per-sample spectrum is held in between.  D0_hat has its fiber-mean entries ze
 of phi is conserved exactly; it is the only spectrum that outlives the
 run, inside the trajectory's evaluator.  When psi varies along a fiber
 the leaf Laplacian has variable coefficients and the finite-difference
-path becomes the authoritative solver.
+path becomes the authoritative solver.  It marches the samples as one
+chain of ascending times, in one ``fdref.fd_heat_run`` call, so sample
+intervals of one length share one factorization per chunk of fibers.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
@@ -129,9 +131,10 @@ class Trajectory:
 
     ``at(times)`` lazily yields the states at an ascending sequence of
     times in [0, inf], in closed form on the exact path.  The FD path
-    marches the samples once, at run time, and each requested time from
-    the later of the request's previous time and the last sample at or
-    before it; no state outlives a request.  ``evaluate(t)`` asks for one.
+    marches the samples once, at run time, as one chain in one
+    ``fd_heat_run`` call, and each requested time by one single-time march
+    from the later of the request's previous time and the last sample at
+    or before it; no state outlives a request.  ``evaluate(t)`` asks for one.
     ``weighted_sums(times, weights)`` returns, for ascending finite times
     and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
     the flow before volume projection; R is the integral of r(t) that the
@@ -274,7 +277,10 @@ def _plain_phis(initial: ProductState,
                 config: FlowConfig) -> Callable[[list[float]], Iterator[np.ndarray]]:
     """phi at each ascending time under d/dt phi = Lap_perp phi, by marching.
 
-    A march reaches each time from the previous time or a later anchor.
+    The samples are marched here, as one chain of one ``fd_heat_run`` call.
+    A request reaches each of its times by one march of its own, from the
+    later of its previous time and the last anchor (0, a sample or the
+    t = inf limit) at or before it.
     """
     def phis(times: list[float]) -> Iterator[np.ndarray]:
         k = 0
@@ -282,14 +288,15 @@ def _plain_phis(initial: ProductState,
             while k < len(anchors) and anchors[k][0] <= t:
                 (t0, phi), k = anchors[k], k + 1
             if t != t0:
-                t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, t - t0, config.fd_scheme)
+                t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, (t - t0,),
+                                         config.fd_scheme)[0]
             yield phi
 
-    anchors = [(0.0, initial.phi)]          # the samples' chain, then the t = inf limit
-    for s in config.samples:
-        anchors.append((s, next(phis([s]))))
+    chain = fd_heat_run(initial.phi, initial.psi, initial.fiber, config.samples,
+                        config.fd_scheme)
     mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
-    anchors.append((math.inf, np.broadcast_to(mean, initial.shape).copy()))
+    anchors = [(0.0, initial.phi), *zip(config.samples, chain),
+               (math.inf, np.broadcast_to(mean, initial.shape).copy())]
     return phis
 
 
@@ -302,10 +309,9 @@ def _diagnose(state: ProductState, x: np.ndarray,
     The volume and both integrals share one volume-form weight.
     """
     fields = geo.phi_fields(state, spectrum)
-    data = geo.second_fundamental(state, fields)
-    div_h = fields.div_h
-    vol, int_div_h, int_h2 = geo.integrals(state, div_h, geo.leaf_inner(state, data.h, data.h))
-    report = geo.classify(state, data=data)
+    div_h, h_sq = fields.div_h, geo.leaf_inner(state, fields.h, fields.h)
+    vol, int_div_h, int_h2 = geo.integrals(state, div_h, h_sq)
+    report = geo.classify(state, h_sq)
     return DiagnosticsRecord(
         t=state.t,
         vol=vol,
@@ -314,7 +320,7 @@ def _diagnose(state: ProductState, x: np.ndarray,
         max_div_h=float(np.max(np.abs(div_h))),
         rate=_rate(state.n, int_div_h, vol),
         max_driving=float(np.max(np.abs(driving_scalar(fields, x)))),
-        d_theta_sup=geo.d_theta_sup(state, data.h),
+        d_theta_sup=geo.d_theta_sup(state, fields.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
     )

@@ -195,11 +195,6 @@ def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
     return out
 
 
-def laplacian_perp(u: np.ndarray, state: ProductState) -> np.ndarray:
-    """Leafwise Laplace operator, Div_perp of grad_perp."""
-    return div_perp(grad_perp(u, state), state)
-
-
 def base_gradient(u: np.ndarray, state: ProductState) -> np.ndarray:
     """Flat spectral partials along the base axes, shape (n,) + state.shape."""
     n, p = state.n, state.p
@@ -395,14 +390,7 @@ def h_norm_sup(state: ProductState, h: np.ndarray) -> float:
     return float(np.sqrt(np.max(leaf_inner(state, h, h))))
 
 
-def hperp_norm_sup(state: ProductState, hperp: np.ndarray) -> float:
-    """Sup of the metric norm of a base-tangent field."""
-    hperp = np.asarray(hperp, dtype=float)
-    sq = np.exp(2.0 * state.phi) * np.sum(hperp ** 2, axis=0)
-    return float(np.sqrt(np.max(sq)))
-
-
-def theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
+def _theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
     """Covariant components of the mean-curvature 1-form, theta_i = g_perp(H, .).
 
     For the twisted ansatz these are -n * (flat fiber partials of phi), so
@@ -422,7 +410,7 @@ def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
     """
     if state.p == 1:
         return 0.0
-    theta = theta_h(state, h)
+    theta = _theta_h(state, h)
     ik1, ik2 = fb.symbols(state.fiber)[1]
     curl_hat = ik1 * fb.spectrum(theta[1], state.fiber) - ik2 * fb.spectrum(theta[0], state.fiber)
     return float(np.max(np.abs(fb.nodal(curl_hat, state.fiber))))
@@ -453,20 +441,26 @@ class ClassificationReport:
     normal: DistributionFlags       # D_perp
 
 
-def classify(state: ProductState,
-             data: SecondFundamentalData | None = None) -> ClassificationReport:
+def classify(state: ProductState, h_sq: np.ndarray | None = None) -> ClassificationReport:
     """Flag each distribution as umbilical or totally geodesic.
 
     Both distributions are umbilical by construction (see
     ``SecondFundamentalData``), so the only measurement is harmonicity,
     sup |H| <= CLASSIFY_TOL, one metric sup norm per distribution, and
-    totally geodesic means harmonic.  The labels feed the ``normal_flags``
+    totally geodesic means harmonic.  ``h_sq`` is |H|^2_g =
+    ``leaf_inner(state, H, H)`` when the caller already holds it (the
+    int |H|^2 integrand).  The fibers' |Hperp|^2_g = exp(2 phi) |Hperp|^2
+    with Hperp = -p exp(-2 phi) dpsi is taken as p^2 exp(-2 phi) |dpsi|^2,
+    so Hperp itself is not built.  The labels feed the ``normal_flags``
     rows of ``check_preservation``; its ``umbilical`` and ``closed_theta``
     rows are structural consistency guards, not measurements.
     """
-    if data is None:
-        data = second_fundamental(state)
+    if h_sq is None:
+        h = phi_fields(state).h
+        h_sq = leaf_inner(state, h, h)
+    hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * np.sum(state.psi_base_gradient ** 2,
+                                                                 axis=0)
     return ClassificationReport(
-        tangent=DistributionFlags(harmonic=h_norm_sup(state, data.h) <= CLASSIFY_TOL),
-        normal=DistributionFlags(harmonic=hperp_norm_sup(state, data.hperp) <= CLASSIFY_TOL),
+        tangent=DistributionFlags(harmonic=float(np.sqrt(np.max(h_sq))) <= CLASSIFY_TOL),
+        normal=DistributionFlags(harmonic=float(np.sqrt(np.max(hperp_sq))) <= CLASSIFY_TOL),
     )

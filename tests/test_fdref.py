@@ -100,28 +100,28 @@ class TestFdScheme:
         u0 = np.cos(CIRCLE.coordinates()[0])
         psi = np.zeros(CIRCLE.shape)
         with pytest.raises(InputError):
-            ff.fd_heat_run(u0, psi, CIRCLE, 1.0, ff.FdScheme(dt=1e-3, theta=0.3))
+            ff.fd_heat_run(u0, psi, CIRCLE, (1.0,), ff.FdScheme(dt=1e-3, theta=0.3))
 
     @pytest.mark.parametrize("dt", [1e-300, 5e-324], ids=["tiny", "subnormal"])
     def test_more_than_max_steps_refused_naming_dt_and_t_end(self, dt):
         y = SMALL.coordinates()[0]
         with pytest.raises(InputError, match=r"dt = .* t_end = .*MAX_STEPS"):
-            ff.fd_heat_run(np.cos(y), 0.1 * np.cos(y), SMALL, 1e-6, ff.FdScheme(dt=dt))
+            ff.fd_heat_run(np.cos(y), 0.1 * np.cos(y), SMALL, (1e-6,), ff.FdScheme(dt=dt))
 
     def test_max_steps_itself_is_accepted(self):
         # exactly MAX_STEPS steps of a 4-point fiber take the dense route
         grid = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
         y = grid.coordinates()[0]
         t_end = fdref.MAX_STEPS * 2.0 ** -40
-        out = ff.fd_heat_run(np.cos(y), np.zeros(4), grid, t_end,
-                             ff.FdScheme(dt=2.0 ** -40))
+        out = ff.fd_heat_run(np.cos(y), np.zeros(4), grid, (t_end,),
+                             ff.FdScheme(dt=2.0 ** -40))[0]
         assert np.max(np.abs(out - np.cos(y))) < 1e-4
 
     def test_stable_explicit_step_accepted(self):
         y = CIRCLE.coordinates()[0]
         psi = np.zeros(CIRCLE.shape)
-        out = ff.fd_heat_run(np.cos(y), psi, CIRCLE, 0.1,
-                             ff.FdScheme(dt=2e-4, theta=0.0))
+        out = ff.fd_heat_run(np.cos(y), psi, CIRCLE, (0.1,),
+                             ff.FdScheme(dt=2e-4, theta=0.0))[0]
         assert np.max(np.abs(out - math.exp(-0.1) * np.cos(y))) < 1e-4
 
 
@@ -159,7 +159,7 @@ class TestFdLaplacian:
         with pytest.raises(InputError):
             fdref.operator_matrix(np.zeros(32), SMALL)
         with pytest.raises(InputError):
-            ff.fd_heat_run(np.zeros(32), np.zeros(32), SMALL, 0.1, ff.FdScheme())
+            ff.fd_heat_run(np.zeros(32), np.zeros(32), SMALL, (0.1,), ff.FdScheme())
 
     def test_variable_psi_second_order(self):
         """Richardson order against the hand continuum formula."""
@@ -209,8 +209,8 @@ class TestFdHeatRun:
     @pytest.mark.parametrize("expected", ROUTE_DT)
     def test_constant_stationary_under_variable_psi(self, expected, factorizations):
         psi = 0.2 * np.cos(SMALL.coordinates()[0])
-        out = ff.fd_heat_run(np.full(SMALL.shape, 3.7), psi, SMALL, 0.5,
-                             ff.FdScheme(dt=ROUTE_DT[expected]))
+        out = ff.fd_heat_run(np.full(SMALL.shape, 3.7), psi, SMALL, (0.5,),
+                             ff.FdScheme(dt=ROUTE_DT[expected]))[0]
         assert route(factorizations) == expected
         np.testing.assert_allclose(out, 3.7, atol=1e-12)
 
@@ -220,15 +220,15 @@ class TestFdHeatRun:
         s = discrete_symbol(1, CIRCLE)
         dt, steps = 1e-3, 1000
         rho = (1.0 - 0.5 * dt * s) / (1.0 + 0.5 * dt * s)
-        out = ff.fd_heat_run(np.cos(y), np.zeros(CIRCLE.shape), CIRCLE, 1.0,
-                             ff.FdScheme(dt=dt))
+        out = ff.fd_heat_run(np.cos(y), np.zeros(CIRCLE.shape), CIRCLE, (1.0,),
+                             ff.FdScheme(dt=dt))[0]
         np.testing.assert_allclose(out, rho ** steps * np.cos(y), atol=1e-10)
 
     def test_cosine_tracks_continuum_decay(self):
         # discretization gap is h^2 / 12 in the rate, about 1.85e-5 at t = 1
         y = CIRCLE.coordinates()[0]
-        out = ff.fd_heat_run(np.cos(y), np.zeros(CIRCLE.shape), CIRCLE, 1.0,
-                             ff.FdScheme(dt=1e-3))
+        out = ff.fd_heat_run(np.cos(y), np.zeros(CIRCLE.shape), CIRCLE, (1.0,),
+                             ff.FdScheme(dt=1e-3))[0]
         gap = np.max(np.abs(out - math.exp(-1.0) * np.cos(y)))
         assert gap < 2.5e-5
 
@@ -236,8 +236,8 @@ class TestFdHeatRun:
     def test_flat_mean_conserved(self, expected, factorizations):
         rng = np.random.default_rng(3)
         u0 = rng.standard_normal(SMALL.shape) + 0.7
-        out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, 0.3,
-                             ff.FdScheme(dt=ROUTE_DT[expected]))
+        out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, (0.3,),
+                             ff.FdScheme(dt=ROUTE_DT[expected]))[0]
         assert route(factorizations) == expected
         assert abs(out.mean() - u0.mean()) < 1e-12
 
@@ -249,8 +249,8 @@ class TestFdHeatRun:
         rng = np.random.default_rng(seed)
         u0 = rng.standard_normal(SMALL.shape)
         psi = 0.2 * np.cos(SMALL.coordinates()[0])
-        out = ff.fd_heat_run(u0, psi, SMALL, 0.5,
-                             ff.FdScheme(dt=ROUTE_DT[expected], theta=1.0))
+        out = ff.fd_heat_run(u0, psi, SMALL, (0.5,),
+                             ff.FdScheme(dt=ROUTE_DT[expected], theta=1.0))[0]
         assert route(factorizations) == expected
         assert out.max() <= u0.max() + 1e-10
         assert out.min() >= u0.min() - 1e-10
@@ -260,26 +260,26 @@ class TestFdHeatRun:
         u0 = rng.standard_normal((2, 3) + SMALL.shape)
         psi = 0.1 * np.sin(SMALL.coordinates()[0])
         scheme = ff.FdScheme(dt=5e-3)
-        batched = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.4, scheme)
+        batched = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, (0.4,), scheme)[0]
         for i in range(2):
             for j in range(3):
-                single = ff.fd_heat_run(u0[i, j], psi, SMALL, 0.4, scheme)
+                single = ff.fd_heat_run(u0[i, j], psi, SMALL, (0.4,), scheme)[0]
                 np.testing.assert_allclose(batched[i, j], single, atol=1e-13)
 
     def test_time_validation(self):
         u0 = np.zeros(SMALL.shape)
         with pytest.raises(InputError):
-            ff.fd_heat_run(u0, u0, SMALL, -0.1, ff.FdScheme())
+            ff.fd_heat_run(u0, u0, SMALL, (-0.1,), ff.FdScheme())
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf])
     def test_non_finite_time_refused_naming_t_end(self, t_end):
         u0 = np.zeros(SMALL.shape)
         with pytest.raises(InputError, match=rf"t_end must be finite.*got {t_end}"):
-            ff.fd_heat_run(u0, u0, SMALL, t_end, ff.FdScheme())
+            ff.fd_heat_run(u0, u0, SMALL, (t_end,), ff.FdScheme())
 
     def test_zero_time_returns_copy(self):
         u0 = np.cos(SMALL.coordinates()[0])
-        out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, 0.0, ff.FdScheme())
+        out = ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, (0.0,), ff.FdScheme())[0]
         np.testing.assert_array_equal(out, u0)
         assert out is not u0
 
@@ -326,11 +326,11 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(5)
         psi = random_profiles(rng, 6, SMALL).reshape((2, 3) + SMALL.shape)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, SMALL, 0.2, self.scheme)
+        out = ff.fd_heat_run(u0, psi, SMALL, (0.2,), self.scheme)[0]
         assert splu_calls == [6 * 64]
         for i in range(2):
             for j in range(3):
-                single = ff.fd_heat_run(u0[i, j], psi[i, j], SMALL, 0.2, self.scheme)
+                single = ff.fd_heat_run(u0[i, j], psi[i, j], SMALL, (0.2,), self.scheme)[0]
                 np.testing.assert_array_equal(out[i, j], single)
 
     def test_ragged_groups_match_per_profile_runs_bitwise(self, splu_calls):
@@ -338,7 +338,7 @@ class TestPerMemberPsi:
         profiles = random_profiles(rng, 3, SMALL)
         owner = np.array([2, 0, 1, 2, 1, 2])  # profiles shared by 1, 2 and 3 members
         u0 = rng.standard_normal((6,) + SMALL.shape)
-        out = ff.fd_heat_run(u0, profiles[owner], SMALL, 0.2, self.scheme)
+        out = ff.fd_heat_run(u0, profiles[owner], SMALL, (0.2,), self.scheme)[0]
         assert splu_calls == [3 * 64]
         for k in range(3):
             members = np.nonzero(owner == k)[0]
@@ -350,7 +350,7 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(7)
         psi = random_profiles(rng, 65, SMALL)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, SMALL, 0.05, self.scheme)
+        out = ff.fd_heat_run(u0, psi, SMALL, (0.05,), self.scheme)[0]
         assert splu_calls == [fdref._BLOCK_UNKNOWNS, 64]
         for k in range(65):
             np.testing.assert_array_equal(
@@ -360,7 +360,7 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(8)
         psi = random_profiles(rng, 1, SMALL)[0]
         u0 = rng.standard_normal((4,) + SMALL.shape)
-        shared = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, 0.2, self.scheme)
+        shared = ff.fd_heat_run(u0, np.broadcast_to(psi, u0.shape), SMALL, (0.2,), self.scheme)[0]
         np.testing.assert_array_equal(
             shared, single_profile_march(u0, psi, SMALL, 0.2, self.scheme))
         assert splu_calls == [64]
@@ -370,7 +370,7 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(9)
         psi = random_profiles(rng, 2, grid)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, grid, 0.02, self.scheme)
+        out = ff.fd_heat_run(u0, psi, grid, (0.02,), self.scheme)[0]
         assert splu_calls == [64 * 64, 64 * 64]
         for k in range(2):
             np.testing.assert_array_equal(
@@ -381,7 +381,7 @@ class TestPerMemberPsi:
         rng = np.random.default_rng(10)
         psi = random_profiles(rng, 5, grid)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, grid, 0.1, self.scheme)
+        out = ff.fd_heat_run(u0, psi, grid, (0.1,), self.scheme)[0]
         assert splu_calls == [5 * 256]
         for k in range(5):
             np.testing.assert_allclose(
@@ -393,7 +393,7 @@ class TestPerMemberPsi:
     def test_other_psi_shapes_rejected(self, psi_shape):
         u0 = np.zeros((2,) + SMALL.shape)
         with pytest.raises(InputError):
-            ff.fd_heat_run(u0, np.zeros(psi_shape), SMALL, 0.1, self.scheme)
+            ff.fd_heat_run(u0, np.zeros(psi_shape), SMALL, (0.1,), self.scheme)
 
 
 class TestDenseRoute:
@@ -405,7 +405,7 @@ class TestDenseRoute:
     def test_rule_picks_route(self, factorizations, steps, expected):
         # 64^2 = 4096 lies between 25 * 163 and 25 * 164
         u0 = np.cos(SMALL.coordinates()[0])
-        ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, steps * 1e-3, self.scheme)
+        ff.fd_heat_run(u0, np.zeros(SMALL.shape), SMALL, (steps * 1e-3,), self.scheme)
         assert route(factorizations) == expected
         assert factorizations[0].solves == (steps if expected == "stepped" else 1)
 
@@ -414,7 +414,7 @@ class TestDenseRoute:
         rng = np.random.default_rng(11)
         psi = random_profiles(rng, 3, grid)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, grid, 0.5, self.scheme)
+        out = ff.fd_heat_run(u0, psi, grid, (0.5,), self.scheme)[0]
         assert route(factorizations) == "dense"
         for k in range(3):
             np.testing.assert_allclose(
@@ -425,21 +425,117 @@ class TestDenseRoute:
         rng = np.random.default_rng(12)
         psi = random_profiles(rng, 20, SMALL)
         u0 = rng.standard_normal(psi.shape)
-        out = ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)
+        out = ff.fd_heat_run(u0, psi, SMALL, (0.5,), self.scheme)[0]
         assert [f.size for f in factorizations] == [16 * 64, 4 * 64]
         assert route(factorizations) == "dense"
         for k in range(20):
             np.testing.assert_array_equal(
-                out[k], ff.fd_heat_run(u0[k], psi[k], SMALL, 0.5, self.scheme))
+                out[k], ff.fd_heat_run(u0[k], psi[k], SMALL, (0.5,), self.scheme)[0])
 
     def test_peak_memory_stays_flat(self):
         rng = np.random.default_rng(13)
         psi = random_profiles(rng, 64, SMALL)
         u0 = rng.standard_normal(psi.shape)
-        ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)  # warm lazy imports
+        ff.fd_heat_run(u0, psi, SMALL, (0.5,), self.scheme)  # warm lazy imports
         tracemalloc.start()
         try:
-            ff.fd_heat_run(u0, psi, SMALL, 0.5, self.scheme)
+            ff.fd_heat_run(u0, psi, SMALL, (0.5,), self.scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
+
+def successive_marches(u0, psi, grid, times, scheme):
+    """A chain as single-time calls, each from the state at the previous time."""
+    states, u, t0 = [], u0, 0.0
+    for t in times:
+        if t != t0:
+            u = ff.fd_heat_run(u, psi, grid, (t - t0,), scheme)[0]
+        states.append(u)
+        t0 = t
+    return np.stack(states)
+
+
+def distinct_spans(times):
+    return len({t - t0 for t0, t in zip((0.0,) + times, times) if t != t0})
+
+
+class TestChain:
+    """A chain of ascending times in one call: one factorization per chunk and step."""
+
+    # on SMALL these dt give 3-13 steps per interval (stepped) and 300-1250 (dense)
+    CHAIN_DT = {"stepped": 1e-2, "dense": 1e-4}
+
+    @pytest.mark.parametrize("expected", CHAIN_DT)
+    @pytest.mark.parametrize("times", [(0.0, 0.125, 0.25, 0.375, 0.5),
+                                       (0.05, 0.2, 0.23, 0.3),
+                                       (0.125, 0.125, 0.375, 0.375)],
+                             ids=["equal", "unequal", "repeated"])
+    def test_matches_successive_single_time_calls_bitwise(self, factorizations, expected,
+                                                          times):
+        rng = np.random.default_rng(14)
+        psi = random_profiles(rng, 3, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        scheme = ff.FdScheme(dt=self.CHAIN_DT[expected])
+        out = ff.fd_heat_run(u0, psi, SMALL, times, scheme)
+        assert out.shape == (len(times),) + u0.shape
+        assert len(factorizations) == distinct_spans(times)
+        assert route(factorizations) == expected
+        np.testing.assert_array_equal(out, successive_marches(u0, psi, SMALL, times, scheme))
+
+    def test_mixed_chain_reuses_each_step_across_intervals(self, factorizations):
+        # spans 0.125, 0.25, 0.125 at dt = 1e-3: 125 steps (stepped), 250 (dense), 125 again
+        rng = np.random.default_rng(15)
+        psi = random_profiles(rng, 3, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        times, scheme = (0.125, 0.375, 0.5), ff.FdScheme(dt=1e-3)
+        out = ff.fd_heat_run(u0, psi, SMALL, times, scheme)
+        assert [f.solves for f in factorizations] == [2 * 125, 1]
+        np.testing.assert_array_equal(out, successive_marches(u0, psi, SMALL, times, scheme))
+
+    def test_one_factorization_per_chunk(self, factorizations):
+        rng = np.random.default_rng(16)
+        psi = random_profiles(rng, 20, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        times, scheme = (0.0, 0.25, 0.5, 0.75), ff.FdScheme(dt=1e-3)
+        out = ff.fd_heat_run(u0, psi, SMALL, times, scheme)
+        assert [f.size for f in factorizations] == [16 * 64, 4 * 64]
+        assert route(factorizations) == "dense"
+        np.testing.assert_array_equal(out, successive_marches(u0, psi, SMALL, times, scheme))
+
+    @pytest.mark.parametrize("times, match", [
+        ((0.1, 0.2, 1e9), r"dt = 0.001 from 0.2 to t_end = 1e\+09 .*MAX_STEPS"),
+        ((0.1, 0.2, math.nan), r"t_end must be finite.*got nan"),
+        ((0.1, 0.2, math.inf), r"t_end must be finite.*got inf"),
+        ((0.2, 0.1), r"times must ascend, got t_end = 0.1 after 0.2"),
+    ], ids=["max-steps", "nan", "inf", "descending"])
+    def test_bad_chain_refused_before_any_factorization(self, factorizations, times, match):
+        u0 = np.cos(SMALL.coordinates()[0])
+        with pytest.raises(InputError, match=match):
+            ff.fd_heat_run(u0, 0.1 * u0, SMALL, times, ff.FdScheme())
+        assert factorizations == []
+
+    @pytest.mark.parametrize("times", [0.1, (), [[0.1]]], ids=["scalar", "empty", "nested"])
+    def test_other_times_shapes_refused(self, times):
+        u0 = np.zeros(SMALL.shape)
+        with pytest.raises(InputError, match=r"times shape .* is not a sequence \(k,\)"):
+            ff.fd_heat_run(u0, u0, SMALL, times, ff.FdScheme())
+
+    def test_unequal_chain_peak_memory_stays_flat(self):
+        """Each step power lives until its last interval: eight distinct ones are not held.
+
+        One dense 16-fiber power of 64^2 entries per fiber takes 0.5 MB.
+        """
+        rng = np.random.default_rng(17)
+        psi = random_profiles(rng, 64, SMALL)
+        u0 = rng.standard_normal(psi.shape)
+        times = tuple(np.cumsum([0.2 + 0.01 * k for k in range(8)]))
+        scheme = ff.FdScheme(dt=1e-3)
+        ff.fd_heat_run(u0, psi, SMALL, times[:1], scheme)  # warm lazy imports
+        tracemalloc.start()
+        try:
+            ff.fd_heat_run(u0, psi, SMALL, times, scheme)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 
 import foliflow as ff
 from foliflow import fiber as fb
@@ -110,7 +111,7 @@ class TestPlainFlow:
         h = 1e-4
         mid = traj.evaluate(0.8)
         dphi = (traj.evaluate(0.8 + h).phi - traj.evaluate(0.8 - h).phi) / (2 * h)
-        np.testing.assert_allclose(dphi, geo.laplacian_perp(mid.phi, mid),
+        np.testing.assert_allclose(dphi, geo.div_perp(geo.grad_perp(mid.phi, mid), mid),
                                    atol=1e-8)
 
     def test_base_varying_psi_stays_exact(self):
@@ -148,20 +149,25 @@ class TestPlainFlow:
             record.umbilical_residual = 1.0
 
     def test_diagnose_takes_one_sup_norm_per_distribution(self, monkeypatch):
-        """classify measures harmonicity only; umbilicity is not measured."""
+        """classify measures harmonicity only; umbilicity is not measured.
+
+        Its |H|^2_g is the int |H|^2 integrand, built once, and its
+        |Hperp|^2_g comes from grad psi without building Hperp.
+        """
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
                                                {(1, 0, 0): 0.1})
         calls = []
-        for name in ("h_norm_sup", "hperp_norm_sup"):
+        for name in ("leaf_inner", "h_norm_sup", "second_fundamental", "fiber_mean_curvature"):
             original = getattr(geo, name)
 
-            def counting(state, field, name=name, original=original):
+            def counting(*args, name=name, original=original):
                 calls.append(name)
-                return original(state, field)
+                return original(*args)
 
             monkeypatch.setattr(geo, name, counting)
-        flows._diagnose(state, np.zeros((2,) + state.shape))
-        assert sorted(calls) == ["h_norm_sup", "hperp_norm_sup"]
+        record = flows._diagnose(state, np.zeros((2,) + state.shape))
+        assert calls == ["leaf_inner"]
+        assert (record.tangent_label, record.normal_label) == ("umbilical", "umbilical")
 
     def test_diagnose_builds_one_volume_weight(self, monkeypatch):
         """vol, int Div_perp H and int |H|^2 share one weight, with the floats of one call each."""
@@ -237,7 +243,7 @@ class TestNormalizedFlow:
         mid = traj.evaluate(0.5)
         dphi = (traj.evaluate(0.5 + h).phi - traj.evaluate(0.5 - h).phi) / (2 * h)
         r = flows.normalization_rate(mid)
-        np.testing.assert_allclose(dphi, geo.laplacian_perp(mid.phi, mid) - r / 2.0,
+        np.testing.assert_allclose(dphi, geo.div_perp(geo.grad_perp(mid.phi, mid), mid) - r / 2.0,
                                    atol=1e-8)
 
     def test_project_unit_volume(self):
@@ -520,9 +526,36 @@ class TestFiniteDifferencePath:
         config = plain_config(samples=(0.0, 0.5))
         traj = ff.run_extrinsic_flow(state, config)
         assert traj.fiber_rate is None
-        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, 0.5,
-                                config.fd_scheme)
+        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, (0.5,),
+                                config.fd_scheme)[0]
         np.testing.assert_array_equal(traj.states[1].phi, direct)
+
+    def test_samples_march_as_one_chain(self, monkeypatch):
+        """64 distinct 64-point profiles, 5 uniform samples: one factorization per chunk.
+
+        The dense route packs 16 such fibers per chunk, so the chain makes 4
+        factorizations where one march per sample interval makes 16.
+        """
+        base = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
+        state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
+                                               {(1, 1): 0.1})
+        config = plain_config(samples=(0.0, 0.5, 1.0, 1.5, 2.0))
+        sizes = []
+
+        def counting(matrix):
+            sizes.append(matrix.shape[0])
+            return splu(matrix)
+
+        monkeypatch.setattr("scipy.sparse.linalg.splu", counting)
+        states, _ = flows.sample_flow(state, config)
+        assert sizes == [16 * 64] * 4
+        phi, t0 = state.phi, 0.0
+        for sample in states:
+            if sample.t != t0:
+                phi = ff.fd_heat_run(phi, state.psi, CIRCLE, (sample.t - t0,),
+                                     config.fd_scheme)[0]
+            np.testing.assert_array_equal(sample.phi, phi)
+            t0 = sample.t
 
     def test_cache_reuse_is_consistent(self):
         state = self.fd_state()
@@ -530,8 +563,8 @@ class TestFiniteDifferencePath:
         first = traj.evaluate(0.3).phi
         again = traj.evaluate(0.3).phi
         np.testing.assert_array_equal(first, again)
-        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, 0.3,
-                                ff.FdScheme())
+        direct = ff.fd_heat_run(state.phi, state.psi, CIRCLE, (0.3,),
+                                ff.FdScheme())[0]
         np.testing.assert_array_equal(first, direct)
 
     def test_evaluate_is_independent_of_earlier_evaluations(self):
@@ -550,10 +583,10 @@ class TestFiniteDifferencePath:
         first, second, after_sample = traj.at((0.3, 0.4, 0.7))
         np.testing.assert_array_equal(first.phi, traj.evaluate(0.3).phi)
         np.testing.assert_array_equal(
-            second.phi, ff.fd_heat_run(first.phi, state.psi, CIRCLE, 0.4 - 0.3, scheme))
+            second.phi, ff.fd_heat_run(first.phi, state.psi, CIRCLE, (0.4 - 0.3,), scheme)[0])
         np.testing.assert_array_equal(
             after_sample.phi,
-            ff.fd_heat_run(traj.states[1].phi, state.psi, CIRCLE, 0.7 - 0.5, scheme))
+            ff.fd_heat_run(traj.states[1].phi, state.psi, CIRCLE, (0.7 - 0.5,), scheme)[0])
 
     def test_limit_is_weighted_fiber_average(self):
         state = self.fd_state()

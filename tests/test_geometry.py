@@ -151,7 +151,7 @@ class TestFiberVectorShape:
     @pytest.mark.parametrize("name, call", [
         ("xi", geo.div_perp),
         ("h", lambda h, state: geo.h_norm_sup(state, h)),
-        ("h", lambda h, state: geo.theta_h(state, h)),
+        ("h", lambda h, state: geo._theta_h(state, h)),
         ("xi", lambda xi, state: checks.divergence_identity_sides(state, xi)),
     ], ids=["div_perp", "h_norm_sup", "theta_h", "divergence_identity_sides"])
     def test_wrong_shape_names_the_argument(self, name, call):
@@ -180,12 +180,6 @@ class TestConformalOperators:
                                    np.broadcast_to(expected, state.shape),
                                    atol=1e-12)
 
-    def test_laplacian_is_div_of_grad(self):
-        state = random_state(5)
-        u = fb.harmonic_field((BASE4, CIRCLE), {(1, 2): (0.3, 0.1)})
-        composed = geo.div_perp(geo.grad_perp(u, state), state)
-        np.testing.assert_allclose(geo.laplacian_perp(u, state), composed, atol=1e-13)
-
     def test_laplacian_conformal_covariance_2d(self):
         """For p = 2 the leaf Laplacian is exp(-2 psi) times the flat one."""
         state = ff.ProductState.from_harmonics(
@@ -193,7 +187,7 @@ class TestConformalOperators:
         )
         u = fb.harmonic_field((BASE4, TORUS), {(0, 1, 2): (0.2, 0.0)})
         flat = -5.0 * u  # eigenvalue of mode (1,2)
-        np.testing.assert_allclose(geo.laplacian_perp(u, state),
+        np.testing.assert_allclose(geo.div_perp(geo.grad_perp(u, state), state),
                                    np.exp(-2.0 * state.psi) * flat, atol=1e-12)
 
     @hyp.settings(max_examples=10, deadline=None)
@@ -396,7 +390,7 @@ class TestIntegration:
 class TestThetaForm:
     def test_components_lower_h(self):
         state = random_state(3)
-        theta = ff.theta_h(state)
+        theta = geo._theta_h(state)
         h = ff.twisted_mean_curvature(state)
         np.testing.assert_allclose(theta, np.exp(2.0 * state.psi) * h, atol=0)
 
@@ -431,6 +425,26 @@ class TestClassification:
         report = ff.classify(state)
         assert not report.normal.harmonic
         assert report.normal.label == "umbilical"
+
+    @pytest.mark.parametrize("scale, harmonic", [(0.9, True), (1.1, False)])
+    def test_normal_flag_reads_the_metric_norm_of_hperp(self, scale, harmonic):
+        """The fibers are harmonic iff sup exp(phi) |Hperp| <= CLASSIFY_TOL.
+
+        Hperp from ``second_fundamental`` is linear in the psi amplitude, so
+        the amplitude is set to put that sup at scale * CLASSIFY_TOL, with
+        p = 2 and a phi that varies, so neither p^2 nor exp(-2 phi) is 1.
+        """
+        def state(amp):
+            return ff.ProductState.from_harmonics(
+                BASE4, TORUS, {(1, 0, 0): 0.5, (0, 1, 0): 0.2}, {(1, 0, 1): amp})
+
+        def hperp_sup(state):
+            hperp = ff.second_fundamental(state).hperp
+            return float(np.sqrt(np.max(np.exp(2.0 * state.phi) * np.sum(hperp ** 2, axis=0))))
+
+        amp = scale * geo.CLASSIFY_TOL / hperp_sup(state(1.0))
+        assert hperp_sup(state(amp)) == pytest.approx(scale * geo.CLASSIFY_TOL, rel=1e-12)
+        assert ff.classify(state(amp)).normal.harmonic is harmonic
 
     def test_umbilicity_is_stated_not_measured(self):
         flags = ff.classify(ff.ProductState.from_harmonics(BASE4, CIRCLE, {})).tangent

@@ -48,7 +48,7 @@ def run_with_fiber_shaped_x():
     (run_with_fiber_shaped_x, r"is not \(p,\) \+ grid shape \(1, 4, 16\)"),
     (lambda: fdref.operator_matrix(np.zeros(16), CIRCLE),
      r"is not a stack of profiles \(k,\) \+ \(16,\)"),
-    (lambda: ff.fd_heat_run(np.zeros((4, 16)), np.zeros(16), CIRCLE, 0.1, ff.FdScheme()),
+    (lambda: ff.fd_heat_run(np.zeros((4, 16)), np.zeros(16), CIRCLE, (0.1,), ff.FdScheme()),
      r"is not the u0 shape \(4, 16\)"),
     (lambda: ff.FiberGrid(1, (1.0,), None), r"points must be 1 finite integer count"),
     (lambda: ff.FiberGrid(2, (1.0, 1.0), (8,)), r"expected 2 point counts, got 1"),
