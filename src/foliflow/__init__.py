@@ -68,7 +68,6 @@ from .geometry import (
     grad_perp,
     integrate,
     second_fundamental,
-    twisted_mean_curvature,
     volume,
 )
 
@@ -125,6 +124,5 @@ __all__ = [
     "second_fundamental",
     "tau_of_state",
     "time_integral_values",
-    "twisted_mean_curvature",
     "volume",
 ]

@@ -524,13 +524,6 @@ def check_decay_rate(trajectory: Trajectory) -> CheckReport:
                        trajectory.sample_times[-1])
 
 
-def _per_sample(fn):
-    def runner(trajectory: Trajectory) -> list[CheckReport]:
-        return [fn(state) for state in trajectory.states]
-
-    return runner
-
-
 def _rigidity_rows(trajectory: Trajectory) -> list[CheckReport]:
     """``check_harmonic_function_rigidity`` at every sample for one fixed fiber wave f.
 
@@ -547,7 +540,7 @@ def _rigidity_rows(trajectory: Trajectory) -> list[CheckReport]:
 
 CHECKERS = {
     "divergence_identity": _divergence_identity_rows,
-    "codim1_identity": _per_sample(check_codim1_identity),
+    "codim1_identity": lambda traj: [check_codim1_identity(s) for s in traj.states],
     "harmonic_rigidity": _rigidity_rows,
     "preservation": check_preservation,
     "monotonicity": check_monotonicity,

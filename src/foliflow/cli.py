@@ -290,13 +290,14 @@ def _parse_modes(raw, grids: tuple[FiberGrid, ...], label: str) -> dict:
     Each mode number must satisfy 2|m_k| < N_k on the N_k points of its axis
     of the grids: the Nyquist mode's derivative is zeroed and a higher mode
     aliases onto a lower one, so neither would be the mode the config asks for.
+    Two keys that spell one mode tuple are refused, as no amplitude wins.
     """
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise InputError(f"{label} must be a mode map object, got {type(raw).__name__}")
     points = tuple(n for grid in grids for n in grid.points)
-    terms = {}
+    terms, keys = {}, {}
     for key, amp in raw.items():
         parts = key.replace(";", ",").split(",")
         try:
@@ -309,6 +310,10 @@ def _parse_modes(raw, grids: tuple[FiberGrid, ...], label: str) -> dict:
             raise InputError(f"{label} key {key!r} is not resolved by the "
                              f"{'x'.join(map(str, points))} grid: each |mode number| "
                              f"must be below half its axis's points")
+        if mode in keys:
+            raise InputError(f"{label} keys {keys[mode]!r} and {key!r} name the same "
+                             f"mode {mode}")
+        keys[mode] = key
         where = f"{label} value for {key!r}"
         if isinstance(amp, list):
             pair = tuple(_as_float(a, where) for a in amp)
@@ -320,10 +325,20 @@ def _parse_modes(raw, grids: tuple[FiberGrid, ...], label: str) -> dict:
     return terms
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that the object repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"config key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def _load_config(path: Path, args) -> dict:
     """Parse and fully validate one scenario; nothing is written here."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     unknown = sorted(set(cfg) - CONFIG_KEYS)

@@ -19,11 +19,14 @@ symbols every multiplier reads are built once per grid; ``spectrum`` and
 a spectrum applies further multipliers without transforming again.
 
 Array-level helpers (evolve_values, time_integral_values, ...) act on the
-trailing ``grid.dim`` axes and broadcast over any leading axes; the flow
-engine uses them to evolve whole stacks of fibers at once.  The
-``rate_scale`` argument scales every eigenvalue by a per-stack factor,
-which is how a fiber-constant conformal factor exp(2*psi) enters: the
-leaf Laplacian is then exp(-2*psi) times the flat one.
+trailing ``grid.dim`` axes and broadcast over any leading axes, so whole
+stacks of fibers evolve at once.  The flow engine keeps its driving
+scalar as a spectrum, applies ``time_integral_sum_spectrum`` to it and
+returns through ``nodal``; it calls ``time_integral_values`` only for
+the t = inf limit.  The ``rate_scale`` argument scales every eigenvalue
+by a per-stack factor, which is how a fiber-constant conformal factor
+exp(2*psi) enters: the leaf Laplacian is then exp(-2*psi) times the
+flat one.
 """
 
 from __future__ import annotations
@@ -211,15 +214,16 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     """Integrate the heat evolution of the trailing axes over [0, t].
 
     Mode l picks up the factor (1 - exp(-lambda_l t)) / lambda_l and the
-    mean grows linearly; a finite t is time_integral_sum_values at the one
-    time t.  For t = +inf the integral exists only when every per-fiber
-    mean vanishes (to round-off); nonzero modes tend to 1/lambda_l.
+    mean grows linearly; a finite t is ``time_integral_sum_spectrum`` at
+    the one time t.  For t = +inf the integral exists only when every
+    per-fiber mean vanishes (to round-off); nonzero modes tend to 1/lambda_l.
     """
     values = np.asarray(values, dtype=float)
     if not t >= 0:          # also refuses NaN
         raise InputError(f"time integral needs t >= 0, got {t}")
     if not math.isinf(t):
-        return time_integral_sum_values(values, grid, (t,), (1.0,), rate_scale)
+        return nodal(time_integral_sum_spectrum(spectrum(values, grid), grid, (t,), (1.0,),
+                                                rate_scale), grid)
     lam = _scaled_eigenvalues(values, grid, rate_scale)
     positive = lam > 0
     _require_zero_means(values, _rfft_axes(values, grid),
@@ -228,28 +232,17 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     return _apply_multiplier(values, grid, mult)
 
 
-def time_integral_sum_values(values: np.ndarray, grid: FiberGrid, times: np.ndarray,
-                             weights: np.ndarray,
-                             rate_scale: np.ndarray | None = None) -> np.ndarray:
-    """sum_k weights[k] * time_integral_values(values, grid, times[k]) as one multiplier.
-
-    The values take one forward and one inverse transform; the multiplier
-    is that of ``time_integral_sum_spectrum``.
-    """
-    values = np.asarray(values, dtype=float)
-    summed = time_integral_sum_spectrum(spectrum(values, grid), grid, times, weights, rate_scale)
-    return nodal(summed, grid)
-
-
 def time_integral_sum_spectrum(values_hat: np.ndarray, grid: FiberGrid, times: np.ndarray,
                                weights: np.ndarray,
                                rate_scale: np.ndarray | None = None) -> np.ndarray:
-    """``time_integral_sum_values`` on a spectrum: the summed multiplier times values_hat.
+    """The spectrum of sum_k weights[k] * time_integral_values(values, grid, times[k]).
 
-    Mode l picks up -sum_k w_k expm1(-lambda_l t_k) / lambda_l and the mean
-    sum_k w_k t_k.  The multiplier is accumulated in place one time at a
-    time, so memory stays a few multipliers however many times there are.
-    Every time must be finite and >= 0.  No transform is taken, so a caller
+    ``values_hat`` is ``spectrum(values, grid)``, and the result is it
+    times one summed multiplier: mode l picks up
+    -sum_k w_k expm1(-lambda_l t_k) / lambda_l and the mean sum_k w_k t_k.
+    The multiplier is accumulated in place one time at a time, so memory
+    stays a few multipliers however many times there are.  Every time must
+    be finite and >= 0.  No transform is taken, so a caller
     that holds the spectrum of its values evaluates many sums for one.
     """
     times = np.asarray(times, dtype=float)

@@ -175,10 +175,10 @@ def normalization_rate(state: ProductState, div_h: np.ndarray | None = None) -> 
     caller that already holds Div_perp H passes it as ``div_h``.  A
     volume that is not positive and finite raises DegenerateTrajectoryError.
     """
-    vol = geo.volume(state)
     if div_h is None:
         div_h = geo.phi_fields(state).div_h
-    return _rate(state.n, geo.integrate(state, div_h), vol)
+    vol, int_div_h = geo.integrals(state, div_h)
+    return _rate(state.n, int_div_h, vol)
 
 
 def _rate(n: int, int_div_h: float, vol: float) -> float:
@@ -300,15 +300,13 @@ def _plain_phis(initial: ProductState,
     return phis
 
 
-def _diagnose(state: ProductState, x: np.ndarray,
-              spectrum: np.ndarray | None = None) -> DiagnosticsRecord:
-    """The record of one state, from one ``geometry.PhiFields`` pass.
+def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
+    """The record of the state ``fields`` were built for, from that one pass.
 
-    ``x`` is the target field, zero unless the variant is prescribed;
-    ``spectrum`` is the spectrum of the state's phi when the caller holds it.
+    ``x`` is the target field, zero unless the variant is prescribed.
     The volume and both integrals share one volume-form weight.
     """
-    fields = geo.phi_fields(state, spectrum)
+    state = fields.state
     div_h, h_sq = fields.div_h, geo.leaf_inner(state, fields.h, fields.h)
     vol, int_div_h, int_h2 = geo.integrals(state, div_h, h_sq)
     report = geo.classify(state, h_sq)
@@ -369,7 +367,7 @@ def sample_flow(initial: ProductState, config: FlowConfig
     driving0 = driving_scalar(fields0, x)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
-    integral = spectrum_at = None
+    integral, fields_at = None, geo.phi_fields
     if rate is not None:
         exact_phis, integral = _exact_phis(initial, driving0, rate)
     if not np.any(driving0):
@@ -377,9 +375,11 @@ def sample_flow(initial: ProductState, config: FlowConfig
     elif integral is not None:
         phis = exact_phis
         phi_hat0 = fields0.spectrum
-        # the spectrum of phi at t; the projection's fiber-constant shift
-        # moves only its null entries, which no derivative reads
-        spectrum_at = lambda t: phi_hat0 - integral((t,), (1.0,)) / initial.n
+        # the fields from the spectrum of phi at t; the projection's
+        # fiber-constant shift moves only its null entries, which no
+        # derivative reads
+        fields_at = lambda state: geo.PhiFields(
+            state, phi_hat0 - integral((state.t,), (1.0,)) / initial.n)
     else:
         if prescribed:
             raise UnsupportedScenarioError(
@@ -423,9 +423,7 @@ def sample_flow(initial: ProductState, config: FlowConfig
     states = tuple(at(config.samples))
 
     def diagnose() -> Trajectory:
-        diagnostics = tuple(
-            _diagnose(state, x, None if spectrum_at is None else spectrum_at(state.t))
-            for state in states)
+        diagnostics = tuple(_diagnose(fields_at(state), x) for state in states)
         converged_time = next((record.t for record in diagnostics
                                if record.max_driving < config.tol_converge), None)
         return Trajectory(
@@ -486,4 +484,4 @@ def tau_of_state(state: ProductState) -> np.ndarray:
     """Leafwise mean-curvature scalar g(N, H) = exp(psi) H of a p = 1 state."""
     if state.p != 1:
         raise InputError("tau is defined for one-dimensional fibers only")
-    return state.exp_psi(1) * geo.twisted_mean_curvature(state)[0]
+    return state.exp_psi(1) * geo.phi_fields(state).h[0]

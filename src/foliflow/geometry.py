@@ -24,10 +24,12 @@ formula on coordinate fields:
 All fields are nodal arrays over the combined base x fiber grid, with the
 fiber axes trailing so the fiber-spectral helpers apply directly.
 
-``phi_fields`` is the one builder of the fields that depend on phi (H and
-Div_perp H): it reads them from one spectrum of phi, which a caller that
-already holds it passes in.  For fiber-constant psi, Div_perp H is
--n exp(-2 psi) Lap_flat phi, a single Fourier symbol on that spectrum.
+``PhiFields`` is the one place the fields that depend on phi (H and
+Div_perp H) are built: it reads them from one spectrum of phi.  ``phi_fields``
+transforms phi for it; a caller that already holds the spectrum, such as
+the exact path's closed form, builds ``PhiFields`` itself.  For
+fiber-constant psi, Div_perp H is -n exp(-2 psi) Lap_flat phi, a single
+Fourier symbol on that spectrum.
 No phi-derived field is kept on a state: a state's fields live only as
 long as the ``PhiFields`` object of the pass that uses them.
 """
@@ -243,25 +245,12 @@ class PhiFields:
         return -state.n * (state.exp_psi(-2) * fb.nodal(self.spectrum * -lam, state.fiber))
 
 
-def phi_fields(state: ProductState, spectrum: np.ndarray | None = None) -> PhiFields:
-    """The phi-derived fields of ``state`` (see ``PhiFields``).
+def phi_fields(state: ProductState) -> PhiFields:
+    """The phi-derived fields of ``state`` (see ``PhiFields``), phi transformed once here.
 
-    ``spectrum`` is a spectrum of phi the caller already holds, such as the
-    exact path's closed form; without one, phi is transformed once here.
+    A caller that already holds a spectrum of phi builds ``PhiFields`` itself.
     """
-    if spectrum is None:
-        spectrum = fb.spectrum(state.phi, state.fiber)
-    return PhiFields(state, spectrum)
-
-
-def twisted_mean_curvature(state: ProductState) -> np.ndarray:
-    """Mean curvature of the leaves, as fiber-coordinate components.
-
-    The trace of the umbilical second fundamental form over the n base
-    directions gives H = -n grad_perp phi; each of the n unit base
-    directions contributes one copy of -grad_perp phi.
-    """
-    return phi_fields(state).h
+    return PhiFields(state, fb.spectrum(state.phi, state.fiber))
 
 
 @dataclass(frozen=True)
@@ -290,14 +279,9 @@ class SecondFundamentalData:
         return self.hperp / self.h.shape[0]
 
 
-def second_fundamental(state: ProductState,
-                       fields: PhiFields | None = None) -> SecondFundamentalData:
-    """Closed-form second fundamental data of the twisted product.
-
-    A caller that holds the state's ``PhiFields`` passes them, so H is not rebuilt.
-    """
-    h = (phi_fields(state) if fields is None else fields).h
-    return SecondFundamentalData(h=h, hperp=fiber_mean_curvature(state))
+def second_fundamental(state: ProductState) -> SecondFundamentalData:
+    """Closed-form second fundamental data of the twisted product."""
+    return SecondFundamentalData(h=phi_fields(state).h, hperp=fiber_mean_curvature(state))
 
 
 def fiber_mean_curvature(state: ProductState) -> np.ndarray:
@@ -384,24 +368,16 @@ def leaf_inner(state: ProductState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return state.exp_psi(2) * np.sum(a * b, axis=0)
 
 
-def h_norm_sup(state: ProductState, h: np.ndarray) -> float:
-    """Sup over the grid of the metric norm of a fiber-tangent field."""
-    h = fiber_vector(h, state, "h")
-    return float(np.sqrt(np.max(leaf_inner(state, h, h))))
-
-
-def _theta_h(state: ProductState, h: np.ndarray | None = None) -> np.ndarray:
+def _theta_h(state: ProductState, h: np.ndarray) -> np.ndarray:
     """Covariant components of the mean-curvature 1-form, theta_i = g_perp(H, .).
 
     For the twisted ansatz these are -n * (flat fiber partials of phi), so
     the form is exactly closed.
     """
-    if h is None:
-        h = twisted_mean_curvature(state)
     return state.exp_psi(2) * fiber_vector(h, state, "h")
 
 
-def d_theta_sup(state: ProductState, h: np.ndarray | None = None) -> float:
+def d_theta_sup(state: ProductState, h: np.ndarray) -> float:
     """Sup norm of the fiber exterior derivative of the mean-curvature 1-form.
 
     The derivative d theta has the single component d1 theta_2 - d2 theta_1,

@@ -101,7 +101,7 @@ def test_c05_reeb_total_curvature():
     config = ff.FlowConfig(t_end=2.0, samples=(0.0, 0.5, 1.0, 2.0))
     traj = ff.run_codim1(tau0, BASE64, CIRCLE, config)
     totals = [
-        abs(geo.integrate(s, np.exp(s.psi) * ff.twisted_mean_curvature(s)[0]))
+        abs(geo.integrate(s, np.exp(s.psi) * geo.phi_fields(s).h[0]))
         for s in traj.states
     ]
     ok = max(totals) < 1e-8
@@ -187,7 +187,7 @@ def test_c10_prescribed_limit():
     x = np.full((1,) + BASE.shape + CIRCLE.shape, 0.1)
     traj = single_mode_traj((0.0, 1.0, 2.0), variant="prescribed", x_field=x)
     limit = traj.limit
-    h_inf = ff.twisted_mean_curvature(limit)
+    h_inf = geo.phi_fields(limit).h
     div_res = float(np.max(np.abs(geo.div_perp(h_inf - x, limit))))
     h_res = float(np.max(np.abs(h_inf)))
     ok = div_res < 1e-8 and h_res < 1e-8

@@ -365,7 +365,7 @@ class TestBperpScaling:
         nodes = np.linspace(0.0, 1.0, 513)
         reference = np.zeros(traj.initial.shape)
         for state, weight in zip(traj.at(nodes), checks._simpson_weights(1.0, 513)):
-            driving = geo.div_perp(geo.twisted_mean_curvature(state) - traj.x, state)
+            driving = geo.div_perp(geo.phi_fields(state).h - traj.x, state)
             speed = -(2.0 / state.n) * driving
             if variant == "normalized":
                 speed = speed - ff.normalization_rate(state)
@@ -407,9 +407,9 @@ class TestBperpScaling:
         phi_fields = geo.phi_fields
         normalization_rate = flows.normalization_rate
 
-        def counting_phi_fields(state, spectrum=None):
+        def counting_phi_fields(state):
             div_calls.append(state.t)
-            return phi_fields(state, spectrum)
+            return phi_fields(state)
 
         def counting_rate(state, div_h=None):
             rate_calls.append(state.t)

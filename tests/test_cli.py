@@ -157,6 +157,43 @@ class TestExitCodes:
         assert "config error" in err and "fiber_points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, keys", [
+        ({"phi0": {"0,1": 0.2, "0, 1": 0.3}}, "phi0 keys '0,1' and '0, 1'"),
+        ({"scenario": "double_twisted", "psi": {"1,0": 0.1, "1;0": 0.2}},
+         "psi keys '1,0' and '1;0'"),
+        ({"variant": "prescribed", "x_field": [{"0,1": 0.1, "0,+1": 0.2}]},
+         "x_field keys '0,1' and '0,+1'"),
+        ({"scenario": "codim1_fibration", "phi0": None, "tau0": {"0,1": 0.2, "0,01": 0.1}},
+         "tau0 keys '0,1' and '0,01'"),
+    ], ids=["phi0", "psi", "x_field", "tau0"])
+    def test_one_mode_named_twice_exits_two(self, tmp_path, capsys, overrides, keys):
+        """Two spellings of one mode would keep only the later amplitude."""
+        cfg = write_config(tmp_path, **overrides)
+        raw = {k: v for k, v in json.loads(cfg.read_text(encoding="utf-8")).items()
+               if v is not None}
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{keys} name the same mode" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeat, key", [
+        ('"phi0": {"0,1": 0.2}, "phi0": {"0,1": 0.3}', "phi0"),
+        ('"phi0": {"0,1": 0.2, "0,1": 0.3}', "0,1"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_json_key_exits_two(self, tmp_path, capsys, repeat, key):
+        """A JSON object that repeats a key would keep only its last value."""
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text(encoding="utf-8"))
+        del raw["phi0"]
+        cfg.write_text(json.dumps(raw)[:-1] + ", " + repeat + "}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config key {key!r} appears twice" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dt", math.nan),
         ("dt", math.inf),

@@ -553,7 +553,7 @@ def fd_mean_curvature_from_metric(state):
             = -(n/2) exp(-2*psi) exp(-2*phi) d_j exp(2*phi),
 
     with d_j replaced by a centered difference along fiber axis j.  Agrees
-    with the spectral twisted_mean_curvature to second order in the fiber
+    with the spectral H of second_fundamental to second order in the fiber
     spacing, independently of it.
     """
     g_base_diag = np.exp(2.0 * state.phi)  # every base diagonal entry
@@ -595,7 +595,7 @@ class TestFdMeanCurvature:
             grid = ff.FiberGrid(1, (2.0 * math.pi,), (pts,))
             state = ff.ProductState.from_harmonics(base, grid, {(0, 1): 0.2})
             gap = (fd_mean_curvature_from_metric(state)
-                   - ff.twisted_mean_curvature(state))
+                   - ff.second_fundamental(state).h)
             errors[pts] = np.max(np.abs(gap))
         order = math.log2(errors[64] / errors[128])
         assert abs(order - 2.0) < 0.05

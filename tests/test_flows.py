@@ -94,7 +94,7 @@ class TestPlainFlow:
         traj = ff.run_extrinsic_flow(single_mode_state(), plain_config())
         assert math.isinf(traj.limit.t)
         assert np.max(np.abs(traj.limit.phi)) < 1e-14
-        assert np.max(np.abs(ff.twisted_mean_curvature(traj.limit))) < 1e-14
+        assert np.max(np.abs(geo.phi_fields(traj.limit).h)) < 1e-14
 
     def test_torus_mode_rate(self):
         # mode (1, 2) decays at the eigenvalue 5
@@ -157,7 +157,7 @@ class TestPlainFlow:
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
                                                {(1, 0, 0): 0.1})
         calls = []
-        for name in ("leaf_inner", "h_norm_sup", "second_fundamental", "fiber_mean_curvature"):
+        for name in ("leaf_inner", "second_fundamental", "fiber_mean_curvature"):
             original = getattr(geo, name)
 
             def counting(*args, name=name, original=original):
@@ -165,7 +165,7 @@ class TestPlainFlow:
                 return original(*args)
 
             monkeypatch.setattr(geo, name, counting)
-        record = flows._diagnose(state, np.zeros((2,) + state.shape))
+        record = flows._diagnose(geo.phi_fields(state), np.zeros((2,) + state.shape))
         assert calls == ["leaf_inner"]
         assert (record.tangent_label, record.normal_label) == ("umbilical", "umbilical")
 
@@ -183,9 +183,27 @@ class TestPlainFlow:
             return weight(state)
 
         monkeypatch.setattr(geo, "volume_form_weight", counting)
-        record = flows._diagnose(state, np.zeros((2,) + state.shape))
+        record = flows._diagnose(geo.phi_fields(state), np.zeros((2,) + state.shape))
         assert calls == [0.0]
         assert (record.vol, record.int_div_h, record.int_h2) == expected
+
+    def test_normalization_rate_builds_one_volume_weight(self, monkeypatch):
+        """r takes vol and int Div_perp H from one weight, with the floats of one call each."""
+        state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
+                                               {(1, 0, 0): 0.1})
+        div_h = geo.phi_fields(state).div_h
+        expected = float(-(2.0 / state.n) * geo.integrate(state, div_h) / geo.volume(state))
+        calls, weight = [], geo.volume_form_weight
+
+        def counting(state):
+            calls.append(state.t)
+            return weight(state)
+
+        monkeypatch.setattr(geo, "volume_form_weight", counting)
+        assert flows.normalization_rate(state) == expected
+        assert calls == [0.0]
+        assert flows.normalization_rate(state, div_h) == expected
+        assert calls == [0.0, 0.0]
 
     def test_rate_and_int_h2_quad_oracles(self):
         """r = -2 int |H|^2 dvol / vol, both integrals from scipy.quad."""
@@ -203,7 +221,7 @@ class TestPlainFlow:
     def test_rate_from_supplied_div_h_is_bitwise(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
                                                {(1, 0): 0.1})
-        div_h = geo.div_perp(ff.twisted_mean_curvature(state), state)
+        div_h = geo.div_perp(geo.phi_fields(state).h, state)
         assert flows.normalization_rate(state, div_h) == flows.normalization_rate(state)
 
     def test_target_field_is_zero_unless_prescribed(self):
@@ -321,7 +339,7 @@ class TestPrescribedFlow:
                                                {(0, 1): 0.2}, None)
         x = np.full((1,) + state.shape, 0.1)
         traj = ff.run_extrinsic_flow(state, prescribed_config(x))
-        h_inf = ff.twisted_mean_curvature(traj.limit)
+        h_inf = geo.phi_fields(traj.limit).h
         assert np.max(np.abs(h_inf)) < 1e-13
         drive = geo.div_perp(h_inf - x, traj.limit)
         assert np.max(np.abs(drive)) < 1e-12
@@ -331,15 +349,15 @@ class TestPrescribedFlow:
         y = CIRCLE.coordinates()[0]
         x = np.broadcast_to(0.1 + 0.05 * np.cos(2.0 * y), (1,) + state.shape)
         traj = ff.run_extrinsic_flow(state, prescribed_config(x))
-        h0 = ff.twisted_mean_curvature(state)
+        h0 = geo.phi_fields(state).h
         np.testing.assert_array_equal(traj.x, x)
         expected = x + np.mean(h0 - x, axis=-1, keepdims=True)
-        np.testing.assert_allclose(ff.twisted_mean_curvature(traj.limit),
+        np.testing.assert_allclose(geo.phi_fields(traj.limit).h,
                                    expected, atol=1e-12)
 
     def test_target_equal_to_h0_is_static(self):
         state = single_mode_state()
-        x = ff.twisted_mean_curvature(state)
+        x = geo.phi_fields(state).h
         traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         assert traj.converged_time == 0.0
         np.testing.assert_array_equal(traj.evaluate(1.7).phi, state.phi)
@@ -351,7 +369,7 @@ class TestPrescribedFlow:
         Div_perp H - Div_perp X, would alone exceed tol_converge.
         """
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 30): 5.0}, {(1, 0): -3.0})
-        x = ff.twisted_mean_curvature(state)
+        x = geo.phi_fields(state).h
         traj = ff.run_extrinsic_flow(state, prescribed_config(x))
         assert traj.diagnostics[0].max_div_h > 1e6
         assert [d.max_driving for d in traj.diagnostics] == [0.0] * 4
@@ -427,7 +445,7 @@ class TestCodimensionOne:
         """tau = g(N, H) = exp(psi) H for the unit normal N = exp(-psi) d/dy."""
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2, (1, 1): 0.05},
                                                {(0, 1): 0.1, (1, 2): 0.05})
-        h = ff.twisted_mean_curvature(state)
+        h = geo.phi_fields(state).h
         np.testing.assert_array_equal(ff.tau_of_state(state), np.exp(state.psi) * h[0])
         # closed form: H = -n exp(-2 psi) phi_y, so tau = -exp(-psi) phi_y
         x, y = np.meshgrid(BASE4.coordinates()[0], CIRCLE.coordinates()[0], indexing="ij")
@@ -487,9 +505,9 @@ class TestSampleFlow:
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, psi)
         calls, diagnose_one = [], flows._diagnose
 
-        def counting(state, x, spectrum=None):
-            calls.append(state.t)
-            return diagnose_one(state, x, spectrum)
+        def counting(fields, x):
+            calls.append(fields.state.t)
+            return diagnose_one(fields, x)
 
         monkeypatch.setattr(flows, "_diagnose", counting)
         states, diagnose = flows.sample_flow(state, plain_config())

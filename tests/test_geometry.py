@@ -150,10 +150,9 @@ class TestFiberVectorShape:
 
     @pytest.mark.parametrize("name, call", [
         ("xi", geo.div_perp),
-        ("h", lambda h, state: geo.h_norm_sup(state, h)),
         ("h", lambda h, state: geo._theta_h(state, h)),
         ("xi", lambda xi, state: checks.divergence_identity_sides(state, xi)),
-    ], ids=["div_perp", "h_norm_sup", "theta_h", "divergence_identity_sides"])
+    ], ids=["div_perp", "theta_h", "divergence_identity_sides"])
     def test_wrong_shape_names_the_argument(self, name, call):
         state = twisted_circle()
         with pytest.raises(InputError, match=rf"^{name} shape \(2, 4, 64\) is not "
@@ -221,26 +220,26 @@ class TestMeanCurvature:
         """phi = 0.2 cos y gives H = 0.2 sin y d/dy on the flat circle."""
         state = twisted_circle()
         y = CIRCLE.coordinates()[0]
-        np.testing.assert_allclose(ff.twisted_mean_curvature(state)[0],
+        np.testing.assert_allclose(geo.phi_fields(state).h[0],
                                    np.broadcast_to(0.2 * np.sin(y), state.shape),
                                    atol=1e-13)
 
     def test_product_is_minimal(self):
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {})
-        assert np.max(np.abs(ff.twisted_mean_curvature(state))) == 0.0
+        assert np.max(np.abs(geo.phi_fields(state).h)) == 0.0
 
     def test_fiber_constant_phi_is_minimal(self):
         # phi depending only on the base does not bend the fibers
         state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(2, 0): 0.4})
-        assert np.max(np.abs(ff.twisted_mean_curvature(state))) < 1e-15
+        assert np.max(np.abs(geo.phi_fields(state).h)) < 1e-15
 
     def test_conformal_rescaling_of_components(self):
         # contravariant components carry the exp(-2 psi) factor
         c = 0.3
         flat = twisted_circle()
         scaled = ff.ProductState(BASE4, CIRCLE, flat.phi, np.full(flat.shape, c))
-        np.testing.assert_allclose(ff.twisted_mean_curvature(scaled),
-                                   math.exp(-2.0 * c) * ff.twisted_mean_curvature(flat),
+        np.testing.assert_allclose(geo.phi_fields(scaled).h,
+                                   math.exp(-2.0 * c) * geo.phi_fields(flat).h,
                                    atol=1e-14)
 
     def test_second_fundamental_umbilical_split(self):
@@ -279,7 +278,7 @@ class TestPhiFields:
         fields = geo.phi_fields(state)
         np.testing.assert_allclose(fields.h, -state.n * geo.grad_perp(state.phi, state),
                                    rtol=0, atol=1e-12)
-        reference = geo.div_perp(ff.twisted_mean_curvature(state), state)
+        reference = geo.div_perp(geo.phi_fields(state).h, state)
         assert np.max(np.abs(reference)) > 0.1
         np.testing.assert_allclose(fields.div_h, reference, rtol=0, atol=1e-12)
         assert geo.d_theta_sup(state, fields.h) <= 1e-12
@@ -307,7 +306,7 @@ class TestPhiFields:
         spectrum = fb.spectrum(state.phi, fiber)
         shifted = spectrum.copy()
         shifted[(Ellipsis,) + (0,) * fiber.dim] += 123.0
-        plain, moved = geo.phi_fields(state, spectrum), geo.phi_fields(state, shifted)
+        plain, moved = geo.PhiFields(state, spectrum), geo.PhiFields(state, shifted)
         np.testing.assert_array_equal(plain.h, moved.h)
         np.testing.assert_array_equal(plain.div_h, moved.div_h)
 
@@ -327,7 +326,7 @@ class TestConformalChange:
         inc = fb.harmonic_field((BASE4, CIRCLE), {(0, 2): (0.0, 0.1)})
         b_new, h_new = ff.conformal_change(data.b_coeff, data.h, inc, state)
         shifted = ff.ProductState(BASE4, CIRCLE, state.phi + inc, state.psi)
-        np.testing.assert_allclose(h_new, ff.twisted_mean_curvature(shifted),
+        np.testing.assert_allclose(h_new, geo.phi_fields(shifted).h,
                                    atol=1e-13)
         np.testing.assert_allclose(b_new, h_new / state.n, atol=1e-13)
 
@@ -390,16 +389,17 @@ class TestIntegration:
 class TestThetaForm:
     def test_components_lower_h(self):
         state = random_state(3)
-        theta = geo._theta_h(state)
-        h = ff.twisted_mean_curvature(state)
+        h = geo.phi_fields(state).h
+        theta = geo._theta_h(state, h)
         np.testing.assert_allclose(theta, np.exp(2.0 * state.psi) * h, atol=0)
 
     def test_twisted_form_closed_p2(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.2})
-        assert geo.d_theta_sup(state) < 1e-13
+        assert geo.d_theta_sup(state, geo.phi_fields(state).h) < 1e-13
 
     def test_p1_always_closed(self):
-        assert geo.d_theta_sup(twisted_circle()) == 0.0
+        state = twisted_circle()
+        assert geo.d_theta_sup(state, geo.phi_fields(state).h) == 0.0
 
     def test_non_closed_form(self):
         # sin(y2) dy1 has exterior derivative -cos(y2) dy1 ^ dy2, sup 1
@@ -451,10 +451,3 @@ class TestClassification:
         assert [f.name for f in dataclasses.fields(flags)] == ["harmonic"]
         assert {f.name for f in dataclasses.fields(ff.ClassificationReport)} == {
             "tangent", "normal"}
-
-    def test_norm_sup_oracles(self):
-        state = twisted_circle()
-        h = ff.twisted_mean_curvature(state)
-        # |H|_g = exp(psi) |h| with psi = 0 here; sup of 0.2 |sin| on the grid
-        expected = 0.2 * np.max(np.abs(np.sin(CIRCLE.coordinates()[0])))
-        assert geo.h_norm_sup(state, h) == pytest.approx(expected, abs=1e-15)

@@ -2,11 +2,13 @@
 defines, each function takes one shape of each argument, and scipy is
 loaded only by a march."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,24 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from foliflow import *", namespace)
     assert set(ff.__all__) <= set(namespace)
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_use():
+    """A public module-level function is exported or named in src outside its own def."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(ff.__file__).parent.glob("*.py"))}
+    used = sum(map(references, trees.values()), Counter())
+    dead = [f"{module}.{fn.name}" for module, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and fn.name not in ff.__all__ and f"{module}.{fn.name}" != "cli.main"
+            and used[fn.name] == references(fn)[fn.name]]
+    assert dead == []
 
 
 def run_with_fiber_shaped_x():
