@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -123,44 +124,48 @@ class _RigidityProbe:
     """The phi-independent terms of the rigidity identity for one probe f.
 
     They depend on f, psi and the grids only, so one probe serves every
-    state of a trajectory (``replace_phi`` keeps psi).
+    state of a trajectory (``replace_phi`` keeps psi).  A probe constant
+    along the base may come as f of shape (1,) * n + fiber shape; its flat
+    fiber partials then keep that compact shape.
     """
 
     f: np.ndarray
     partials: np.ndarray     # flat fiber partials of f
-    zeta: np.ndarray         # f grad_perp f
+    f_partials: np.ndarray   # f times them: f grad_perp f = exp(-2 psi) f_partials
     rest: np.ndarray         # f Lap_perp f + |grad_perp f|^2
 
     @classmethod
     def build(cls, state: ProductState, f: np.ndarray) -> "_RigidityProbe":
         f = np.asarray(f, dtype=float)
-        if f.shape != state.shape:
-            raise InputError(f"f shape {f.shape} != state shape {state.shape}")
         partials = fb.gradient_values(f, state.fiber)
         grad = state.exp_psi(-2) * partials      # grad_perp f
-        rest = f * geo.div_perp(grad, state) + geo.leaf_inner(state, grad, grad)
-        return cls(f, partials, f * grad, rest)
+        rest = f * geo.div_perp(grad, state)
+        rest += geo.leaf_inner(state, grad, grad)
+        return cls(f, partials, f * partials, rest)
 
-    def residual(self, state: ProductState) -> float:
+    def residual(self, fields: geo.PhiFields) -> float:
         """Sup norm of Div(f grad_perp f) + f H(f) - (f Lap_perp f + |grad_perp f|^2).
 
-        Per state this takes H and the full divergence (1/w) sum_i d_i (w
-        zeta^i), w the volume density, whose component spectra are summed
-        before its one inverse transform.
+        Per state this takes H and the volume density w from ``fields``, and
+        the full divergence (1/w) sum_i d_i (w f grad_perp^i f), whose
+        component spectra are summed before its one inverse transform.
         """
-        weight = geo.volume_form_weight(state)
-        weighted = fb.spectrum(weight * self.zeta, state.fiber)
+        state, weight = fields.state, fields.weight
+        zeta = state.exp_psi(-2) * self.f_partials
+        zeta *= weight
+        weighted = fb.spectrum(zeta, state.fiber)
+        del zeta
         iks = fb.symbols(state.fiber)[1]
         out = fb.nodal(sum(ik * part for ik, part in zip(iks, weighted)), state.fiber)
+        del weighted
         out /= weight
-        del weight, weighted
-        h = geo.phi_fields(state).h
+        h = fields.h
         h_of_f = h[0] * self.partials[0]
         for i in range(1, state.p):
             h_of_f += h[i] * self.partials[i]
-        del h
         h_of_f *= self.f
         out += h_of_f
+        del h_of_f
         out -= self.rest
         return float(np.max(np.abs(out)))
 
@@ -175,7 +180,10 @@ def check_harmonic_function_rigidity(state: ProductState, f: np.ndarray) -> Chec
     functions compatible with the mean curvature are leafwise constant.
     The residual is the sup-norm of the displayed identity.
     """
-    residual = _RigidityProbe.build(state, f).residual(state)
+    f = np.asarray(f, dtype=float)
+    if f.shape != state.shape:
+        raise InputError(f"f shape {f.shape} != state shape {state.shape}")
+    residual = _RigidityProbe.build(state, f).residual(geo.phi_fields(state))
     return CheckReport("harmonic_rigidity", residual, SPECTRAL_TOL, state.t)
 
 
@@ -524,18 +532,26 @@ def check_decay_rate(trajectory: Trajectory) -> CheckReport:
                        trajectory.sample_times[-1])
 
 
-def _rigidity_rows(trajectory: Trajectory) -> list[CheckReport]:
-    """``check_harmonic_function_rigidity`` at every sample for one fixed fiber wave f.
+def _rigidity_probe(state: ProductState) -> _RigidityProbe:
+    """The probe of the harmonic_rigidity rows: one fixed fiber wave f, the same on every fiber."""
+    wave = np.sin(2.0 * math.pi * state.fiber.coordinates()[0] / state.fiber.sides[0])
+    f = np.broadcast_to(wave, state.fiber.shape).reshape((1,) * state.n + state.fiber.shape)
+    return _RigidityProbe.build(state, f)
 
-    The wave's phi-independent terms are built once per trajectory.
+
+def _rigidity_rows(trajectory: Trajectory) -> list[CheckReport]:
+    """``check_harmonic_function_rigidity`` at every sample for the fiber wave of ``_rigidity_probe``.
+
+    The rows are the records' ``rigidity``, taken in the diagnose pass,
+    when ``diagnose_and_check`` ran the pass; otherwise the wave's
+    phi-independent terms are built once and each state's fields here.
     """
-    initial = trajectory.initial
-    wave = np.sin(2.0 * math.pi * initial.fiber.coordinates()[0] / initial.fiber.sides[0])
-    f_fiber = np.broadcast_to(wave, initial.fiber.shape)
-    f = np.broadcast_to(f_fiber.reshape((1,) * initial.n + initial.fiber.shape), initial.shape)
-    probe = _RigidityProbe.build(initial, f)
-    return [CheckReport("harmonic_rigidity", probe.residual(state), SPECTRAL_TOL, state.t)
-            for state in trajectory.states]
+    residuals = [record.rigidity for record in trajectory.diagnostics]
+    if None in residuals:
+        probe = _rigidity_probe(trajectory.initial)
+        residuals = [probe.residual(geo.phi_fields(state)) for state in trajectory.states]
+    return [CheckReport("harmonic_rigidity", residual, SPECTRAL_TOL, record.t)
+            for residual, record in zip(residuals, trajectory.diagnostics)]
 
 
 CHECKERS = {
@@ -553,13 +569,34 @@ CHECKERS = {
 }
 
 
-def run_checks(trajectory: Trajectory, names: list[str]) -> list[CheckReport]:
-    """Run the named checkers against one trajectory, in the given order."""
-    reports = []
+def _require_known(names: list[str]) -> None:
     for name in names:
         if name not in CHECKERS:
             raise InputError(
                 f"unknown check {name!r}; known: {', '.join(sorted(CHECKERS))}"
             )
+
+
+def run_checks(trajectory: Trajectory, names: list[str]) -> list[CheckReport]:
+    """Run the named checkers against one trajectory, in the given order."""
+    _require_known(names)
+    reports = []
+    for name in names:
         reports.extend(CHECKERS[name](trajectory))
     return reports
+
+
+def diagnose_and_check(initial: ProductState, diagnose: Callable[..., Trajectory],
+                       names: list[str]) -> tuple[Trajectory, list[CheckReport]]:
+    """``run_checks(diagnose(), names)`` with the per-sample rows taken in the diagnose pass.
+
+    ``diagnose`` is the second step of ``flows.sample_flow(initial, ...)``.
+    When ``names`` holds harmonic_rigidity, its probe is built from
+    ``initial`` first and each sample's residual is taken from the fields
+    the pass builds for that sample's record, so no state's H, spectrum or
+    volume weight is built twice.  Unknown names are refused before the pass.
+    """
+    _require_known(names)
+    probe = _rigidity_probe(initial) if "harmonic_rigidity" in names else None
+    trajectory = diagnose(probe.residual if probe else None)
+    return trajectory, run_checks(trajectory, names)

@@ -25,13 +25,19 @@ inverse transform, and its diagnostics read H and Div_perp H from that
 spectrum (``geometry.PhiFields``), so a sample takes no forward
 transform.  A run samples every state first and diagnoses them after
 (``sample_flow``); the diagnosis takes each spectrum again from m(t), so
-no per-sample spectrum is held in between.  D0_hat has its fiber-mean entries zeroed, so the fiber mean
-of phi is conserved exactly; it is the only spectrum that outlives the
-run, inside the trajectory's evaluator.  When psi varies along a fiber
-the leaf Laplacian has variable coefficients and the finite-difference
-path becomes the authoritative solver.  It marches the samples as one
-chain of ascending times, in one ``fdref.fd_heat_run`` call, so sample
-intervals of one length share one factorization per chunk of fibers.
+no per-sample spectrum is held in between.  Each sample's diagnosis is
+one pass over one ``geometry.PhiFields``: H, Div_perp H and the volume
+weight are built once, and a per-sample checker row that the caller asks
+for (``checks.diagnose_and_check``) reads the same fields, which are
+dropped before the next sample's.  D0_hat has its fiber-mean entries
+zeroed, so the fiber mean of phi is conserved exactly; it is the only
+spectrum that outlives the run, inside the trajectory's evaluator.  When
+psi varies along a fiber the leaf Laplacian has variable coefficients
+and the finite-difference path becomes the authoritative solver.  It
+marches the samples as one chain of ascending times, in one
+``fdref.fd_heat_run`` call, and a request's times after one sample as
+one chain from it, so intervals of one length share one factorization
+per chunk of fibers.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
@@ -47,8 +53,10 @@ flow cannot converge to H = X unless that component vanishes.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -63,6 +71,10 @@ from .geometry import ProductState
 VARIANTS = ("plain", "normalized", "prescribed")
 CLOSEDNESS_TOL = 1e-9       # sup |d theta| above which p = 2 initial data is not closed
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # the largest x with exp(x) finite, ~709.78
+# Most bytes of states that one FD request chain holds at once: 1024 states
+# of a 64 x 64 grid, but 16 of an 8^2 x 64^2 one, which bperp_scaling's 513
+# nodes would otherwise stack into 1 GB.
+_CHAIN_BYTES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -114,6 +126,7 @@ class DiagnosticsRecord:
     d_theta_sup: float
     tangent_label: str
     normal_label: str
+    rigidity: float | None = None   # harmonic_rigidity residual, when the pass was asked for it
 
     @property
     def umbilical_residual(self) -> float:
@@ -132,9 +145,9 @@ class Trajectory:
     ``at(times)`` lazily yields the states at an ascending sequence of
     times in [0, inf], in closed form on the exact path.  The FD path
     marches the samples once, at run time, as one chain in one
-    ``fd_heat_run`` call, and each requested time by one single-time march
-    from the later of the request's previous time and the last sample at
-    or before it; no state outlives a request.  ``evaluate(t)`` asks for one.
+    ``fd_heat_run`` call, and the requested times that follow one sample
+    (or 0) as one chain from it; no state outlives a request.
+    ``evaluate(t)`` asks for one.
     ``weighted_sums(times, weights)`` returns, for ascending finite times
     and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
     the flow before volume projection; R is the integral of r(t) that the
@@ -278,25 +291,34 @@ def _plain_phis(initial: ProductState,
     """phi at each ascending time under d/dt phi = Lap_perp phi, by marching.
 
     The samples are marched here, as one chain of one ``fd_heat_run`` call.
-    A request reaches each of its times by one march of its own, from the
-    later of its previous time and the last anchor (0, a sample or the
-    t = inf limit) at or before it.
+    A request groups its times by the last anchor (0, a sample or the
+    t = inf limit) at or before each, and marches each group as one chain
+    from its anchor, so equal intervals share one factorization per chunk.
+    A chain holds its states at once, so a group of more than _CHAIN_BYTES
+    of states marches as several chains, each from the last state of the one
+    before.
     """
     def phis(times: list[float]) -> Iterator[np.ndarray]:
-        k = 0
-        for t in times:
-            while k < len(anchors) and anchors[k][0] <= t:
-                (t0, phi), k = anchors[k], k + 1
-            if t != t0:
-                t0, phi = t, fd_heat_run(phi, initial.psi, initial.fiber, (t - t0,),
-                                         config.fd_scheme)[0]
-            yield phi
+        per_chain = max(1, _CHAIN_BYTES // initial.phi.nbytes)
+        for k, run in itertools.groupby(times, lambda t: bisect.bisect_right(starts, t) - 1):
+            t0, phi = anchors[k]
+            run = list(run)
+            later = [t for t in run if t != t0]
+            yield from itertools.repeat(phi, len(run) - len(later))
+            for i in range(0, len(later), per_chain):
+                part = later[i:i + per_chain]
+                chain = fd_heat_run(phi, initial.psi, initial.fiber, [t - t0 for t in part],
+                                    config.fd_scheme)
+                yield from chain
+                t0, phi = part[-1], chain[-1].copy()
+                del chain
 
     chain = fd_heat_run(initial.phi, initial.psi, initial.fiber, config.samples,
                         config.fd_scheme)
     mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
     anchors = [(0.0, initial.phi), *zip(config.samples, chain),
                (math.inf, np.broadcast_to(mean, initial.shape).copy())]
+    starts = [t for t, _ in anchors]
     return phis
 
 
@@ -304,20 +326,25 @@ def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
     """The record of the state ``fields`` were built for, from that one pass.
 
     ``x`` is the target field, zero unless the variant is prescribed.
-    The volume and both integrals share one volume-form weight.
+    The volume and both integrals share the volume-form weight of
+    ``fields``, and with no target the sup of Div_perp H is also the
+    driving scalar's.
     """
     state = fields.state
     div_h, h_sq = fields.div_h, geo.leaf_inner(state, fields.h, fields.h)
-    vol, int_div_h, int_h2 = geo.integrals(state, div_h, h_sq)
+    vol, int_div_h, int_h2 = geo.integrals(state, div_h, h_sq, weight=fields.weight)
     report = geo.classify(state, h_sq)
+    del h_sq
+    max_div_h = float(np.max(np.abs(div_h)))
+    driving = driving_scalar(fields, x)
     return DiagnosticsRecord(
         t=state.t,
         vol=vol,
         int_h2=int_h2,
         int_div_h=int_div_h,
-        max_div_h=float(np.max(np.abs(div_h))),
+        max_div_h=max_div_h,
         rate=_rate(state.n, int_div_h, vol),
-        max_driving=float(np.max(np.abs(driving_scalar(fields, x)))),
+        max_driving=max_div_h if driving is div_h else float(np.max(np.abs(driving))),
         d_theta_sup=geo.d_theta_sup(state, fields.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
@@ -349,6 +376,12 @@ def sample_flow(initial: ProductState, config: FlowConfig
     comes from this first step.  No sample's spectrum is held between the
     steps: on the exact path ``diagnose`` takes each again as phi_hat(0) -
     I(t)/n, from the same ``integral`` call the sampling made.
+
+    ``diagnose(rigidity)`` also evaluates ``rigidity(fields)`` in each
+    sample's pass, on the ``PhiFields`` its record was built from, and
+    keeps the value as the record's ``rigidity`` (``checks`` passes the
+    harmonic_rigidity residual).  Each sample's fields are dropped before
+    the next sample's are built.
     """
     _check_float_range(initial)
     prescribed = config.x_field is not None
@@ -422,8 +455,19 @@ def sample_flow(initial: ProductState, config: FlowConfig
 
     states = tuple(at(config.samples))
 
-    def diagnose() -> Trajectory:
-        diagnostics = tuple(_diagnose(fields_at(state), x) for state in states)
+    def diagnosed(state: ProductState, rigidity: Callable[[geo.PhiFields], float] | None
+                  ) -> DiagnosticsRecord:
+        fields = fields_at(state)
+        out = _diagnose(fields, x)
+        return out if rigidity is None else replace(out, rigidity=rigidity(fields))
+
+    def diagnose(rigidity: Callable[[geo.PhiFields], float] | None = None) -> Trajectory:
+        """The Trajectory of the sampled states, one pass over one PhiFields per sample.
+
+        ``rigidity(fields)``, when given, is taken in each sample's pass and
+        kept as its record's ``rigidity``.
+        """
+        diagnostics = tuple(diagnosed(state, rigidity) for state in states)
         converged_time = next((record.t for record in diagnostics
                                if record.max_driving < config.tol_converge), None)
         return Trajectory(

@@ -50,6 +50,7 @@ from .fiber import FiberGrid
 # fiber-constant, which is what the exact spectral flow path requires.
 PSI_CONSTANT_TOL = 1e-13
 CLASSIFY_TOL = 1e-10        # sup residual below which classify sets a flag
+_BOUND_MARGIN = 1e-9        # relative margin by which a bound must settle a classify flag
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,10 @@ class PhiFields:
       * ``div_h``, Div_perp H.  For psi constant along each fiber the
         divergence has no grad psi term and H's factor exp(-2 psi) passes
         the fiber derivatives, so it is -n exp(-2 psi) irfftn(-|k|^2 phi_hat),
-        one inverse transform; otherwise it is ``div_perp(h)``.
+        one inverse transform; otherwise it is ``div_perp(h)``;
+      * ``weight``, the volume-form weight exp(n phi + p psi)
+        (``volume_form_weight``), which the pass's integrals and per-sample
+        checker rows share.
     """
 
     state: ProductState
@@ -231,10 +235,12 @@ class PhiFields:
     @functools.cached_property
     def h(self) -> np.ndarray:
         state = self.state
-        partials = np.empty((state.p,) + state.shape)
+        h = np.empty((state.p,) + state.shape)
         for k, ik in enumerate(fb.symbols(state.fiber)[1]):
-            partials[k] = fb.nodal(self.spectrum * ik, state.fiber)
-        return -state.n * (state.exp_psi(-2) * partials)
+            h[k] = fb.nodal(self.spectrum * ik, state.fiber)
+        h *= state.exp_psi(-2)
+        h *= -state.n
+        return h
 
     @functools.cached_property
     def div_h(self) -> np.ndarray:
@@ -243,6 +249,10 @@ class PhiFields:
             return div_perp(self.h, state)
         lam = fb.symbols(state.fiber)[0]
         return -state.n * (state.exp_psi(-2) * fb.nodal(self.spectrum * -lam, state.fiber))
+
+    @functools.cached_property
+    def weight(self) -> np.ndarray:
+        return volume_form_weight(self.state)
 
 
 def phi_fields(state: ProductState) -> PhiFields:
@@ -311,8 +321,15 @@ def conformal_change(b_coeff: np.ndarray, h: np.ndarray, phi_inc: np.ndarray,
 
 
 def volume_form_weight(state: ProductState) -> np.ndarray:
-    """Density of dvol against the flat reference: exp(n*phi + p*psi)."""
-    return np.exp(state.n * state.phi + state.p * state.psi)
+    """Density of dvol against the flat reference: exp(n*phi + p*psi).
+
+    Where the exponent leaves the float range the weight is inf, with no
+    warning; ``integrals`` refuses the volume that follows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = state.n * state.phi
+        weight += state.p * state.psi
+        return np.exp(weight, out=weight)
 
 
 def integrate(state: ProductState, values: np.ndarray) -> float:
@@ -342,15 +359,19 @@ def volume(state: ProductState) -> float:
     return integrals(state)[0]
 
 
-def integrals(state: ProductState, *fields: np.ndarray) -> tuple[float, ...]:
+def integrals(state: ProductState, *fields: np.ndarray,
+              weight: np.ndarray | None = None) -> tuple[float, ...]:
     """``volume(state)``, then ``integrate(state, f)`` for each field, from one weight.
 
-    The same floats as one call each, with exp(n phi + p psi) built once.
-    The volume is refused before any field is integrated.
+    The same floats as one call each, with exp(n phi + p psi) built once,
+    or taken as ``weight`` from a caller that holds it (``PhiFields.weight``).
+    The volume, mean(weight) times the flat volume, is refused before any
+    field is integrated.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    if weight is None:
         weight = volume_form_weight(state)
-        vol = _quadrature(state, np.ones(state.shape), weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = float(np.mean(weight) * (state.base.volume * state.fiber.volume))
     if not 0.0 < vol < math.inf:
         raise DegenerateTrajectoryError(
             f"the volume at t = {state.t:g} is {vol:g}, not positive and finite")
@@ -364,8 +385,14 @@ def fiber_average(state: ProductState, values: np.ndarray) -> np.ndarray:
 
 
 def leaf_inner(state: ProductState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise leaf-metric pairing exp(2 psi) sum_i a^i b^i of fiber-tangent fields."""
-    return state.exp_psi(2) * np.sum(a * b, axis=0)
+    """Pointwise leaf-metric pairing exp(2 psi) sum_i a^i b^i of fiber-tangent fields.
+
+    The sum runs component by component, so no (p,) + grid product is formed.
+    """
+    total = a[0] * b[0]
+    for k in range(1, len(a)):
+        total += a[k] * b[k]
+    return state.exp_psi(2) * total
 
 
 def _theta_h(state: ProductState, h: np.ndarray) -> np.ndarray:
@@ -427,16 +454,37 @@ def classify(state: ProductState, h_sq: np.ndarray | None = None) -> Classificat
     ``leaf_inner(state, H, H)`` when the caller already holds it (the
     int |H|^2 integrand).  The fibers' |Hperp|^2_g = exp(2 phi) |Hperp|^2
     with Hperp = -p exp(-2 phi) dpsi is taken as p^2 exp(-2 phi) |dpsi|^2,
-    so Hperp itself is not built.  The labels feed the ``normal_flags``
-    rows of ``check_preservation``; its ``umbilical`` and ``closed_theta``
-    rows are structural consistency guards, not measurements.
+    so Hperp itself is not built, and that field only when a bound on its
+    sup does not settle the flag (``_hperp_harmonic``).  The labels feed
+    the ``normal_flags`` rows of ``check_preservation``; its ``umbilical``
+    and ``closed_theta`` rows are structural consistency guards, not
+    measurements.
     """
     if h_sq is None:
         h = phi_fields(state).h
         h_sq = leaf_inner(state, h, h)
-    hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * np.sum(state.psi_base_gradient ** 2,
-                                                                 axis=0)
     return ClassificationReport(
         tangent=DistributionFlags(harmonic=float(np.sqrt(np.max(h_sq))) <= CLASSIFY_TOL),
-        normal=DistributionFlags(harmonic=float(np.sqrt(np.max(hperp_sq))) <= CLASSIFY_TOL),
+        normal=DistributionFlags(harmonic=_hperp_harmonic(state)),
     )
+
+
+def _hperp_harmonic(state: ProductState) -> bool:
+    """Whether sup |Hperp|_g <= CLASSIFY_TOL, with |Hperp|^2_g = p^2 exp(-2 phi) |dpsi|^2.
+
+    sup |dpsi|^2 is kept with psi's fields, and with phi's extremes it
+    bounds sup |Hperp|^2_g from above, by p^2 exp(-2 min phi) sup |dpsi|^2,
+    and from below, by p^2 exp(-2 max phi) sup |dpsi|^2.  A bound that
+    settles the flag by the relative margin _BOUND_MARGIN, far beyond the
+    round-off of either side, decides it; otherwise the exact sup does.
+    """
+    dpsi_sq_sup = state._psi_field("base_gradient_sq_sup", lambda: float(
+        np.max(np.sum(state.psi_base_gradient ** 2, axis=0))))
+    tol_sq, scale = CLASSIFY_TOL ** 2, state.p ** 2 * dpsi_sq_sup
+    if scale * math.exp(-2.0 * float(np.min(state.phi))) * (1.0 + _BOUND_MARGIN) <= tol_sq:
+        return True
+    if scale * math.exp(-2.0 * float(np.max(state.phi))) * (1.0 - _BOUND_MARGIN) > tol_sq:
+        return False
+    hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * np.sum(state.psi_base_gradient ** 2,
+                                                                 axis=0)
+    return float(np.sqrt(np.max(hperp_sq))) <= CLASSIFY_TOL

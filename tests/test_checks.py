@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad, simpson
 
 import foliflow as ff
@@ -430,13 +431,16 @@ class TestBperpScaling:
             assert rate_calls == []
 
     @pytest.mark.parametrize("variant", ["plain", "normalized"])
-    def test_fd_sums_chain_the_marched_nodes(self, monkeypatch, variant):
-        """The FD sums march the nodes as ``at`` does, once per node between samples.
+    def test_fd_sums_chain_the_marched_nodes(self, calls, variant):
+        """The FD sums march the nodes as ``at`` does, one chain per sample they follow.
 
         The phi sum is that of the unprojected (plain) states, bit for bit;
         the normalized rate sum is the weighted per-node r of the projected
         states.  Of the 513 nodes on [0, 1], the three that hit the samples
-        0, 0.5 and 1 are anchors; every other node is one march.
+        0, 0.5 and 1 are anchors; the nodes after 0 and after 0.5 are one
+        chain each.  Their intervals, 1/512, are one step key, and the one
+        psi profile is one chunk, so each chain makes one factorization
+        (one march per node made 510).
         """
         traj = fd_path_traj(variant)
         nodes = np.linspace(0.0, 1.0, 513)
@@ -453,16 +457,11 @@ class TestBperpScaling:
             assert expected_rate < 0.0
         assert rate_sum == expected_rate
 
-        marches = [0]
-        fd_heat_run = flows.fd_heat_run
-
-        def counting_fd_heat_run(*args):
-            marches[0] += 1
-            return fd_heat_run(*args)
-
-        monkeypatch.setattr(flows, "fd_heat_run", counting_fd_heat_run)
+        marches = calls(flows, "fd_heat_run")
+        factorizations = calls(spla, "splu")
         checks.check_bperp_scaling(traj)
-        assert marches == [513 - 3]
+        assert len(marches) == 2
+        assert len(factorizations) == 2
 
     def test_exact_sums_memory_stays_a_few_fields(self):
         """513 nodes on a 4^2 x 32^2 grid peak below 16 fields (128 KB each).
@@ -680,29 +679,74 @@ class TestRunChecks:
             base, fiber, {(0, 0, 1, 0): 0.1, (1, 0, 0, 1): (0.05, 0.02), (0, 1, 1, 1): 0.03},
             {(1, 0, 0, 0): 0.1})
 
-    def test_fft_budget_of_an_exact_run(self, monkeypatch):
-        """Flow plus checks take at most 16 FFT calls per sample, the run's fixed ones included.
+    FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+
+    def test_fft_budget_of_an_exact_run(self, calls):
+        """Flow plus checks take at most 15 FFT calls per sample, the run's fixed ones included.
 
         Each sample's H and Div_perp H come from its spectrum once, not once
         per consumer (it took about 37 per sample when every consumer
-        rebuilt them from nodal phi).
+        rebuilt them from nodal phi).  A library trajectory's rigidity rows
+        take each state's H from a transform of its own.
         """
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            original = getattr(np.fft, name)
-
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        ffts = calls(np.fft, *self.FFT_NAMES)
         samples = tuple(0.4 * k for k in range(11))
         traj = ff.run_extrinsic_flow(self.exact_n2p2_state(),
                                      ff.FlowConfig(t_end=4.0, samples=samples))
         assert traj.fiber_rate is not None
         reports = checks.run_checks(traj, self.EXACT_N2P2_CHECKS)
         assert reports and all(r.passed for r in reports)
-        assert len(calls) <= 16 * len(samples), sorted(calls)
+        assert len(ffts) <= 15 * len(samples), sorted(ffts)
+
+    def test_fft_budget_of_the_one_pass_run(self, calls):
+        """With the check names known before the pass, each sample takes 9 FFT calls.
+
+        Its phi (1 inverse) when sampled; then in the pass H (2 inverse),
+        Div_perp H (1 inverse), d theta (2 forward, 1 inverse) and the
+        rigidity row (1 forward, 1 inverse), which takes no transform of
+        phi.  With the run's 26 fixed calls an 11-sample run takes 125 (158
+        when the rows rebuilt H).
+        """
+        def run(samples):
+            ffts = calls(np.fft, *self.FFT_NAMES)
+            state = self.exact_n2p2_state()
+            states, diagnose = flows.sample_flow(
+                state, ff.FlowConfig(t_end=4.0, samples=samples))
+            _, reports = checks.diagnose_and_check(state, diagnose, self.EXACT_N2P2_CHECKS)
+            assert reports and all(r.passed for r in reports)
+            return len(ffts)
+
+        eleven = run(tuple(0.4 * k for k in range(11)))
+        six = run(tuple(0.8 * k for k in range(6)))
+        assert eleven - six == 9 * (11 - 6)
+        assert eleven == 125
+
+    def test_in_pass_rigidity_rows_match_the_per_state_check(self):
+        """The rows the pass takes equal check_harmonic_function_rigidity per state.
+
+        The identity holds for any state, so its residual is round-off, and
+        a pass that handed the probe another state's H or volume weight
+        would read O(0.1).  On the FD path the pass's fields are the ones a
+        library trajectory builds, so its rows are the same floats.
+        """
+        for state, exact in ((self.exact_n2p2_state(), True),
+                             (fd_path_traj().initial, False)):
+            config = ff.FlowConfig(t_end=1.0, samples=(0.0, 0.5, 1.0))
+            _, diagnose = flows.sample_flow(state, config)
+            traj, rows = checks.diagnose_and_check(state, diagnose, ["harmonic_rigidity"])
+            assert [record.rigidity is not None for record in traj.diagnostics] == [True] * 3
+            fiber = state.fiber
+            wave = np.sin(2.0 * math.pi * fiber.coordinates()[0] / fiber.sides[0])
+            f = np.broadcast_to(wave, state.shape)
+            for row, sample in zip(rows, traj.states):
+                direct = checks.check_harmonic_function_rigidity(sample, f)
+                assert (row.name, row.sample_time) == (direct.name, direct.sample_time)
+                assert row.residual == pytest.approx(direct.residual, rel=0.0, abs=1e-13)
+                assert row.residual < 1e-12
+            library = checks.run_checks(ff.run_extrinsic_flow(state, config),
+                                        ["harmonic_rigidity"])
+            if not exact:
+                assert [r.residual for r in library] == [r.residual for r in rows]
 
     def test_no_phi_derived_field_outlives_the_run(self):
         """The trajectory retains its states, X, the driving spectrum and psi's fields.

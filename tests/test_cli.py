@@ -13,6 +13,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -30,19 +32,10 @@ from foliflow.geometry import ProductState
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs, and the list of pids that os.fork returned in this process."""
+def forks(monkeypatch, calls):
+    """Two usable CPUs, and one entry per os.fork that returned in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+    return calls(os, "fork")
 
 
 def assert_no_child_left():
@@ -58,6 +51,11 @@ def tree_bytes(root):
 
 def staging_left(where):
     return sorted(p.name for p in where.rglob(".foliflow-staging-*"))
+
+
+def formatted(table):
+    """The snapshot text of a 2-D table from cli._format_table's blocks."""
+    return b"".join(cli._format_table(table)).decode("ascii")
 
 
 def per_value_text(table):
@@ -610,14 +608,14 @@ class TestFormatTable:
     @hyp.settings(max_examples=100, deadline=None, derandomize=True)
     @hyp.given(table=float_tables())
     def test_matches_per_value_format(self, table):
-        assert cli._format_table(table) == per_value_text(table)
+        assert formatted(table) == per_value_text(table)
 
     @pytest.mark.parametrize("shape", ["row", "column", "table"])
     def test_edge_values(self, shape):
         values = edge_values()
         table = {"row": values[None, :], "column": values[:, None],
                  "table": values.reshape(2, -1)}[shape]
-        assert cli._format_table(table) == per_value_text(table)
+        assert formatted(table) == per_value_text(table)
 
     @pytest.mark.parametrize("direction", [-math.inf, math.inf], ids=["low", "high"])
     def test_log10_one_ulp_off(self, monkeypatch, direction):
@@ -625,25 +623,46 @@ class TestFormatTable:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
         table = edge_values()[None, :]
-        assert cli._format_table(table) == per_value_text(table)
+        assert formatted(table) == per_value_text(table)
 
     def test_rows_straddling_blocks(self):
         """Rows that start and end inside blocks, over every decade of the bulk range."""
         rng = np.random.default_rng(11)
         shape = (3, cli._TABLE_BLOCK // 2 + 3)
         table = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-7.0, 17.0, shape)
-        assert cli._format_table(table) == per_value_text(table)
+        assert formatted(table) == per_value_text(table)
 
     def test_one_snapshot_peaks_below_three_file_sizes(self):
         """Formatting an 8^2 x 64^2 snapshot allocates at most 3x its text at the peak."""
         table = np.random.default_rng(5).normal(scale=0.1, size=(8 ** 2, 64 ** 2))
         tracemalloc.start()
         try:
-            text = cli._format_table(table)
+            text = formatted(table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text), (peak, len(text))
+
+    def test_streamed_write_peak_does_not_grow_with_the_table(self, tmp_path):
+        """_write_table holds one block's temporaries at a time, never the text.
+
+        A table 4 times an 8^2 x 64^2 snapshot peaks as the snapshot does,
+        below a third of its own text, and its file has the exact text.
+        """
+        rng = np.random.default_rng(5)
+        peaks = []
+        for rows in (8 ** 2, 4 * 8 ** 2):
+            table = rng.normal(scale=0.1, size=(rows, 64 ** 2))
+            path = tmp_path / f"{rows}.csv"
+            tracemalloc.start()
+            try:
+                cli._write_table(path, table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert path.read_bytes().decode("ascii") == per_value_text(table)
+        assert peaks[1] <= 1.2 * peaks[0] and 3 * peaks[1] < path.stat().st_size, peaks
 
 
 # 4 samples x 16 base points x 1024 fiber points = 2^16 snapshot values
@@ -685,7 +704,7 @@ class TestSnapshotSplit:
 
         The child's writes stall for a minute here, so only a kill ends it in time.
         """
-        monkeypatch.setattr(cli, "_write_text", lambda path, text: time.sleep(60))
+        monkeypatch.setattr(cli, "_write_table", lambda path, table: time.sleep(60))
         cfg = write_config(tmp_path, **{**SPLIT_RUN, "samples": [0.5] * 4,
                                         "checks": ["decay_rate"]})
         out = tmp_path / "out"
@@ -698,18 +717,20 @@ class TestSnapshotSplit:
         assert_no_child_left()
         assert not out.exists() and staging_left(tmp_path) == []
 
-    @pytest.mark.parametrize("failing", ["phi_002.csv", "diagnostics.csv"],
+    @pytest.mark.parametrize("writer, failing", [("_write_table", "phi_002.csv"),
+                                                 ("_write_text", "diagnostics.csv")],
                              ids=["child", "parent"])
-    def test_write_failure_exits_two(self, tmp_path, capsys, forks, monkeypatch, failing):
+    def test_write_failure_exits_two(self, tmp_path, capsys, forks, monkeypatch, writer,
+                                     failing):
         """A write that fails in the child, or in this process, leaves --out as it was."""
-        write_text = cli._write_text
+        write = getattr(cli, writer)
 
-        def failing_write(path, text):
+        def failing_write(path, content):
             if path.name == failing:
                 raise OSError(f"no space left writing {path.name}")
-            write_text(path, text)
+            write(path, content)
 
-        monkeypatch.setattr(cli, "_write_text", failing_write)    # the fork inherits it
+        monkeypatch.setattr(cli, writer, failing_write)    # the fork inherits it
         cfg = write_config(tmp_path, **SPLIT_RUN)
         out = tmp_path / "out"
         out.mkdir()
@@ -740,6 +761,74 @@ class TestSnapshotSplit:
         monkeypatch.setattr(os, "fork", no_fork)
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+# A fresh interpreter that runs main and reports on stderr how many forks returned.
+FRESH_RUN = """
+import os, sys
+import foliflow.cli as cli
+assert cli._tune_allocator.cache_info().currsize == 0   # importing never tunes
+forks, fork = [], os.fork
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting_fork
+if sys.argv[1] == "untuned":
+    cli._tune_allocator = lambda: None
+code = cli.main(sys.argv[2:])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestAllocator:
+    def test_split_run_bytes_do_not_depend_on_the_allocator(self, tmp_path):
+        """A split run in a fresh process writes the same bytes with and without mallopt."""
+        cfg = write_config(tmp_path, **SPLIT_RUN)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        split = len(os.sched_getaffinity(0)) >= 2
+        for name in ("tuned", "untuned"):
+            proc = subprocess.run([sys.executable, "-c", FRESH_RUN, name, "run", str(cfg),
+                                   "--out", str(tmp_path / name)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == f"{int(split)}\n"
+        tuned, untuned = (tree_bytes(tmp_path / name) for name in ("tuned", "untuned"))
+        assert sorted(tuned) == ["checks.csv", "diagnostics.csv"] + [
+            f"phi_{i:03d}.csv" for i in range(4)]
+        assert tuned == untuned
+
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._tune_allocator.__wrapped__() is None
+
+        def unloadable(name):
+            raise OSError("no C library to load")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        assert cli._tune_allocator.__wrapped__() is None
+
+    def test_main_tunes_the_allocator_once_per_process(self, tmp_path, monkeypatch):
+        import ctypes
+
+        settings = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                settings.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cli._tune_allocator.cache_clear()
+        cfg = write_config(tmp_path, checks=[])
+        for out in ("a", "b"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert settings == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
 
 
 class TestFlags:

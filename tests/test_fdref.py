@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 import foliflow as ff
@@ -312,15 +313,9 @@ class TestPerMemberPsi:
     scheme = ff.FdScheme(dt=1e-2)
 
     @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        calls = []
-
-        def counting(matrix, *args, **kwargs):
-            calls.append(matrix.shape[0])
-            return splu(matrix, *args, **kwargs)
-
-        monkeypatch.setattr("scipy.sparse.linalg.splu", counting)
-        return calls
+    def splu_calls(self, calls):
+        """The size of every matrix factored, in order."""
+        return calls(spla, "splu", key=lambda matrix, *args, **kwargs: matrix.shape[0])
 
     def test_distinct_profiles_match_individual_runs_bitwise(self, splu_calls):
         rng = np.random.default_rng(5)

@@ -13,12 +13,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
-from scipy.sparse.linalg import splu
 
 import foliflow as ff
+from foliflow import checks, fdref, flows
 from foliflow import fiber as fb
-from foliflow import flows
 from foliflow import geometry as geo
 from foliflow.errors import (DegenerateTrajectoryError, HypothesisViolationError,
                              InputError, UnsupportedScenarioError)
@@ -548,7 +548,7 @@ class TestFiniteDifferencePath:
                                 config.fd_scheme)[0]
         np.testing.assert_array_equal(traj.states[1].phi, direct)
 
-    def test_samples_march_as_one_chain(self, monkeypatch):
+    def test_samples_march_as_one_chain(self, calls):
         """64 distinct 64-point profiles, 5 uniform samples: one factorization per chunk.
 
         The dense route packs 16 such fibers per chunk, so the chain makes 4
@@ -558,13 +558,7 @@ class TestFiniteDifferencePath:
         state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
                                                {(1, 1): 0.1})
         config = plain_config(samples=(0.0, 0.5, 1.0, 1.5, 2.0))
-        sizes = []
-
-        def counting(matrix):
-            sizes.append(matrix.shape[0])
-            return splu(matrix)
-
-        monkeypatch.setattr("scipy.sparse.linalg.splu", counting)
+        sizes = calls(spla, "splu", key=lambda matrix: matrix.shape[0])
         states, _ = flows.sample_flow(state, config)
         assert sizes == [16 * 64] * 4
         phi, t0 = state.phi, 0.0
@@ -574,6 +568,63 @@ class TestFiniteDifferencePath:
                                      config.fd_scheme)[0]
             np.testing.assert_array_equal(sample.phi, phi)
             t0 = sample.t
+
+    def test_request_marches_each_run_after_an_anchor_as_one_chain(self, calls):
+        """A request's times after one sample (or 0) march as one chain from it.
+
+        64 distinct 64-point profiles are one chunk on the stepped route, so
+        a chain factors once per distinct (steps, dt) of its intervals:
+        check_bperp_scaling's 513 nodes on [0, 2], 1/256 apart, make one
+        factorization after each of the samples 0 and 1 (one march per node
+        made 510).  Spans that are exact in floating point give each state
+        bit for bit as a march of its own from the request's previous time.
+        """
+        base = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
+        state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
+                                               {(1, 1): 0.1})
+        traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 1.0, 2.0)))
+        scheme = traj.config.fd_scheme
+        times = (0.125, 0.25, 0.375, 1.0, 1.5)
+        phi, t0, expected = state.phi, 0.0, []
+        for t in times:
+            if t == 1.0:
+                phi = traj.states[1].phi
+            else:
+                phi = ff.fd_heat_run(phi, state.psi, CIRCLE, (t - t0,), scheme)[0]
+            expected.append(phi)
+            t0 = t
+
+        marches = calls(flows, "fd_heat_run",
+                        key=lambda u0, psi, grid, times, scheme: np.asarray(times))
+        factorizations = calls(spla, "splu")
+        for got, want in zip(traj.at(times), expected):
+            np.testing.assert_array_equal(got.phi, want)
+        assert [m.tolist() for m in marches] == [[0.125, 0.25, 0.375], [0.5]]
+        marches.clear()
+        factorizations.clear()
+        checks.check_bperp_scaling(traj)   # FD fails it at second order (TestCheckerMatrix)
+        assert len(marches) == 2
+        keys = [{key for key in fdref._chain_steps(chain, scheme, state.psi, CIRCLE) if key}
+                for chain in marches]
+        assert [len(k) for k in keys] == [1, 1]
+        assert len(factorizations) == 2
+
+    def test_request_chain_holds_at_most_chain_bytes_of_states(self, calls, monkeypatch):
+        """A group of times beyond flows._CHAIN_BYTES marches as chains of that many states.
+
+        Each chain starts from the last state of the one before, so with
+        exact spans the states stay those of one march per time.
+        """
+        state = self.fd_state()
+        traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 1.0)))
+        times = (0.125, 0.25, 0.375, 1.5)
+        whole = [s.phi for s in traj.at(times)]
+        monkeypatch.setattr(flows, "_CHAIN_BYTES", 2 * state.phi.nbytes)
+        marches = calls(flows, "fd_heat_run",
+                        key=lambda u0, psi, grid, times, scheme: list(times))
+        for got, want in zip(traj.at(times), whole):
+            np.testing.assert_array_equal(got.phi, want)
+        assert marches == [[0.125, 0.25], [0.125], [0.5]]
 
     def test_cache_reuse_is_consistent(self):
         state = self.fd_state()

@@ -446,6 +446,29 @@ class TestClassification:
         assert hperp_sup(state(amp)) == pytest.approx(scale * geo.CLASSIFY_TOL, rel=1e-12)
         assert ff.classify(state(amp)).normal.harmonic is harmonic
 
+    @pytest.mark.parametrize("scale, harmonic, exps",
+                             [(1e-3, True, 0), (0.9, True, 1), (1.1, False, 1), (1e3, False, 0)])
+    def test_normal_flag_takes_the_field_only_when_its_bounds_straddle(self, calls, scale,
+                                                                        harmonic, exps):
+        """sup |dpsi|^2 and phi's extremes bound sup |Hperp|^2_g; a settled bound needs no exp.
+
+        phi = 0.5 cos x spans [-0.5, 0.5] and |dpsi| peaks where phi = 0, so
+        the bounds are a factor e apart on either side of the sup: at 0.9
+        and 1.1 times CLASSIFY_TOL they straddle it and the exact sup, one
+        exp(-2 phi), decides; far from it the bound does.
+        """
+        def state(amp):
+            return ff.ProductState.from_harmonics(BASE4, TORUS, {(1, 0, 0): 0.5},
+                                                  {(1, 0, 0): amp})
+
+        hperp = ff.second_fundamental(state(1.0)).hperp
+        unit = float(np.sqrt(np.max(np.exp(2.0 * state(1.0).phi) * np.sum(hperp ** 2, axis=0))))
+        sample = state(scale * geo.CLASSIFY_TOL / unit)
+        h_sq = np.zeros(sample.shape)
+        made = calls(np, "exp")
+        assert ff.classify(sample, h_sq).normal.harmonic is harmonic
+        assert len(made) == exps
+
     def test_umbilicity_is_stated_not_measured(self):
         flags = ff.classify(ff.ProductState.from_harmonics(BASE4, CIRCLE, {})).tangent
         assert [f.name for f in dataclasses.fields(flags)] == ["harmonic"]
