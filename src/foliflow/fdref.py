@@ -31,8 +31,14 @@ import numpy as np
 from .errors import InputError, SolveError
 from .fiber import FiberGrid
 
-# scipy.sparse is imported inside the two functions that use it: its import
-# costs about 0.4 s and 30 MB (2-core Xeon VM), and only a march needs it.
+# scipy.sparse is imported inside the two functions that use it, since only a
+# march needs it.  After ``foliflow.cli``, a fresh ``import scipy.sparse.linalg``
+# takes 0.20-0.28 s and grows the process from 31 to 60 MB (2-core Xeon VM,
+# scipy 1.17.1); a warm fd-p1 op then peaks at 68 MB, of which its own arrays
+# trace under 3 MB.  About 0.1 s of the import (125-180 ms under
+# ``-X importtime``) is scipy's array-API shim, whose ``clone_module`` reads
+# every name of ``numpy`` and so imports numpy.f2py, numpy.testing, numpy.ma
+# and numpy.random.
 if TYPE_CHECKING:
     import scipy.sparse as sp
 

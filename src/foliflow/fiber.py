@@ -22,11 +22,11 @@ Array-level helpers (evolve_values, time_integral_values, ...) act on the
 trailing ``grid.dim`` axes and broadcast over any leading axes, so whole
 stacks of fibers evolve at once.  The flow engine keeps its driving
 scalar as a spectrum, applies ``time_integral_sum_spectrum`` to it and
-returns through ``nodal``; it calls ``time_integral_values`` only for
-the t = inf limit.  The ``rate_scale`` argument scales every eigenvalue
-by a per-stack factor, which is how a fiber-constant conformal factor
-exp(2*psi) enters: the leaf Laplacian is then exp(-2*psi) times the
-flat one.
+returns through ``nodal``; for the t = inf limit it applies
+``time_integral_limit_spectrum`` to the same spectrum.  The
+``rate_scale`` argument scales every eigenvalue by a per-stack factor,
+which is how a fiber-constant conformal factor exp(2*psi) enters: the
+leaf Laplacian is then exp(-2*psi) times the flat one.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def symbols(grid: FiberGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return lam, tuple(iks)
 
 
-def _require_zero_means(values: np.ndarray, axes: tuple[int, ...], message: str) -> None:
-    """Raise InputError(message) unless every mean over axes vanishes to round-off."""
-    means = values.mean(axis=axes)
+def require_zero_means(values: np.ndarray, grid: FiberGrid, message: str) -> None:
+    """Raise InputError(message) unless each mean over the trailing grid axes is round-off."""
+    means = values.mean(axis=_rfft_axes(values, grid))
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     if np.max(np.abs(means)) > MEAN_ZERO_TOL * scale:
         raise InputError(message)
@@ -224,12 +224,23 @@ def time_integral_values(values: np.ndarray, grid: FiberGrid, t: float,
     if not math.isinf(t):
         return nodal(time_integral_sum_spectrum(spectrum(values, grid), grid, (t,), (1.0,),
                                                 rate_scale), grid)
-    lam = _scaled_eigenvalues(values, grid, rate_scale)
+    require_zero_means(values, grid,
+                       "infinite-horizon time integral diverges: fiber mean is nonzero")
+    return nodal(time_integral_limit_spectrum(spectrum(values, grid), grid, rate_scale), grid)
+
+
+def time_integral_limit_spectrum(values_hat: np.ndarray, grid: FiberGrid,
+                                 rate_scale: np.ndarray | None = None) -> np.ndarray:
+    """The spectrum of ``time_integral_values(values, grid, inf)``, from ``spectrum(values, grid)``.
+
+    Mode l picks up 1/lambda_l and the null (fiber-mean) entries 0.  The
+    limit exists only when the values' fiber means vanish, which is not
+    checked here: a caller without the nodal values checks them with
+    ``require_zero_means`` before it drops them.
+    """
+    lam = _scaled_eigenvalues(values_hat, grid, rate_scale)
     positive = lam > 0
-    _require_zero_means(values, _rfft_axes(values, grid),
-                        "infinite-horizon time integral diverges: fiber mean is nonzero")
-    mult = np.where(positive, 1.0 / np.where(positive, lam, 1.0), 0.0)
-    return _apply_multiplier(values, grid, mult)
+    return values_hat * np.where(positive, 1.0 / np.where(positive, lam, 1.0), 0.0)
 
 
 def time_integral_sum_spectrum(values_hat: np.ndarray, grid: FiberGrid, times: np.ndarray,
@@ -300,8 +311,7 @@ def antiderivative_values(values: np.ndarray, grid: FiberGrid) -> np.ndarray:
     if grid.dim != 1:
         raise InputError("antiderivative is defined for one-dimensional fibers only")
     values = np.asarray(values, dtype=float)
-    _require_zero_means(values, _rfft_axes(values, grid),
-                        "periodic antiderivative needs a zero fiber mean")
+    require_zero_means(values, grid, "periodic antiderivative needs a zero fiber mean")
     ik = symbols(grid)[1][0]
     inv = np.zeros_like(ik)
     inv[ik != 0] = 1.0 / ik[ik != 0]

@@ -28,10 +28,12 @@ transform.  A run samples every state first and diagnoses them after
 no per-sample spectrum is held in between.  Each sample's diagnosis is
 one pass over one ``geometry.PhiFields``: H, Div_perp H and the volume
 weight are built once, and a per-sample checker row that the caller asks
-for (``checks.diagnose_and_check``) reads the same fields, which are
-dropped before the next sample's.  D0_hat has its fiber-mean entries
-zeroed, so the fiber mean of phi is conserved exactly; it is the only
-spectrum that outlives the run, inside the trajectory's evaluator.  When
+for (``checks.diagnose_and_check``) reads the same fields.  The pass drops
+the sample's spectrum once H and Div_perp H exist and Div_perp H once the
+record is taken, and every field before the next sample's.  D0_hat has
+its fiber-mean entries zeroed, so the fiber mean of phi is conserved
+exactly; it is the only spectrum that outlives the run, inside the
+trajectory's evaluator, which also builds the t = inf limit from it.  When
 psi varies along a fiber the leaf Laplacian has variable coefficients
 and the finite-difference path becomes the authoritative solver.  It
 marches the samples as one chain of ascending times, in one
@@ -54,6 +56,7 @@ flow cannot converge to H = X unless that component vanishes.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -142,6 +145,9 @@ class DiagnosticsRecord:
 class Trajectory:
     """Sampled flow together with its analytic limit and evaluator.
 
+    ``limit`` is the t = inf state, built once the diagnose pass is over;
+    ``x`` is the target field X of a prescribed run and otherwise a zero
+    broadcast over (p,) + grid, which holds no grid of memory.
     ``at(times)`` lazily yields the states at an ascending sequence of
     times in [0, inf], in closed form on the exact path.  The FD path
     marches the samples once, at run time, as one chain in one
@@ -170,7 +176,7 @@ class Trajectory:
     at: Callable[[Iterable[float]], Iterator[ProductState]]
     weighted_sums: Callable[[Iterable[float], np.ndarray], tuple[np.ndarray, float]]
     fiber_rate: np.ndarray | None
-    x: np.ndarray            # target field X on the full grid; zero unless prescribed
+    x: np.ndarray            # target X, (p,) + grid; unless prescribed a read-only broadcast 0
 
     @property
     def sample_times(self) -> tuple[float, ...]:
@@ -258,9 +264,11 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     one summed multiplier on the driving spectrum, which is taken here
     once per run.  ``phis(times)`` yields phi at each ascending time,
     phi(0) - irfftn(I(t))/n with I(t) = ``integral((t,), (1.0,))``, so no
-    forward transform is taken per time.  The t = inf limit is taken once,
-    here, through ``fiber.time_integral_values``, which refuses a driving
-    scalar whose fiber mean does not vanish.
+    forward transform is taken per time.  The t = inf limit is built from
+    the same spectrum (``fiber.time_integral_limit_spectrum``) on its first
+    request and kept.  It exists only when the driving scalar's fiber means
+    vanish, which is checked here, so a scalar that fails it is refused
+    before any state is sampled.
 
     The driving scalar is a leaf divergence, so its fiber means vanish;
     on the grid they are round-off, which the null mode's multiplier t
@@ -269,17 +277,23 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     fiber is conserved exactly.
     """
     fiber, n = initial.fiber, initial.n
+    fb.require_zero_means(driving0, fiber, "the t = inf limit diverges: the driving "
+                                           "scalar's fiber mean is nonzero")
     driving_hat = fb.spectrum(driving0, fiber)
     driving_hat[(Ellipsis,) + (0,) * fiber.dim] = 0.0     # the fiber means, as said above
-    limit = initial.phi - fb.time_integral_values(driving0, fiber, math.inf, rate_scale=rate) / n
 
     def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:
         return fb.time_integral_sum_spectrum(driving_hat, fiber, times, weights, rate)
 
+    @functools.cache
+    def limit() -> np.ndarray:
+        return initial.phi - fb.nodal(
+            fb.time_integral_limit_spectrum(driving_hat, fiber, rate), fiber) / n
+
     def phis(times: list[float]) -> Iterator[np.ndarray]:
         for t in times:
             if math.isinf(t):
-                yield limit
+                yield limit()
             else:
                 yield initial.phi - fb.nodal(integral((t,), (1.0,)), fiber) / n
 
@@ -328,15 +342,20 @@ def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
     ``x`` is the target field, zero unless the variant is prescribed.
     The volume and both integrals share the volume-form weight of
     ``fields``, and with no target the sup of Div_perp H is also the
-    driving scalar's.
+    driving scalar's.  The spectrum is dropped once H and Div_perp H
+    exist, and Div_perp H once its integral and sups are taken, so only H
+    and the weight outlive the record.
     """
     state = fields.state
     div_h, h_sq = fields.div_h, geo.leaf_inner(state, fields.h, fields.h)
+    driving = driving_scalar(fields, x)
+    fields.drop("spectrum", "div_h")
     vol, int_div_h, int_h2 = geo.integrals(state, div_h, h_sq, weight=fields.weight)
+    max_div_h = float(np.max(np.abs(div_h)))
+    max_driving = max_div_h if driving is div_h else float(np.max(np.abs(driving)))
+    del div_h, driving
     report = geo.classify(state, h_sq)
     del h_sq
-    max_div_h = float(np.max(np.abs(div_h)))
-    driving = driving_scalar(fields, x)
     return DiagnosticsRecord(
         t=state.t,
         vol=vol,
@@ -344,7 +363,7 @@ def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
         int_div_h=int_div_h,
         max_div_h=max_div_h,
         rate=_rate(state.n, int_div_h, vol),
-        max_driving=max_div_h if driving is div_h else float(np.max(np.abs(driving))),
+        max_driving=max_driving,
         d_theta_sup=geo.d_theta_sup(state, fields.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
@@ -386,7 +405,7 @@ def sample_flow(initial: ProductState, config: FlowConfig
     _check_float_range(initial)
     prescribed = config.x_field is not None
     x = (geo.fiber_vector(config.x_field, initial, "x_field") if prescribed
-         else np.zeros((initial.p,) + initial.shape))
+         else np.broadcast_to(0.0, (initial.p,) + initial.shape))
     fields0 = geo.phi_fields(initial)
 
     if initial.p == 2 and prescribed:       # theta_H = -n dphi itself is exact
@@ -408,11 +427,17 @@ def sample_flow(initial: ProductState, config: FlowConfig
     elif integral is not None:
         phis = exact_phis
         phi_hat0 = fields0.spectrum
-        # the fields from the spectrum of phi at t; the projection's
-        # fiber-constant shift moves only its null entries, which no
-        # derivative reads
-        fields_at = lambda state: geo.PhiFields(
-            state, phi_hat0 - integral((state.t,), (1.0,)) / initial.n)
+
+        def fields_at(state: ProductState) -> geo.PhiFields:
+            """The fields from phi_hat(0) - I(t)/n, the spectrum of phi at t, formed in place.
+
+            The projection's fiber-constant shift moves only its null
+            entries, which no derivative reads.
+            """
+            spectrum = integral((state.t,), (1.0,))
+            spectrum /= -initial.n
+            spectrum += phi_hat0
+            return geo.PhiFields(state, spectrum)
     else:
         if prescribed:
             raise UnsupportedScenarioError(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -60,11 +61,15 @@ class ProductState:
     phi and psi live on the combined grid (base axes first).  Treat the
     arrays as immutable once the state is built.
 
-    Fields that depend on psi alone (the factors ``exp_psi(scale)``, one
-    entry per scale, the fiber and base gradients of psi, and whether psi
-    is constant along each fiber) are computed on first use and kept in a
+    Fields that depend on psi alone are computed on first use and kept in a
     store that ``replace_phi`` hands on, so every state of one trajectory
     shares them; a state built any other way starts with an empty store.
+    An exact-path run stores the factors ``exp_psi(scale)`` it reads (one
+    entry per scale, exp(2 psi) and exp(-2 psi) on a p = 2 run), whether
+    psi is constant along each fiber and the scalar sup |dpsi|^2 of
+    ``classify``; the fiber and base gradients of psi, (p,) and (n,) grid
+    fields, are stored only when asked for, by ``div_perp`` on a psi that
+    varies along a fiber and by ``fiber_mean_curvature``.
     ``leaf_inner`` is the only leaf pairing and ``fiber_rate`` the only
     per-fiber rate of the exact path.
     """
@@ -187,25 +192,42 @@ def div_perp(xi: np.ndarray, state: ProductState) -> np.ndarray:
     """Leafwise divergence of a fiber-tangent vector field.
 
     With the leaf metric exp(2*psi) g2 this is sum_i d_i xi^i plus the
-    conformal correction p * sum_i (d_i psi) xi^i.
+    conformal correction p * sum_i (d_i psi) xi^i.  For psi constant along
+    each fiber (``psi_is_fiber_constant``, the rule ``PhiFields.div_h``
+    uses) the correction vanishes and is not formed, so psi's fiber
+    gradient is neither built nor stored.
     """
     xi = fiber_vector(xi, state, "xi")
-    psi_grad = state.psi_fiber_gradient
+    psi_grad = None if psi_is_fiber_constant(state) else state.psi_fiber_gradient
     out = np.zeros(state.shape)
     for k in range(state.p):
         out += fb.gradient_values(xi[k], state.fiber, axis=k)
-        out += state.p * psi_grad[k] * xi[k]
+        if psi_grad is not None:
+            out += state.p * psi_grad[k] * xi[k]
     return out
+
+
+def _base_partials(u: np.ndarray, state: ProductState) -> Iterator[np.ndarray]:
+    """Flat spectral partials of u along each base axis in turn, from one transform.
+
+    The last partial takes the transform in place, which is freed before it is yielded.
+    """
+    n, p = state.n, state.p
+    base_axes, moved_axes = tuple(range(n)), tuple(range(p, p + n))
+    u_hat = fb.spectrum(np.moveaxis(np.asarray(u, dtype=float), base_axes, moved_axes),
+                        state.base)
+    *first, last = fb.symbols(state.base)[1]
+    for ik in first:
+        yield np.moveaxis(fb.nodal(u_hat * ik, state.base), moved_axes, base_axes)
+    u_hat *= last
+    partial = fb.nodal(u_hat, state.base)
+    del u_hat
+    yield np.moveaxis(partial, moved_axes, base_axes)
 
 
 def base_gradient(u: np.ndarray, state: ProductState) -> np.ndarray:
     """Flat spectral partials along the base axes, shape (n,) + state.shape."""
-    n, p = state.n, state.p
-    moved = np.moveaxis(np.asarray(u, dtype=float), tuple(range(n)), tuple(range(p, p + n)))
-    grads = fb.gradient_values(moved, state.base)
-    return np.stack(
-        [np.moveaxis(grads[k], tuple(range(p, p + n)), tuple(range(n))) for k in range(n)]
-    )
+    return np.stack(list(_base_partials(u, state)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +237,8 @@ class PhiFields:
     ``spectrum`` is the real FFT of phi over the fiber axes; its null
     (fiber-mean) entries are never read, so a spectrum of phi shifted by a
     fiber-constant field serves as well.  Each field is built on first use
-    and lives as long as this object, which a caller keeps for one pass
-    over one state and never stores on the state:
+    and lives as long as this object, or until dropped, and the object is
+    kept for one pass over one state and never stored on the state:
 
       * ``h``, the mean curvature H = -n grad_perp phi, from the flat fiber
         partials of phi, one inverse transform each;
@@ -227,10 +249,20 @@ class PhiFields:
       * ``weight``, the volume-form weight exp(n phi + p psi)
         (``volume_form_weight``), which the pass's integrals and per-sample
         checker rows share.
+
+    ``drop(*names)`` frees entries early: a pass drops the spectrum once h
+    and div_h are built and div_h once it has been read, so the stacks of
+    its later steps are built beside h and the weight alone.  A dropped
+    field is built again if asked for, which needs the spectrum.
     """
 
     state: ProductState
     spectrum: np.ndarray
+
+    def drop(self, *names: str) -> None:
+        """Free ``spectrum`` or built fields (``h``, ``div_h``, ``weight``) ahead of this object."""
+        for name in names:
+            vars(self).pop(name, None)
 
     @functools.cached_property
     def h(self) -> np.ndarray:
@@ -248,7 +280,10 @@ class PhiFields:
         if not psi_is_fiber_constant(state):
             return div_perp(self.h, state)
         lam = fb.symbols(state.fiber)[0]
-        return -state.n * (state.exp_psi(-2) * fb.nodal(self.spectrum * -lam, state.fiber))
+        div_h = fb.nodal(self.spectrum * -lam, state.fiber)
+        div_h *= state.exp_psi(-2)
+        div_h *= -state.n
+        return div_h
 
     @functools.cached_property
     def weight(self) -> np.ndarray:
@@ -395,27 +430,27 @@ def leaf_inner(state: ProductState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return state.exp_psi(2) * total
 
 
-def _theta_h(state: ProductState, h: np.ndarray) -> np.ndarray:
-    """Covariant components of the mean-curvature 1-form, theta_i = g_perp(H, .).
-
-    For the twisted ansatz these are -n * (flat fiber partials of phi), so
-    the form is exactly closed.
-    """
-    return state.exp_psi(2) * fiber_vector(h, state, "h")
-
-
 def d_theta_sup(state: ProductState, h: np.ndarray) -> float:
     """Sup norm of the fiber exterior derivative of the mean-curvature 1-form.
 
-    The derivative d theta has the single component d1 theta_2 - d2 theta_1,
-    so the sup is 0 when p = 1.  The two partials are combined in spectral
-    space: two forward transforms and one inverse.
+    The form's covariant components are theta_i = g_perp(H, d_i) =
+    exp(2 psi) H^i; for the twisted ansatz they are -n * (flat fiber
+    partials of phi), so the form is exactly closed.  Its derivative has
+    the single component d1 theta_2 - d2 theta_1, so the sup is 0 when
+    p = 1.  The two partials are combined in spectral space, each
+    component lowered and transformed in turn: two forward transforms
+    and one inverse.
     """
+    h = fiber_vector(h, state, "h")
     if state.p == 1:
         return 0.0
-    theta = _theta_h(state, h)
     ik1, ik2 = fb.symbols(state.fiber)[1]
-    curl_hat = ik1 * fb.spectrum(theta[1], state.fiber) - ik2 * fb.spectrum(theta[0], state.fiber)
+    curl_hat = fb.spectrum(state.exp_psi(2) * h[1], state.fiber)
+    curl_hat *= ik1
+    part = fb.spectrum(state.exp_psi(2) * h[0], state.fiber)
+    part *= ik2
+    curl_hat -= part
+    del part
     return float(np.max(np.abs(fb.nodal(curl_hat, state.fiber))))
 
 
@@ -472,19 +507,30 @@ def classify(state: ProductState, h_sq: np.ndarray | None = None) -> Classificat
 def _hperp_harmonic(state: ProductState) -> bool:
     """Whether sup |Hperp|_g <= CLASSIFY_TOL, with |Hperp|^2_g = p^2 exp(-2 phi) |dpsi|^2.
 
-    sup |dpsi|^2 is kept with psi's fields, and with phi's extremes it
-    bounds sup |Hperp|^2_g from above, by p^2 exp(-2 min phi) sup |dpsi|^2,
-    and from below, by p^2 exp(-2 max phi) sup |dpsi|^2.  A bound that
-    settles the flag by the relative margin _BOUND_MARGIN, far beyond the
-    round-off of either side, decides it; otherwise the exact sup does.
+    sup |dpsi|^2 is kept with psi's fields, a scalar, and with phi's
+    extremes it bounds sup |Hperp|^2_g from above, by p^2 exp(-2 min phi)
+    sup |dpsi|^2, and from below, by p^2 exp(-2 max phi) sup |dpsi|^2.  A
+    bound that settles the flag by the relative margin _BOUND_MARGIN, far
+    beyond the round-off of either side, decides it; otherwise the exact
+    sup does, from |dpsi|^2 built again.
     """
-    dpsi_sq_sup = state._psi_field("base_gradient_sq_sup", lambda: float(
-        np.max(np.sum(state.psi_base_gradient ** 2, axis=0))))
+    dpsi_sq_sup = state._psi_field("base_gradient_sq_sup",
+                                   lambda: float(np.max(_base_gradient_sq(state))))
     tol_sq, scale = CLASSIFY_TOL ** 2, state.p ** 2 * dpsi_sq_sup
     if scale * math.exp(-2.0 * float(np.min(state.phi))) * (1.0 + _BOUND_MARGIN) <= tol_sq:
         return True
     if scale * math.exp(-2.0 * float(np.max(state.phi))) * (1.0 - _BOUND_MARGIN) > tol_sq:
         return False
-    hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * np.sum(state.psi_base_gradient ** 2,
-                                                                 axis=0)
+    hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * _base_gradient_sq(state)
     return float(np.sqrt(np.max(hperp_sq))) <= CLASSIFY_TOL
+
+
+def _base_gradient_sq(state: ProductState) -> np.ndarray:
+    """|dpsi|^2, the flat sum of squares of psi's base partials, summed one axis at a time."""
+    partials = _base_partials(state.psi, state)
+    total = next(partials)
+    total *= total
+    for partial in partials:
+        partial *= partial
+        total += partial
+    return total

@@ -1,5 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 
@@ -26,3 +30,26 @@ def calls(monkeypatch):
         return made
 
     return watch
+
+
+@pytest.fixture
+def traced_memory():
+    """``with traced_memory() as traced:``: trace the Python allocations of the block.
+
+    Tracing starts at the block's entry and stops at its exit, where
+    ``traced.peak`` becomes the traced peak and ``traced.retained`` the
+    traced size at exit less the size at entry, both in bytes.
+    """
+    @contextlib.contextmanager
+    def trace():
+        traced = SimpleNamespace(peak=None, retained=None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            yield traced
+            current, traced.peak = tracemalloc.get_traced_memory()
+            traced.retained = current - before
+        finally:
+            tracemalloc.stop()
+
+    return trace

@@ -10,7 +10,6 @@ reporting.  Quadrature oracles come from scipy.integrate.quad.
 import dataclasses
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +377,7 @@ class TestBperpScaling:
     def test_prescribed_variant(self):
         assert checks.check_bperp_scaling(bperp_cross_form_traj("exact-p1", "prescribed")).passed
 
-    def test_fd_run_retains_no_node_states(self):
+    def test_fd_run_retains_no_node_states(self, traced_memory):
         """No node state (8 KB each on base 16 x 64 points) outlives the check.
 
         Kept, the 513 marched nodes would hold 4 MB.
@@ -388,14 +387,9 @@ class TestBperpScaling:
             {(0, 1): 0.2, (1, 1): 0.1}, {(0, 1): 0.1})
         traj = ff.run_extrinsic_flow(state, ff.FlowConfig(
             t_end=1.0, samples=(0.0, 0.25, 0.5, 0.75, 1.0)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as traced:
             checks.check_bperp_scaling(traj)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained < 0.5 * 2 ** 20
+        assert traced.retained < 0.5 * 2 ** 20
 
     def test_speed_operator_applied_once(self, monkeypatch):
         """On the exact path no node state is built and r is never evaluated.
@@ -463,7 +457,7 @@ class TestBperpScaling:
         assert len(marches) == 2
         assert len(factorizations) == 2
 
-    def test_exact_sums_memory_stays_a_few_fields(self):
+    def test_exact_sums_memory_stays_a_few_fields(self, traced_memory):
         """513 nodes on a 4^2 x 32^2 grid peak below 16 fields (128 KB each).
 
         The summed multiplier is accumulated in place; stacking the 513
@@ -477,13 +471,9 @@ class TestBperpScaling:
         assert traj.fiber_rate is not None
         nodes = np.linspace(0.0, 1.0, 513)
         weights = checks._simpson_weights(1.0, 513)
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             traj.weighted_sums(nodes, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * state.phi.nbytes
+        assert traced.peak < 16 * state.phi.nbytes
 
 
 class TestUniformEquivalence:
@@ -704,8 +694,10 @@ class TestRunChecks:
         Its phi (1 inverse) when sampled; then in the pass H (2 inverse),
         Div_perp H (1 inverse), d theta (2 forward, 1 inverse) and the
         rigidity row (1 forward, 1 inverse), which takes no transform of
-        phi.  With the run's 26 fixed calls an 11-sample run takes 125 (158
-        when the rows rebuilt H).
+        phi.  With the run's 22 fixed calls an 11-sample run takes 121 (125
+        when the rigidity probe built psi's fiber gradient and the t = inf
+        limit transformed the driving scalar again, 158 when the rows
+        rebuilt H).
         """
         def run(samples):
             ffts = calls(np.fft, *self.FFT_NAMES)
@@ -719,7 +711,25 @@ class TestRunChecks:
         eleven = run(tuple(0.4 * k for k in range(11)))
         six = run(tuple(0.8 * k for k in range(6)))
         assert eleven - six == 9 * (11 - 6)
-        assert eleven == 125
+        assert eleven == 121
+
+    def test_one_pass_peak_stays_a_few_fields_above_what_the_run_keeps(self, traced_memory):
+        """The one-pass run peaks less than 11 fields above the set it retains.
+
+        Beside what it keeps, a sample's pass holds H, the volume weight and
+        the stacks of its later steps: the spectrum goes once H and Div_perp H
+        exist and Div_perp H once the record is taken.  No X, psi gradient or
+        t = inf limit is built before the pass.  Holding those, and each
+        sample's spectrum and Div_perp H through its rows, took 12.8 fields.
+        """
+        state = self.exact_n2p2_state()
+        with traced_memory() as traced:
+            states, diagnose = flows.sample_flow(
+                state, ff.FlowConfig(t_end=4.0, samples=tuple(0.4 * k for k in range(11))))
+            _, reports = checks.diagnose_and_check(state, diagnose, self.EXACT_N2P2_CHECKS)
+        assert reports and all(r.passed for r in reports)
+        above = (traced.peak - traced.retained) / state.phi.nbytes
+        assert above < 11, above
 
     def test_in_pass_rigidity_rows_match_the_per_state_check(self):
         """The rows the pass takes equal check_harmonic_function_rigidity per state.
@@ -748,25 +758,21 @@ class TestRunChecks:
             if not exact:
                 assert [r.residual for r in library] == [r.residual for r in rows]
 
-    def test_no_phi_derived_field_outlives_the_run(self):
-        """The trajectory retains its states, X, the driving spectrum and psi's fields.
+    def test_no_phi_derived_field_outlives_the_run(self, traced_memory):
+        """The trajectory retains its states, the driving spectrum, the limit and two exp(psi).
 
-        That is about 21 fields for 11 states.  Keeping H and Div_perp H on
-        each state would add 3 fields per state, and even Div_perp H alone
-        breaks the bound.
+        That is about 15 fields for 11 states.  A full-grid zero X, or psi's
+        fiber or base gradient (2 fields each), breaks the bound, and so
+        would H or Div_perp H kept on each state.
         """
         state = self.exact_n2p2_state()
         field_bytes = state.phi.nbytes
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as traced:
             traj = ff.run_extrinsic_flow(
                 state, ff.FlowConfig(t_end=4.0, samples=tuple(0.4 * k for k in range(11))))
             checks.run_checks(traj, self.EXACT_N2P2_CHECKS)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained < (len(traj.states) + 14) * field_bytes, retained / field_bytes
+        assert traced.retained < (len(traj.states) + 5) * field_bytes, (
+            traced.retained / field_bytes)
 
     def test_rigidity_probe_runs_on_torus(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1})
@@ -863,3 +869,24 @@ class TestCheckerMatrix:
             return
         reports = checks.CHECKERS[name](traj)
         assert reports and all(r.passed for r in reports), [str(r) for r in reports]
+
+    @pytest.mark.parametrize("path", MATRIX_PATHS)
+    def test_labels_are_those_of_the_full_fields(self, path):
+        """Each record's labels are the sups of |H|_g and the full |Hperp|_g field.
+
+        The run keeps sup |dpsi|^2 as one scalar in psi's store, never psi's
+        base gradient.
+        """
+        traj = _matrix_traj(path)
+        store = traj.initial._psi_fields
+        assert "base_gradient_sq_sup" in store and "base_gradient" not in store
+
+        def label(sq):
+            return "totally_geodesic" if math.sqrt(np.max(sq)) <= geo.CLASSIFY_TOL else "umbilical"
+
+        for state, record in zip(traj.states, traj.diagnostics, strict=True):
+            h = geo.phi_fields(state).h
+            hperp_sq = state.p ** 2 * np.exp(-2.0 * state.phi) * np.sum(
+                geo.base_gradient(state.psi, state) ** 2, axis=0)
+            assert (record.tangent_label, record.normal_label) == (
+                label(geo.leaf_inner(state, h, h)), label(hperp_sq))

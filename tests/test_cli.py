@@ -17,7 +17,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import hypothesis as hyp
@@ -632,18 +631,14 @@ class TestFormatTable:
         table = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-7.0, 17.0, shape)
         assert formatted(table) == per_value_text(table)
 
-    def test_one_snapshot_peaks_below_three_file_sizes(self):
+    def test_one_snapshot_peaks_below_three_file_sizes(self, traced_memory):
         """Formatting an 8^2 x 64^2 snapshot allocates at most 3x its text at the peak."""
         table = np.random.default_rng(5).normal(scale=0.1, size=(8 ** 2, 64 ** 2))
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             text = formatted(table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * len(text), (peak, len(text))
+        assert traced.peak <= 3 * len(text), (traced.peak, len(text))
 
-    def test_streamed_write_peak_does_not_grow_with_the_table(self, tmp_path):
+    def test_streamed_write_peak_does_not_grow_with_the_table(self, tmp_path, traced_memory):
         """_write_table holds one block's temporaries at a time, never the text.
 
         A table 4 times an 8^2 x 64^2 snapshot peaks as the snapshot does,
@@ -654,13 +649,9 @@ class TestFormatTable:
         for rows in (8 ** 2, 4 * 8 ** 2):
             table = rng.normal(scale=0.1, size=(rows, 64 ** 2))
             path = tmp_path / f"{rows}.csv"
-            tracemalloc.start()
-            try:
+            with traced_memory() as traced:
                 cli._write_table(path, table)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
+            peaks.append(traced.peak)
         assert path.read_bytes().decode("ascii") == per_value_text(table)
         assert peaks[1] <= 1.2 * peaks[0] and 3 * peaks[1] < path.stat().st_size, peaks
 

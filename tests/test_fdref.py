@@ -10,7 +10,6 @@ written-out stepped march below is the reference for both.
 """
 
 import math
-import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -427,18 +426,14 @@ class TestDenseRoute:
             np.testing.assert_array_equal(
                 out[k], ff.fd_heat_run(u0[k], psi[k], SMALL, (0.5,), self.scheme)[0])
 
-    def test_peak_memory_stays_flat(self):
+    def test_peak_memory_stays_flat(self, traced_memory):
         rng = np.random.default_rng(13)
         psi = random_profiles(rng, 64, SMALL)
         u0 = rng.standard_normal(psi.shape)
         ff.fd_heat_run(u0, psi, SMALL, (0.5,), self.scheme)  # warm lazy imports
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             ff.fd_heat_run(u0, psi, SMALL, (0.5,), self.scheme)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
+        assert traced.peak <= 3e6
 
 
 def successive_marches(u0, psi, grid, times, scheme):
@@ -517,7 +512,7 @@ class TestChain:
         with pytest.raises(InputError, match=r"times shape .* is not a sequence \(k,\)"):
             ff.fd_heat_run(u0, u0, SMALL, times, ff.FdScheme())
 
-    def test_unequal_chain_peak_memory_stays_flat(self):
+    def test_unequal_chain_peak_memory_stays_flat(self, traced_memory):
         """Each step power lives until its last interval: eight distinct ones are not held.
 
         One dense 16-fiber power of 64^2 entries per fiber takes 0.5 MB.
@@ -528,13 +523,9 @@ class TestChain:
         times = tuple(np.cumsum([0.2 + 0.01 * k for k in range(8)]))
         scheme = ff.FdScheme(dt=1e-3)
         ff.fd_heat_run(u0, psi, SMALL, times[:1], scheme)  # warm lazy imports
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             ff.fd_heat_run(u0, psi, SMALL, times, scheme)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
+        assert traced.peak <= 3e6
 
 
 def fd_mean_curvature_from_metric(state):

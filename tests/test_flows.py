@@ -9,7 +9,6 @@ against direct heat marches with the same scheme.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +88,32 @@ class TestPlainFlow:
             atol=1e-12)
         with pytest.raises(InputError):
             traj.evaluate(-0.1)
+
+    @pytest.mark.parametrize("variant", ["plain", "normalized"])
+    def test_limit_is_the_eager_closed_form_built_once(self, variant):
+        """The limit, built on request from the kept driving spectrum, is the eager form's bits.
+
+        That form transforms the nodal driving scalar again
+        (``fiber.time_integral_values`` at t = inf).  A plain run hands out
+        the one built array on every later request.
+        """
+        state = ff.ProductState.from_harmonics(
+            BASE4, TORUS, {(0, 1, 0): 0.2, (1, 1, 2): (0.05, 0.02)}, {(1, 0, 0): 0.3})
+        traj = ff.run_extrinsic_flow(state, plain_config(variant=variant))
+        driving0 = geo.phi_fields(state).div_h
+        eager = state.phi - fb.time_integral_values(
+            driving0, TORUS, math.inf, rate_scale=geo.fiber_rate(state)) / state.n
+        if variant == "normalized":
+            eager = flows.project_unit_volume(state.replace_phi(eager, math.inf)).phi
+        assert traj.limit.phi.tobytes() == eager.tobytes()
+        (again,) = traj.at((math.inf,))
+        assert (again.phi is traj.limit.phi) == (variant == "plain")
+
+    def test_nonzero_driving_mean_refused_in_the_first_step(self, monkeypatch):
+        """The t = inf limit is built late, but a driving scalar without it is refused at once."""
+        monkeypatch.setattr(flows, "driving_scalar", lambda fields, x: fields.div_h + 1.0)
+        with pytest.raises(InputError, match="fiber mean is nonzero"):
+            flows.sample_flow(single_mode_state(), plain_config())
 
     def test_limit_is_flat_product(self):
         traj = ff.run_extrinsic_flow(single_mode_state(), plain_config())
@@ -225,11 +250,13 @@ class TestPlainFlow:
         assert flows.normalization_rate(state, div_h) == flows.normalization_rate(state)
 
     def test_target_field_is_zero_unless_prescribed(self):
+        """Without a target X is a read-only zero broadcast, which holds no grid of memory."""
         state = single_mode_state()
         for variant in ("plain", "normalized"):
             traj = ff.run_extrinsic_flow(state, plain_config(variant=variant))
             assert traj.x.shape == (1,) + state.shape
             assert not np.any(traj.x)
+            assert not traj.x.flags.writeable and traj.x.strides == (0,) * traj.x.ndim
 
 
 class TestNormalizedFlow:
@@ -515,7 +542,16 @@ class TestSampleFlow:
         traj = diagnose()
         assert calls == [0.0, 0.5, 1.0, 2.0] and traj.states is states
 
-    def test_no_sample_spectrum_is_held_between_the_steps(self):
+    def test_limit_is_built_once_after_the_pass(self, calls):
+        made = calls(fb, "time_integral_limit_spectrum")
+        _, diagnose = flows.sample_flow(single_mode_state(), plain_config())
+        assert made == []
+        traj = diagnose()
+        assert len(made) == 1
+        list(traj.at((0.5, math.inf)))
+        assert len(made) == 1
+
+    def test_no_sample_spectrum_is_held_between_the_steps(self, traced_memory):
         """Between the steps the run keeps its states and a few run-wide fields.
 
         One spectrum per sample would add about one field per sample.
@@ -523,14 +559,10 @@ class TestSampleFlow:
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.1},
                                                {(1, 0, 0): 0.1})
         config = plain_config(samples=tuple(0.2 * k for k in range(11)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as traced:
             states, diagnose = flows.sample_flow(state, config)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held < (len(states) + 9) * state.phi.nbytes, held / state.phi.nbytes
+        assert traced.retained < (len(states) + 9) * state.phi.nbytes, (
+            traced.retained / state.phi.nbytes)
         assert [record.t for record in diagnose().diagnostics] == list(config.samples)
 
 

@@ -150,7 +150,7 @@ class TestFiberVectorShape:
 
     @pytest.mark.parametrize("name, call", [
         ("xi", geo.div_perp),
-        ("h", lambda h, state: geo._theta_h(state, h)),
+        ("h", lambda h, state: geo.d_theta_sup(state, h)),
         ("xi", lambda xi, state: checks.divergence_identity_sides(state, xi)),
     ], ids=["div_perp", "theta_h", "divergence_identity_sides"])
     def test_wrong_shape_names_the_argument(self, name, call):
@@ -178,6 +178,25 @@ class TestConformalOperators:
         np.testing.assert_allclose(geo.div_perp(xi, state),
                                    np.broadcast_to(expected, state.shape),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("fiber", [CIRCLE, TORUS], ids=["p1", "p2"])
+    def test_div_perp_on_fiber_constant_psi_builds_no_psi_gradient(self, fiber):
+        """Fiber-constant psi: no fiber gradient is stored, and the bits are the full formula's."""
+        d = fiber.dim
+        state = ff.ProductState.from_harmonics(BASE4, fiber, {(0,) + (1,) * d: 0.2},
+                                               {(1,) + (0,) * d: 0.3, (2,) + (0,) * d: (0.1, 0.2)})
+        xi = np.stack([fb.harmonic_field((BASE4, fiber), {(1,) + (k + 1,) * d: (0.3, 0.1),
+                                                           (0,) + (1,) * d: 0.2})
+                       for k in range(d)])
+        out = geo.div_perp(xi, state)
+        assert "fiber_gradient" not in state._psi_fields
+        psi_grad = fb.gradient_values(state.psi, fiber)
+        full = np.zeros(state.shape)
+        for k in range(d):
+            full += fb.gradient_values(xi[k], fiber, axis=k)
+            full += d * psi_grad[k] * xi[k]
+        assert np.max(np.abs(full)) > 0.1
+        assert out.tobytes() == full.tobytes()
 
     def test_laplacian_conformal_covariance_2d(self):
         """For p = 2 the leaf Laplacian is exp(-2 psi) times the flat one."""
@@ -388,10 +407,18 @@ class TestIntegration:
 
 class TestThetaForm:
     def test_components_lower_h(self):
-        state = random_state(3)
-        h = geo.phi_fields(state).h
-        theta = geo._theta_h(state, h)
-        np.testing.assert_allclose(theta, np.exp(2.0 * state.psi) * h, atol=0)
+        """d theta is the curl of theta_i = exp(2 psi) H^i, to the bit of the stacked form's.
+
+        H here is any fiber field, so its form is not closed.
+        """
+        state = random_state(3, fiber=TORUS)
+        h = np.stack([fb.harmonic_field((BASE4, TORUS), {(0, 0, 1): (0.3, 0.1), (1, 2, 1): 0.2}),
+                      fb.harmonic_field((BASE4, TORUS), {(1, 1, 0): (0.1, 0.4)})])
+        theta = np.exp(2.0 * state.psi) * h
+        ik1, ik2 = fb.symbols(TORUS)[1]
+        curl = fb.nodal(ik1 * fb.spectrum(theta[1], TORUS) - ik2 * fb.spectrum(theta[0], TORUS),
+                        TORUS)
+        assert geo.d_theta_sup(state, h) == float(np.max(np.abs(curl))) > 1e-3
 
     def test_twisted_form_closed_p2(self):
         state = ff.ProductState.from_harmonics(BASE4, TORUS, {(0, 1, 2): 0.2})
@@ -468,6 +495,16 @@ class TestClassification:
         made = calls(np, "exp")
         assert ff.classify(sample, h_sq).normal.harmonic is harmonic
         assert len(made) == exps
+
+    def test_normal_flag_keeps_one_scalar_of_psi(self):
+        """classify stores sup |dpsi|^2, bit for bit the stacked gradient's, and no gradient."""
+        state = ff.ProductState.from_harmonics(BASE4, TORUS, {(1, 0, 0): 0.5},
+                                               {(1, 0, 0): 0.3, (2, 1, 0): (0.1, 0.05)})
+        ff.classify(state)
+        assert "base_gradient" not in state._psi_fields
+        stacked = geo.base_gradient(state.psi, state)
+        assert state._psi_fields["base_gradient_sq_sup"] == float(
+            np.max(np.sum(stacked ** 2, axis=0))) > 0.05
 
     def test_umbilicity_is_stated_not_measured(self):
         flags = ff.classify(ff.ProductState.from_harmonics(BASE4, CIRCLE, {})).tangent
