@@ -4,8 +4,10 @@ The manifold is a flat periodic base times a periodic fiber, carrying a
 double-twisted metric exp(2 phi) g_base + exp(2 psi) g_fiber.  The flow
 contracts the base factor by the divergence of the fibers' mean
 curvature; on this class it reduces to leafwise heat equations, which
-the package solves exactly in Fourier space (fiber-constant psi) or by
-an implicit finite-difference march (fiber-varying psi), and every
+the package solves exactly in Fourier space (fiber-constant psi), by a
+Chebyshev series in exp(-2 psi) times the flat Laplacian (fiber-varying
+psi, p = 2) or by an implicit finite-difference march (fiber-varying
+psi, p = 1), and every
 structural identity of the geometry ships as a runnable checker.
 """
 

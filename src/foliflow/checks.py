@@ -321,11 +321,18 @@ def _bperp_node_sums(trajectory: Trajectory, t: float,
 
 
 def _bperp_exponent(trajectory: Trajectory, t: float, quad_nodes: int) -> np.ndarray:
-    """Simpson rule for -int_0^t s, with the speed operator applied once."""
+    """Simpson rule for -int_0^t s, with the speed operator applied once.
+
+    Only a prescribed run's X is scaled by the summed weights: scaling the
+    zero broadcast of a run without a target would build a grid of zeros.
+    """
     phi_sum, rate_sum, weight_sum = _bperp_node_sums(trajectory, t, quad_nodes)
     initial = trajectory.initial
     summed = initial.replace_phi(phi_sum, t)
-    driving = driving_scalar(geo.phi_fields(summed), weight_sum * trajectory.x)
+    x = trajectory.x
+    if trajectory.config.x_field is not None:
+        x = weight_sum * x
+    driving = driving_scalar(geo.phi_fields(summed), x)
     return (2.0 / initial.n) * driving + rate_sum
 
 
@@ -348,8 +355,10 @@ def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     On the exact path that sum is one Fourier multiplier on the initial
     driving scalar, and the normalized variant's integral of r is the
     closed form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its
-    Simpson sums; no node state is built.  The FD path marches through
-    the nodes and, under the normalized variant, evaluates
+    Simpson sums; no node state is built.  A p = 2 run whose psi varies
+    along a fiber sums one Chebyshev series whose coefficients are the
+    weighted sums of the nodes'.  The FD path marches through the nodes,
+    and under the normalized variant either path evaluates
     ``normalization_rate`` at each of them.  The residual is the sup gap
     over max(1, sup |b_perp(t)|), so a volume rescaling cannot grow it.
 
@@ -385,7 +394,8 @@ def flat_spectral_gap(grid: FiberGrid) -> float:
 def _fiber_gap(trajectory: Trajectory, checker: str) -> np.ndarray:
     """Per-fiber spectral gap of the exact path: the flat gap times ``fiber_rate``.
 
-    An FD run has no such spectrum, and ``checker`` refuses it.
+    A run whose psi varies along a fiber has no such spectrum, and
+    ``checker`` refuses it.
     """
     if trajectory.fiber_rate is None:
         raise UnsupportedScenarioError(f"{checker} needs a psi constant along fibers")
@@ -399,7 +409,8 @@ def uniform_equivalence_constant(trajectory: Trajectory) -> float:
     integral of the driving scalar, bounded per fiber by the summed
     nonzero-mode amplitudes of the initial scalar over the per-fiber
     spectral gap (for single-mode data this is exactly max amplitude over
-    the gap).  An FD run has no such spectrum and is refused.
+    the gap).  A run whose psi varies along a fiber has no such spectrum
+    and is refused.
     """
     gap = _fiber_gap(trajectory, "uniform_equivalence")
     initial = trajectory.initial
@@ -523,7 +534,8 @@ def estimate_decay_rate(trajectory: Trajectory) -> float:
 def check_decay_rate(trajectory: Trajectory) -> CheckReport:
     """Fitted decay slope against minus the slowest fiber's gap.
 
-    An FD run, which has no per-fiber gap, is refused.
+    A run whose psi varies along a fiber, which has no per-fiber gap, is
+    refused.
     """
     expected = -float(np.min(_fiber_gap(trajectory, "decay_rate")))
     slope = estimate_decay_rate(trajectory)

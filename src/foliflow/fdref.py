@@ -7,9 +7,12 @@ block-diagonal matrix, and a theta time-stepping scheme that marches a
 chain of ascending times in one call.  Each chunk of fibers builds its
 operator once and makes one sparse periodic factorization per distinct
 step (step count and dt) of the chain, so intervals of equal length share
-one.  It is also the authoritative evolution path whenever psi varies
-along a fiber, where the leaf Laplacian has variable coefficients and no
-exact multiplier exists.
+one.  It also evolves the p = 1 runs whose psi varies along a fiber,
+where the leaf Laplacian has variable coefficients and no exact
+multiplier exists.  Such p = 2 runs do not march: for p = 2 the leaf
+Laplacian is exp(-2 psi) times the flat one, and ``flows`` sums its
+Chebyshev series instead, so there the march serves only the oracle and
+the order check.
 
 Each interval's march takes one of two routes through its factorization.
 Small fibers over many steps form each fiber's dense step matrix with one

@@ -33,13 +33,19 @@ the sample's spectrum once H and Div_perp H exist and Div_perp H once the
 record is taken, and every field before the next sample's.  D0_hat has
 its fiber-mean entries zeroed, so the fiber mean of phi is conserved
 exactly; it is the only spectrum that outlives the run, inside the
-trajectory's evaluator, which also builds the t = inf limit from it.  When
-psi varies along a fiber the leaf Laplacian has variable coefficients
-and the finite-difference path becomes the authoritative solver.  It
-marches the samples as one chain of ascending times, in one
-``fdref.fd_heat_run`` call, and a request's times after one sample as
-one chain from it, so intervals of one length share one factorization
-per chunk of fibers.
+trajectory's evaluator, which also builds the t = inf limit from it.
+
+When psi varies along a fiber the leaf Laplacian has variable
+coefficients and no single Fourier multiplier solves the flow.  For
+p = 2 it is still exp(-2 psi) times the flat Laplacian, whose spectrum
+lies in [0, max exp(-2 psi) max |k|^2], so exp(t Lap_perp) is a
+Chebyshev series in that operator (Tal-Ezer and Kosloff, J. Chem. Phys.
+81, 1984): phi is exact in time and spectral in space, one flat Laplacian
+per term, with numpy alone (``_chebyshev_phis``).  For p = 1 the
+finite-difference path of ``fdref`` still evolves phi.  It marches the
+samples as one chain of ascending times, in one ``fdref.fd_heat_run``
+call, and a request's times after one sample as one chain from it, so
+intervals of one length share one factorization per chunk of fibers.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
@@ -66,7 +72,8 @@ import numpy as np
 
 from . import fiber as fb
 from . import geometry as geo
-from .errors import HypothesisViolationError, InputError, UnsupportedScenarioError
+from .errors import (HypothesisViolationError, InputError, SolveError,
+                     UnsupportedScenarioError)
 from .fdref import FdScheme, fd_heat_run
 from .fiber import FiberGrid
 from .geometry import ProductState
@@ -74,10 +81,25 @@ from .geometry import ProductState
 VARIANTS = ("plain", "normalized", "prescribed")
 CLOSEDNESS_TOL = 1e-9       # sup |d theta| above which p = 2 initial data is not closed
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)   # the largest x with exp(x) finite, ~709.78
-# Most bytes of states that one FD request chain holds at once: 1024 states
+# Most bytes of states that one request chain holds at once: 1024 states
 # of a 64 x 64 grid, but 16 of an 8^2 x 64^2 one, which bperp_scaling's 513
 # nodes would otherwise stack into 1 GB.
 _CHAIN_BYTES = 2 ** 25
+
+# Most terms of one Chebyshev series of the p = 2 propagator, which needs
+# about 9 sqrt(x) + 16 at x = t rho / 2: t up to about 1.1e4 on a 64^2 fiber
+# of side 2 pi and psi amplitude 0.1.  Each term is one flat Laplacian of
+# the whole stack, and its round-off adds up: on 4 fibers of 8^2 points the
+# sup error against a dense eigh reference read 7.4e-16 at 41 terms,
+# 9.9e-15 at 3,446 and 1.7e-13 at 25,698.
+MAX_TERMS = 2 ** 15
+# Coefficients at or below this are dropped from the tail of a series.  The
+# rfft reads every coefficient to within 1.2e-16 of scipy.special.ive, with
+# noise below 6e-17 past the true support, for x from 1e-3 to 1e6.
+_COEFF_CUT = 2.0 ** -53
+# Relative growth of the last term's norm in the leaf measure beyond which a
+# series is refused: with rho a true bound every term is a contraction.
+_GROWTH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -149,11 +171,12 @@ class Trajectory:
     ``x`` is the target field X of a prescribed run and otherwise a zero
     broadcast over (p,) + grid, which holds no grid of memory.
     ``at(times)`` lazily yields the states at an ascending sequence of
-    times in [0, inf], in closed form on the exact path.  The FD path
-    marches the samples once, at run time, as one chain in one
-    ``fd_heat_run`` call, and the requested times that follow one sample
-    (or 0) as one chain from it; no state outlives a request.
-    ``evaluate(t)`` asks for one.
+    times in [0, inf], in closed form on the exact path.  Where psi
+    varies along a fiber, a p = 2 run sums one Chebyshev series per chain
+    of requested times, and a p = 1 run (the FD path) marches the samples
+    once, at run time, as one chain in one ``fd_heat_run`` call, and the
+    requested times that follow one sample (or 0) as one chain from it;
+    no state outlives a request.  ``evaluate(t)`` asks for one.
     ``weighted_sums(times, weights)`` returns, for ascending finite times
     and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
     the flow before volume projection; R is the integral of r(t) that the
@@ -161,10 +184,13 @@ class Trajectory:
     path applies the summed time-integral multiplier to the driving scalar
     once and takes R = (2/n) log(vol_plain(t_last) / vol_plain(t_first)),
     which holds since d/dt log vol_plain = (n/2) r and r is blind to the
-    projection's fiber-constant shift.  The FD path marches through the
-    times as ``at`` does and sums w_k r(t_k) over the projected states.
-    ``fiber_rate`` is None on the FD path; on the exact path it is the
-    per-fiber scale exp(-2 psibar) of the flat fiber spectrum.
+    projection's fiber-constant shift.  The p = 2 Chebyshev path sums one
+    series whose coefficients are the weighted sums of each time's.  The
+    FD path, and the Chebyshev path under the normalized variant, take
+    the states of ``at`` and sum w_k r(t_k) over the projected ones.
+    ``fiber_rate`` is None where psi varies along a fiber; on the exact
+    path it is the per-fiber scale exp(-2 psibar) of the flat fiber
+    spectrum.
     """
 
     states: tuple[ProductState, ...]
@@ -329,11 +355,132 @@ def _plain_phis(initial: ProductState,
 
     chain = fd_heat_run(initial.phi, initial.psi, initial.fiber, config.samples,
                         config.fd_scheme)
-    mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
-    anchors = [(0.0, initial.phi), *zip(config.samples, chain),
-               (math.inf, np.broadcast_to(mean, initial.shape).copy())]
+    anchors = [(0.0, initial.phi), *zip(config.samples, chain), (math.inf, _mean_limit(initial))]
     starts = [t for t, _ in anchors]
     return phis
+
+
+def _mean_limit(initial: ProductState) -> np.ndarray:
+    """The t = inf limit of the leaf heat flow: phi's fiber mean in the leaf measure."""
+    mean = np.expand_dims(geo.fiber_average(initial, initial.phi), initial.fiber_axes)
+    return np.broadcast_to(mean, initial.shape).copy()
+
+
+def _chebyshev_coefficients(t: float, rho: float) -> np.ndarray:
+    """c_0..c_m with exp(-t A) = sum_j c_j T_j(2A/rho - I) for any A with spectrum in [0, rho].
+
+    They are the Chebyshev coefficients of s -> exp(-x (1 + s)) on
+    [-1, 1], x = t rho / 2, that is c_0 = ive(0, x) and c_j = 2 (-1)^j
+    ive(j, x) (Abramowitz and Stegun 9.6.34), read off one rfft of the
+    function at 2N equispaced angles: f(cos theta) = sum_j c_j cos(j theta)
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 3).
+    The samples are exp(-2x cos^2(theta/2)), whose exponent stays accurate
+    where 1 + cos theta would cancel.  The coefficients need about
+    9 sqrt(x) + 16 terms, N is a power of two at least twice that, so no
+    coefficient aliases, and the series stops at the last coefficient
+    above _COEFF_CUT.  A t that needs more than MAX_TERMS raises InputError.
+    """
+    x = 0.5 * t * rho if t > 0 else 0.0     # t = 0 is the identity, even where rho is inf
+    need = 9.0 * math.sqrt(x) + 16.0
+    if not need <= MAX_TERMS:       # inf included
+        raise InputError(f"t = {t:g} takes up to {need:.4g} Chebyshev terms of the p = 2 "
+                         f"propagator, more than MAX_TERMS = {MAX_TERMS}")
+    size = 1 << math.ceil(math.log2(2.0 * need))
+    half = np.cos(np.arange(2 * size) * (math.pi / (2 * size)))
+    half *= half
+    half *= -2.0 * x
+    coefficients = np.fft.rfft(np.exp(half, out=half))[:size].real / size
+    coefficients[0] *= 0.5
+    return coefficients[:np.flatnonzero(np.abs(coefficients) > _COEFF_CUT)[-1] + 1]
+
+
+def _chebyshev_sums(initial: ProductState, rho: float,
+                    rows: list[np.ndarray]) -> list[np.ndarray]:
+    """sum_j row[j] T_j(S) phi0 for each coefficient row, all from one recurrence.
+
+    S = 2A/rho - I with A = exp(-2 psi)(-Lap), which is -Lap_perp for
+    p = 2, and phi0 = ``initial.phi``.  Each term T_j(S) phi0 comes from the
+    two before it, T_{j+1} = 2 S T_j - T_{j-1}, at one flat Laplacian (a
+    ``fiber.spectrum``/``nodal`` pair under ``fiber.symbols``), and is added
+    into the sum of every row that reaches j.  A is self-adjoint and
+    nonnegative in the leaf measure exp(2 psi) dy, so when rho bounds its
+    spectrum every T_j(S) is a contraction in that norm.  A too small rho
+    puts part of the spectrum of S beyond 1, where T_j grows as
+    cosh(j acosh s), so the last term carries the largest growth: a last
+    term longer than the initial phi by more than _GROWTH_TOL raises
+    SolveError.
+    """
+    fiber, phi0 = initial.fiber, initial.phi
+    lam = fb.symbols(fiber)[0]
+    scale = (4.0 / rho) * initial.exp_psi(-2)     # 2 (S + I) = scale (-Lap)
+
+    def doubled_shift(v: np.ndarray) -> np.ndarray:
+        spectrum = fb.spectrum(v, fiber)
+        spectrum *= lam
+        out = fb.nodal(spectrum, fiber)
+        out *= scale
+        return out
+
+    terms = max(map(len, rows))
+    sums = [row[0] * phi0 for row in rows]
+    previous, current = None, phi0
+    for j in range(1, terms):
+        term = doubled_shift(current)
+        if previous is None:        # T_1 = S phi0
+            term *= 0.5
+            term -= current
+        else:
+            term -= current
+            term -= current
+            term -= previous
+        previous, current = current, term
+        for total, row in zip(sums, rows):
+            if j < len(row):
+                total += row[j] * current
+    weight = initial.exp_psi(2)
+    growth = math.sqrt(np.vdot(current, weight * current) / np.vdot(phi0, weight * phi0))
+    if growth > 1.0 + _GROWTH_TOL:
+        raise SolveError(f"the Chebyshev series grew by {growth:.3g} over {terms} terms: "
+                         f"rho = {rho:.6g} does not bound the leaf Laplacian")
+    return sums
+
+
+def _chebyshev_phis(initial: ProductState
+                    ) -> tuple[Callable[[list[float]], Iterator[np.ndarray]],
+                               Callable[[list[float], np.ndarray], np.ndarray]]:
+    """phi at each ascending time under d/dt phi = Lap_perp phi for p = 2, by Chebyshev series.
+
+    Returns ``(phis, sums)``.  For p = 2, Lap_perp = exp(-2 psi) Lap,
+    whose spectrum lies in [-rho, 0] with rho = max exp(-2 psi) max |k|^2,
+    since <u, -Lap u> <= max |k|^2 <u, u> <= rho <u, exp(2 psi) u>; so
+    exp(t Lap_perp) phi0 is the Chebyshev series of
+    ``_chebyshev_coefficients(t, rho)``.  ``phis(times)`` sums the series
+    of every time of a chain in one recurrence, as many times per chain as
+    _CHAIN_BYTES holds, and yields the t = inf limit, phi's fiber mean in
+    the leaf measure, which the flow conserves.  ``sums(times, weights)``
+    is sum_k w_k phi(t_k) from one series whose coefficients are
+    sum_k w_k c_j(t_k), at the cost of its longest time.
+    """
+    rho = float(np.max(initial.exp_psi(-2))) * float(np.max(fb.symbols(initial.fiber)[0]))
+
+    def phis(times: list[float]) -> Iterator[np.ndarray]:
+        finite = [t for t in times if not math.isinf(t)]
+        per_chain = max(1, _CHAIN_BYTES // initial.phi.nbytes)
+        for first in range(0, len(finite), per_chain):
+            rows = [_chebyshev_coefficients(t, rho) for t in finite[first:first + per_chain]]
+            yield from _chebyshev_sums(initial, rho, rows)
+        if len(finite) < len(times):
+            limit = _mean_limit(initial)
+            yield from itertools.repeat(limit, len(times) - len(finite))
+
+    def sums(times: list[float], weights: np.ndarray) -> np.ndarray:
+        rows = [_chebyshev_coefficients(t, rho) for t in times]
+        combined = np.zeros(max(map(len, rows)))
+        for weight, row in zip(weights, rows):
+            combined[:len(row)] += weight * row
+        return _chebyshev_sums(initial, rho, [combined])[0]
+
+    return phis, sums
 
 
 def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
@@ -373,8 +520,9 @@ def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
 def run_extrinsic_flow(initial: ProductState, config: FlowConfig) -> Trajectory:
     """Evolve one product state under the configured flow variant.
 
-    Chooses the exact spectral path when psi is fiber-constant and the
-    finite-difference path otherwise, samples the requested times, and
+    Chooses the exact spectral path when psi is fiber-constant and,
+    otherwise, the Chebyshev propagator for p = 2 and the
+    finite-difference path for p = 1, samples the requested times, and
     always emits the analytic t -> inf limit.  A zero driving field
     short-circuits to a constant trajectory.  Initial data whose exp
     factors leave the float range are refused before anything is evolved.
@@ -419,7 +567,7 @@ def sample_flow(initial: ProductState, config: FlowConfig
     driving0 = driving_scalar(fields0, x)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
-    integral, fields_at = None, geo.phi_fields
+    integral, sums, fields_at = None, None, geo.phi_fields
     if rate is not None:
         exact_phis, integral = _exact_phis(initial, driving0, rate)
     if not np.any(driving0):
@@ -443,7 +591,10 @@ def sample_flow(initial: ProductState, config: FlowConfig
             raise UnsupportedScenarioError(
                 "the prescribed variant requires a fiber-constant psi"
             )
-        phis = _plain_phis(initial, config)
+        if initial.p == 2:
+            phis, sums = _chebyshev_phis(initial)
+        else:
+            phis = _plain_phis(initial, config)
     del fields0, driving0   # no phi-derived field outlives the pass that builds it
 
     normalized = config.variant == "normalized"
@@ -470,6 +621,8 @@ def sample_flow(initial: ProductState, config: FlowConfig
                 return phi_sum, 0.0
             first, last = map(geo.volume, plain_states([times[0], times[-1]]))
             return phi_sum, (2.0 / initial.n) * math.log(last / first)
+        if sums is not None and not normalized:
+            return sums(times, weights), 0.0
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0
         for t, weight, phi in zip(times, weights, phis(times)):
             phi_sum += weight * phi

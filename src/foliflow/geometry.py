@@ -67,9 +67,10 @@ class ProductState:
     An exact-path run stores the factors ``exp_psi(scale)`` it reads (one
     entry per scale, exp(2 psi) and exp(-2 psi) on a p = 2 run), whether
     psi is constant along each fiber and the scalar sup |dpsi|^2 of
-    ``classify``; the fiber and base gradients of psi, (p,) and (n,) grid
-    fields, are stored only when asked for, by ``div_perp`` on a psi that
-    varies along a fiber and by ``fiber_mean_curvature``.
+    ``classify``; the fiber gradient of psi, a (p,) grid field, is stored
+    only when ``div_perp`` asks for it, on a psi that varies along a fiber.
+    psi's base gradient is never stored: ``fiber_mean_curvature`` builds it
+    per call.
     ``leaf_inner`` is the only leaf pairing and ``fiber_rate`` the only
     per-fiber rate of the exact path.
     """
@@ -139,11 +140,6 @@ class ProductState:
         """Flat fiber partials of psi, shape (p,) + shape."""
         return self._psi_field("fiber_gradient",
                                lambda: fb.gradient_values(self.psi, self.fiber))
-
-    @property
-    def psi_base_gradient(self) -> np.ndarray:
-        """Flat base partials of psi, shape (n,) + shape."""
-        return self._psi_field("base_gradient", lambda: base_gradient(self.psi, self))
 
 
 def psi_fiber_mean(state: ProductState) -> np.ndarray:
@@ -330,8 +326,11 @@ def second_fundamental(state: ProductState) -> SecondFundamentalData:
 
 
 def fiber_mean_curvature(state: ProductState) -> np.ndarray:
-    """Mean curvature of the fibers as base components, Hperp = -p exp(-2 phi) dpsi."""
-    return -state.p * np.exp(-2.0 * state.phi) * state.psi_base_gradient
+    """Mean curvature of the fibers as base components, Hperp = -p exp(-2 phi) dpsi.
+
+    psi's base gradient is built for the call and not kept in psi's store.
+    """
+    return -state.p * np.exp(-2.0 * state.phi) * base_gradient(state.psi, state)
 
 
 def conformal_change(b_coeff: np.ndarray, h: np.ndarray, phi_inc: np.ndarray,

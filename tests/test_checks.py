@@ -244,6 +244,7 @@ BPERP_PATHS = {
     "exact-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 0): 0.1}),
     "exact-p2": (TORUS, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 0, 0): 0.1}),
     "fd-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (32,)), {(0, 1): 0.2}, {(1, 1): 0.1}),
+    "chebyshev-p2": (TORUS, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 1, 0): 0.1}),
 }
 
 
@@ -353,6 +354,7 @@ class TestBperpScaling:
         ("exact-p1", "plain"), ("exact-p1", "normalized"), ("exact-p1", "prescribed"),
         ("exact-p2", "plain"), ("exact-p2", "normalized"),
         ("fd-p1", "plain"), ("fd-p1", "normalized"),
+        ("chebyshev-p2", "plain"), ("chebyshev-p2", "normalized"),
     ])
     def test_summed_phi_matches_per_node_speeds(self, path, variant):
         """One speed applied to the summed phi equals the Simpson sum of per-node speeds.
@@ -376,6 +378,28 @@ class TestBperpScaling:
 
     def test_prescribed_variant(self):
         assert checks.check_bperp_scaling(bperp_cross_form_traj("exact-p1", "prescribed")).passed
+
+    @pytest.mark.parametrize("path", BPERP_PATHS)
+    def test_psi_store_keeps_no_base_gradient(self, path):
+        """b_perp reads psi's base gradient at its two end states and keeps none of it."""
+        traj = bperp_cross_form_traj(path, "plain")
+        checks.run_checks(traj, ["bperp_scaling"])
+        assert "base_gradient" not in traj.initial._psi_fields
+
+    @pytest.mark.parametrize("path", BPERP_PATHS)
+    def test_no_target_stays_a_zero_broadcast(self, path, calls):
+        """Without a target the speed reads the run's zero-strided X, not a grid of zeros."""
+        traj = bperp_cross_form_traj(path, "plain")
+        targets = calls(checks, "driving_scalar", key=lambda fields, x: x)
+        checks.check_bperp_scaling(traj)
+        assert targets and all(x is traj.x for x in targets)
+        assert not any(traj.x.strides)
+
+    def test_prescribed_target_is_weighted_by_the_summed_weights(self, calls):
+        traj = bperp_cross_form_traj("exact-p1", "prescribed")
+        targets = calls(checks, "driving_scalar", key=lambda fields, x: x)
+        checks._bperp_exponent(traj, 1.0, 5)
+        np.testing.assert_array_equal(targets[0], checks._simpson_weights(1.0, 5).sum() * traj.x)
 
     def test_fd_run_retains_no_node_states(self, traced_memory):
         """No node state (8 KB each on base 16 x 64 points) outlives the check.
@@ -788,8 +812,10 @@ MATRIX_PATHS = {
     # exact paths: psi = 0.1 cos x varies over the base only
     "exact-p1": (1, P1_PHI0, P1_PSI),
     "exact-p2": (2, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 0, 0): 0.1}),
-    # finite-difference path: psi varies along each fiber
+    # psi varies along each fiber: the finite-difference path for p = 1, the
+    # Chebyshev propagator for p = 2
     "fd-p1": (1, {(0, 1): 0.2}, {(1, 1): 0.1}),
+    "chebyshev-p2": (2, {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 1, 0): 0.1}),
     # the other variants on the exact p = 1 data
     "exact-p1-normalized": (1, P1_PHI0, P1_PSI),
     "exact-p1-prescribed": (1, P1_PHI0, P1_PSI),
@@ -802,6 +828,10 @@ MATRIX_REFUSALS = {
     ("fd-p1", "uniform_equivalence"): UnsupportedScenarioError,
     ("fd-p1", "oracle_agreement"): UnsupportedScenarioError,
     ("fd-p1", "decay_rate"): UnsupportedScenarioError,
+    ("chebyshev-p2", "codim1_identity"): InputError,
+    ("chebyshev-p2", "uniform_equivalence"): UnsupportedScenarioError,
+    ("chebyshev-p2", "oracle_agreement"): UnsupportedScenarioError,
+    ("chebyshev-p2", "decay_rate"): UnsupportedScenarioError,
     ("exact-p1-normalized", "oracle_agreement"): UnsupportedScenarioError,
     ("exact-p1-prescribed", "oracle_agreement"): UnsupportedScenarioError,
 }
@@ -855,7 +885,7 @@ class TestCheckerMatrix:
     Each cell builds its own trajectory (base 4, 32 points per fiber
     dimension, samples 0..2 in steps of 0.5).  The plain variant runs on
     every path; normalized, prescribed and codim1 runs use the exact p = 1
-    path.
+    path.  Only the exact paths set ``fiber_rate``.
     """
 
     @pytest.mark.parametrize("path, name", _matrix_cells())

@@ -263,6 +263,25 @@ class TestExitCodes:
         assert "config error" in err and "volume" in err, err
         assert not out.exists()
 
+    def test_p2_time_beyond_max_terms_exits_two_without_outputs(self, tmp_path, capsys):
+        """A fiber-varying p = 2 run refuses a time its Chebyshev series cannot reach.
+
+        Its dt and theta do not reach it: theta = 0 with dt = 1 would break
+        the march's explicit step bound.
+        """
+        cfg = write_config(tmp_path, scenario="double_twisted", p=2, fiber_points=16,
+                           phi0={"0,1,0": 0.1}, psi={"1,0,1": 0.1}, checks=[],
+                           dt=1.0, theta=0.0)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        cfg = write_config(tmp_path, scenario="double_twisted", p=2, fiber_points=16,
+                           phi0={"0,1,0": 0.1}, psi={"1,0,1": 0.1}, checks=[],
+                           samples=[0.0, 1e9], t_end=1e9)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "MAX_TERMS" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("fiber_points", 32.9),
         ("fiber_points", math.nan),

@@ -20,7 +20,7 @@ from foliflow import checks, fdref, flows
 from foliflow import fiber as fb
 from foliflow import geometry as geo
 from foliflow.errors import (DegenerateTrajectoryError, HypothesisViolationError,
-                             InputError, UnsupportedScenarioError)
+                             InputError, SolveError, UnsupportedScenarioError)
 
 BASE4 = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
 BASE8 = ff.FiberGrid(1, (2.0 * math.pi,), (8,))
@@ -702,3 +702,156 @@ class TestFiniteDifferencePath:
         x = np.full((1,) + state.shape, 0.1)
         with pytest.raises(UnsupportedScenarioError):
             ff.run_extrinsic_flow(state, prescribed_config(x))
+
+
+TORUS8 = ff.FiberGrid(2, (2.0 * math.pi, 2.0 * math.pi), (8, 8))
+
+
+def p2_twisted_state(fiber=TORUS8, base=BASE4):
+    """A p = 2 state whose psi varies along the fibers and over the base."""
+    return ff.ProductState.from_harmonics(
+        base, fiber, {(0, 1, 0): 0.2, (0, 1, 1): 0.1, (1, 3, 2): 0.05, (0, 0, 3): 0.1},
+        {(1, 1, 0): 0.1, (0, 1, 1): (0.03, 0.02)})
+
+
+def dense_p2_flow(state, t):
+    """exp(t Lap_perp) phi0 per fiber from one eigh of the symmetrized dense operator.
+
+    For p = 2, Lap_perp = exp(-2 psi) Lap; with c = exp(-2 psi),
+    c^{1/2} (-Lap) c^{1/2} is symmetric and similar to -Lap_perp.  -Lap is
+    the full complex FFT's symbol |k|^2, built here without ``fiber``.
+    """
+    fiber, size = state.fiber, math.prod(state.fiber.shape)
+    k1, k2 = (2.0 * math.pi * np.fft.fftfreq(n, 1.0 / n) / side
+              for n, side in zip(fiber.shape, fiber.sides))
+    eye = np.eye(size).reshape((size,) + fiber.shape)
+    images = np.fft.ifft2(np.fft.fft2(eye) * (k1[:, None] ** 2 + k2[None, :] ** 2))
+    neg_lap = images.real.reshape(size, size).T
+    out = np.empty(state.shape)
+    for b in np.ndindex(state.base.shape):
+        root = np.sqrt(np.exp(-2.0 * state.psi[b]).reshape(-1))
+        lam, vectors = np.linalg.eigh(root[:, None] * neg_lap * root[None, :])
+        u = state.phi[b].reshape(-1) / root
+        out[b] = (root * (vectors @ (np.exp(-t * lam) * (vectors.T @ u)))).reshape(fiber.shape)
+    return out
+
+
+def p2_probe_state():
+    """The p2 probe: n = 1, p = 2, base 8, fiber 32^2, psi twisting base and fiber."""
+    return ff.ProductState.from_harmonics(
+        BASE8, TORUS, {(0, 1, 0): (0.1, 0.02), (1, 0, 1): (0.03, 0.01), (0, 1, 1): 0.02},
+        {(1, 0, 1): (0.08, 0.02), (0, 1, 0): 0.05})
+
+
+class TestChebyshevPath:
+    """Fiber-varying psi with p = 2: a Chebyshev series in exp(-2 psi) Lap, no march."""
+
+    def rho(self, state):
+        return float(np.max(state.exp_psi(-2))) * float(np.max(fb.symbols(state.fiber)[0]))
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 10.0, 200.0, 2000.0, 1e5])
+    def test_coefficients_are_scaled_bessel_values(self, x):
+        """c_0 = ive(0, x), c_j = 2 (-1)^j ive(j, x), and the cut drops only the tail.
+
+        The series stops where the rfft's coefficient falls to 2^-53, so a
+        dropped coefficient is at most that plus the rfft's own error.
+        """
+        from scipy.special import ive
+
+        coefficients = flows._chebyshev_coefficients(2.0 * x, 1.0)
+        j = np.arange(len(coefficients) + 64)
+        expected = np.where(j == 0, 1.0, 2.0) * (-1.0) ** j * ive(j, x)
+        assert np.max(np.abs(coefficients - expected[:len(coefficients)])) <= 2.3e-16
+        assert np.max(np.abs(expected[len(coefficients):])) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("t, tol", [(0.01, 2e-15), (0.3, 2e-15), (1.0, 2e-15),
+                                        (10.0, 2e-15), (100.0, 1e-14)])
+    def test_states_match_a_dense_eigh_reference(self, t, tol):
+        """By t = 100 the reference's own fiber mean has drifted by 6.2e-15 (the series': 2.6e-16)."""
+        state = p2_twisted_state()
+        traj = ff.run_extrinsic_flow(state, plain_config())
+        assert traj.fiber_rate is None
+        np.testing.assert_allclose(traj.evaluate(t).phi, dense_p2_flow(state, t),
+                                   rtol=0.0, atol=tol)
+
+    def test_no_march_and_no_factorization(self, calls):
+        marches = calls(flows, "fd_heat_run")
+        factorizations = calls(spla, "splu")
+        traj = ff.run_extrinsic_flow(p2_twisted_state(), plain_config())
+        checks.run_checks(traj, ["monotonicity", "volume_ode", "bperp_scaling"])
+        assert marches == [] and factorizations == []
+
+    def test_a_state_depends_only_on_its_time(self):
+        traj = ff.run_extrinsic_flow(p2_twisted_state(), plain_config())
+        for got, sample in zip(traj.at(traj.sample_times), traj.states, strict=True):
+            np.testing.assert_array_equal(got.phi, sample.phi)
+        alone = traj.evaluate(0.7).phi
+        np.testing.assert_array_equal(next(traj.at((0.7, 1.9))).phi, alone)
+        np.testing.assert_array_equal(list(traj.at((0.1, 0.7)))[1].phi, alone)
+        np.testing.assert_array_equal(traj.states[0].phi, traj.initial.phi)
+
+    def test_fiber_mean_is_conserved_and_is_the_limit(self):
+        state = p2_twisted_state()
+        traj = ff.run_extrinsic_flow(state, plain_config())
+        mean = geo.fiber_average(state, state.phi)
+        for sample in traj.states + (traj.evaluate(50.0),):
+            np.testing.assert_allclose(geo.fiber_average(sample, sample.phi), mean,
+                                       rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(
+            traj.limit.phi, np.broadcast_to(mean.reshape(4, 1, 1), state.shape))
+
+    def test_weighted_sums_take_one_series(self, calls):
+        """One recurrence whose coefficients are sum_k w_k c_j(t_k) gives sum_k w_k phi(t_k)."""
+        traj = ff.run_extrinsic_flow(p2_twisted_state(), plain_config())
+        times = np.linspace(0.0, 1.0, 9)
+        weights = np.random.default_rng(3).random(9)
+        series = calls(flows, "_chebyshev_sums")
+        phi_sum, rate_sum = traj.weighted_sums(times, weights)
+        assert len(series) == 1 and rate_sum == 0.0
+        per_time = sum(w * s.phi for w, s in zip(weights, traj.at(times)))
+        np.testing.assert_allclose(phi_sum, per_time, rtol=0.0, atol=1e-14)
+
+    def test_too_small_rho_is_refused_not_grown(self):
+        """With rho half the bound, S = 2A/rho - I reaches 3 and T_j grows as cosh(1.76 j)."""
+        state = p2_twisted_state()
+        rho = self.rho(state)
+        coefficients = [flows._chebyshev_coefficients(1.0, rho)]
+        np.testing.assert_allclose(flows._chebyshev_sums(state, rho, coefficients)[0],
+                                   dense_p2_flow(state, 1.0), rtol=0.0, atol=2e-15)
+        small = [flows._chebyshev_coefficients(1.0, 0.5 * rho)]
+        with pytest.raises(SolveError, match="does not bound the leaf Laplacian"):
+            flows._chebyshev_sums(state, 0.5 * rho, small)
+
+    def test_more_than_max_terms_refused_naming_t(self):
+        traj = ff.run_extrinsic_flow(p2_twisted_state(), plain_config())
+        with pytest.raises(InputError, match=r"t = 1e\+09 takes up to .* MAX_TERMS = 32768"):
+            traj.evaluate(1e9)
+        rho = self.rho(traj.initial)
+        longest = 2.0 * ((flows.MAX_TERMS - 16.0) / 9.0) ** 2 / rho
+        assert len(flows._chebyshev_coefficients(0.999 * longest, rho)) <= flows.MAX_TERMS
+        with pytest.raises(InputError, match="MAX_TERMS"):
+            flows._chebyshev_coefficients(1.001 * longest, rho)
+
+    def test_flat_operator_fault_is_caught_on_the_p2_probe(self, monkeypatch):
+        """The series built from psi = 0 fails the flow-law checks; the correct run passes all.
+
+        The fault evolves phi by the flat heat equation, which the
+        per-state identities cannot see.
+        """
+        config = plain_config(t_end=1.0, samples=(0.0, 0.25, 0.5, 0.75, 1.0))
+        names = ["divergence_identity", "preservation", "volume_ode", "monotonicity"]
+        state = p2_probe_state()
+        correct = checks.run_checks(ff.run_extrinsic_flow(state, config), names)
+        assert all(r.passed for r in correct), [str(r) for r in correct]
+        series = flows._chebyshev_sums
+
+        def flat(initial, rho, rows):
+            flat_state = ff.ProductState(initial.base, initial.fiber, initial.phi,
+                                         np.zeros(initial.shape))
+            return series(flat_state, float(np.max(fb.symbols(initial.fiber)[0])), rows)
+
+        monkeypatch.setattr(flows, "_chebyshev_sums", flat)
+        mutant = checks.run_checks(ff.run_extrinsic_flow(state, config), names)
+        failed = {r.name for r in mutant if not r.passed}
+        assert failed & {"monotonicity", "volume_ode"}, [str(r) for r in mutant]
+        assert all(r.passed for r in mutant if r.name == "divergence_identity")

@@ -79,17 +79,19 @@ SCALES = (-2, -1, 1, 2)
 
 
 class TestPsiFields:
-    """exp(scale psi) and the psi gradients are computed once per psi."""
+    """exp(scale psi) and psi's fiber gradient are computed once per psi.
+
+    psi's base gradient is not kept: ``fiber_mean_curvature`` builds it per call.
+    """
 
     def test_replace_phi_reuses_cached_fields(self):
         state = random_state(7, fiber=TORUS)
         exps = [state.exp_psi(s) for s in SCALES]
-        fields = (state.psi_fiber_gradient, state.psi_base_gradient)
+        gradient = state.psi_fiber_gradient
         later = state.replace_phi(state.phi * 0.5, 1.0)
         for scale, value in zip(SCALES, exps):
             assert later.exp_psi(scale) is value
-        assert later.psi_fiber_gradient is fields[0]
-        assert later.psi_base_gradient is fields[1]
+        assert later.psi_fiber_gradient is gradient
 
     def test_leaf_density_shares_the_conformal_factor_when_p_is_2(self):
         state = random_state(7, fiber=TORUS)
@@ -102,8 +104,10 @@ class TestPsiFields:
             np.testing.assert_array_equal(state.exp_psi(scale), np.exp(scale * state.psi))
         np.testing.assert_array_equal(state.psi_fiber_gradient,
                                       fb.gradient_values(state.psi, TORUS))
-        np.testing.assert_array_equal(state.psi_base_gradient,
-                                      geo.base_gradient(state.psi, state))
+        np.testing.assert_array_equal(
+            geo.fiber_mean_curvature(state),
+            -2 * np.exp(-2.0 * state.phi) * geo.base_gradient(state.psi, state))
+        assert "base_gradient" not in state._psi_fields
 
     @pytest.mark.parametrize("rebuild", [
         lambda s, psi: ff.ProductState(s.base, s.fiber, s.phi, psi, s.t),
@@ -114,7 +118,6 @@ class TestPsiFields:
         xi = np.stack([fb.harmonic_field((BASE4, TORUS), {(0, 1, 2): (0.1, 0.3)}),
                        fb.harmonic_field((BASE4, TORUS), {(1, 2, 1): (0.2, 0.1)})])
         geo.div_perp(xi, old)      # fills the old state's store
-        old.psi_base_gradient
         old.exp_psi(2)
         psi = 0.1 * fb.harmonic_field((BASE4, TORUS), {(1, 1, 3): (0.4, 0.2)})
         new = rebuild(old, psi)
@@ -124,8 +127,8 @@ class TestPsiFields:
             direct += fb.gradient_values(xi[k], TORUS)[k]
             direct += 2 * psi_grad[k] * xi[k]
         np.testing.assert_array_equal(geo.div_perp(xi, new), direct)
-        np.testing.assert_array_equal(new.psi_base_gradient,
-                                      geo.base_gradient(psi, new))
+        np.testing.assert_array_equal(
+            geo.fiber_mean_curvature(new), -2 * np.exp(-2.0 * new.phi) * geo.base_gradient(psi, new))
         np.testing.assert_array_equal(new.exp_psi(2), np.exp(2 * psi))
 
     def test_leaf_inner_and_fiber_rate_match_direct_computation(self):

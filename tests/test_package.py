@@ -106,3 +106,30 @@ def test_only_a_march_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", LOADS_SCIPY], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
+
+
+def test_p2_fiber_varying_run_loads_no_scipy(tmp_path):
+    """``python -m foliflow.cli run`` on a p = 2 run whose psi varies along the fibers.
+
+    The run takes the Chebyshev propagator, which needs numpy alone, and its
+    flow-law checks read no march.  ``-X importtime`` logs every module the
+    process imports, so scipy is not in ``sys.modules`` at exit iff no line
+    names it.
+    """
+    cfg = {"scenario": "double_twisted", "n": 1, "p": 2, "base_points": 4, "fiber_points": 16,
+           "phi0": {"0,1,0": 0.1, "1,0,1": 0.03}, "psi": {"1,0,1": 0.08},
+           "samples": [0.0, 0.25, 0.5], "t_end": 0.5,
+           "checks": ["divergence_identity", "preservation", "monotonicity", "volume_ode",
+                      "bperp_scaling"]}
+    (tmp_path / "p2.json").write_text(json.dumps(cfg), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "foliflow.cli", "run",
+                           "p2.json", "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and "foliflow.flows" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
