@@ -352,15 +352,14 @@ def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     weighted sum of the unprojected phi from ``trajectory.weighted_sums``,
     removes its fiber mean (whose round-off the second derivative would
     amplify by up to k_max^2) and applies the spectral derivatives once.
-    On the exact path that sum is one Fourier multiplier on the initial
-    driving scalar, and the normalized variant's integral of r is the
-    closed form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its
-    Simpson sums; no node state is built.  A p = 2 run whose psi varies
-    along a fiber sums one Chebyshev series whose coefficients are the
-    weighted sums of the nodes'.  The FD path marches through the nodes,
-    and under the normalized variant either path evaluates
-    ``normalization_rate`` at each of them.  The residual is the sup gap
-    over max(1, sup |b_perp(t)|), so a volume rescaling cannot grow it.
+    On a path exact in time (one Fourier multiplier on the exact path, one
+    Chebyshev series where p = 2 and psi varies along a fiber) no node
+    state is built, and the normalized variant's integral of r is the closed
+    form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its Simpson
+    sums.  The FD path marches through the nodes and, under the normalized
+    variant, evaluates ``normalization_rate`` at each of them.  The residual
+    is the sup gap over max(1, sup |b_perp(t)|), so a volume rescaling
+    cannot grow it.
 
     On the exact path the rule on every other node gives a second exponent
     E', and sup |b_perp(t) (E - E')| / 15, relative as the residual, is

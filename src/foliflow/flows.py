@@ -180,14 +180,13 @@ class Trajectory:
     ``weighted_sums(times, weights)`` returns, for ascending finite times
     and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
     the flow before volume projection; R is the integral of r(t) that the
-    weights stand for, 0.0 unless the variant is normalized.  The exact
-    path applies the summed time-integral multiplier to the driving scalar
-    once and takes R = (2/n) log(vol_plain(t_last) / vol_plain(t_first)),
-    which holds since d/dt log vol_plain = (n/2) r and r is blind to the
-    projection's fiber-constant shift.  The p = 2 Chebyshev path sums one
-    series whose coefficients are the weighted sums of each time's.  The
-    FD path, and the Chebyshev path under the normalized variant, take
-    the states of ``at`` and sum w_k r(t_k) over the projected ones.
+    weights stand for, 0.0 unless the variant is normalized.  Every path
+    that is exact in time takes the sum in one piece (one summed multiplier
+    on the exact path, one series on the Chebyshev path) and
+    R = (2/n) log(vol_plain(t_last) / vol_plain(t_first)), which holds
+    since d/dt log vol_plain = (n/2) r and r is blind to the projection's
+    fiber-constant shift.  The FD march sums the states of ``at`` and
+    w_k r(t_k) over the projected ones, node by node.
     ``fiber_rate`` is None where psi varies along a fiber; on the exact
     path it is the per-fiber scale exp(-2 psibar) of the flat fiber
     spectrum.
@@ -282,19 +281,20 @@ def _ascending(times: Iterable[float]) -> list[float]:
 
 def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
                 ) -> tuple[Callable[[list[float]], Iterator[np.ndarray]],
+                           Callable[[list[float], np.ndarray], np.ndarray],
+                           Callable[[], np.ndarray],
                            Callable[[Iterable[float], np.ndarray], np.ndarray]]:
     """The exact path's closed form, from one transform of the driving scalar.
 
-    Returns ``(phis, integral)``.  ``integral(times, weights)`` is the
-    spectrum of sum_k w_k int_0^{t_k} of the driving scalar's evolution,
-    one summed multiplier on the driving spectrum, which is taken here
-    once per run.  ``phis(times)`` yields phi at each ascending time,
-    phi(0) - irfftn(I(t))/n with I(t) = ``integral((t,), (1.0,))``, so no
-    forward transform is taken per time.  The t = inf limit is built from
-    the same spectrum (``fiber.time_integral_limit_spectrum``) on its first
-    request and kept.  It exists only when the driving scalar's fiber means
-    vanish, which is checked here, so a scalar that fails it is refused
-    before any state is sampled.
+    Returns ``(phis, sums, limit, integral)``.  ``integral(times, weights)``
+    is the spectrum I of sum_k w_k int_0^{t_k} of the driving scalar's
+    evolution, one summed multiplier on the driving spectrum, which is taken
+    here once per run.  ``sums`` is (sum_k w_k) phi(0) - irfftn(I)/n and
+    ``phis`` that at each time alone, so no forward transform is taken per
+    time.  ``limit()`` builds the t = inf phi from the same spectrum
+    (``fiber.time_integral_limit_spectrum``) on its first call.  It exists
+    only when the driving scalar's fiber means vanish, which is checked
+    here, so a scalar that fails it is refused before any state is sampled.
 
     The driving scalar is a leaf divergence, so its fiber means vanish;
     on the grid they are round-off, which the null mode's multiplier t
@@ -311,32 +311,32 @@ def _exact_phis(initial: ProductState, driving0: np.ndarray, rate: np.ndarray
     def integral(times: Iterable[float], weights: np.ndarray) -> np.ndarray:
         return fb.time_integral_sum_spectrum(driving_hat, fiber, times, weights, rate)
 
+    def sums(times: list[float], weights: np.ndarray) -> np.ndarray:
+        return float(np.sum(weights)) * initial.phi - fb.nodal(integral(times, weights), fiber) / n
+
     @functools.cache
     def limit() -> np.ndarray:
         return initial.phi - fb.nodal(
             fb.time_integral_limit_spectrum(driving_hat, fiber, rate), fiber) / n
 
     def phis(times: list[float]) -> Iterator[np.ndarray]:
-        for t in times:
-            if math.isinf(t):
-                yield limit()
-            else:
-                yield initial.phi - fb.nodal(integral((t,), (1.0,)), fiber) / n
+        return (initial.phi - fb.nodal(integral((t,), (1.0,)), fiber) / n for t in times)
 
-    return phis, integral
+    return phis, sums, limit, integral
 
 
-def _plain_phis(initial: ProductState,
-                config: FlowConfig) -> Callable[[list[float]], Iterator[np.ndarray]]:
+def _plain_phis(initial: ProductState, config: FlowConfig
+                ) -> tuple[Callable[[list[float]], Iterator[np.ndarray]], None,
+                           Callable[[], np.ndarray]]:
     """phi at each ascending time under d/dt phi = Lap_perp phi, by marching.
 
-    The samples are marched here, as one chain of one ``fd_heat_run`` call.
-    A request groups its times by the last anchor (0, a sample or the
-    t = inf limit) at or before each, and marches each group as one chain
-    from its anchor, so equal intervals share one factorization per chunk.
-    A chain holds its states at once, so a group of more than _CHAIN_BYTES
-    of states marches as several chains, each from the last state of the one
-    before.
+    Returns ``(phis, None, limit)``; ``limit()`` is ``_mean_limit``.  The
+    samples are marched here, as one chain of one ``fd_heat_run`` call.  A
+    request groups its times by the last anchor (0 or a sample) at or before
+    each, and marches each group as one chain from its anchor, so equal
+    intervals share one factorization per chunk.  A chain holds its states
+    at once, so a group of more than _CHAIN_BYTES of states marches as
+    several chains, each from the last state of the one before.
     """
     def phis(times: list[float]) -> Iterator[np.ndarray]:
         per_chain = max(1, _CHAIN_BYTES // initial.phi.nbytes)
@@ -355,9 +355,9 @@ def _plain_phis(initial: ProductState,
 
     chain = fd_heat_run(initial.phi, initial.psi, initial.fiber, config.samples,
                         config.fd_scheme)
-    anchors = [(0.0, initial.phi), *zip(config.samples, chain), (math.inf, _mean_limit(initial))]
+    anchors = [(0.0, initial.phi), *zip(config.samples, chain)]
     starts = [t for t, _ in anchors]
-    return phis
+    return phis, None, functools.cache(lambda: _mean_limit(initial))
 
 
 def _mean_limit(initial: ProductState) -> np.ndarray:
@@ -447,31 +447,28 @@ def _chebyshev_sums(initial: ProductState, rho: float,
 
 def _chebyshev_phis(initial: ProductState
                     ) -> tuple[Callable[[list[float]], Iterator[np.ndarray]],
-                               Callable[[list[float], np.ndarray], np.ndarray]]:
+                               Callable[[list[float], np.ndarray], np.ndarray],
+                               Callable[[], np.ndarray]]:
     """phi at each ascending time under d/dt phi = Lap_perp phi for p = 2, by Chebyshev series.
 
-    Returns ``(phis, sums)``.  For p = 2, Lap_perp = exp(-2 psi) Lap,
+    Returns ``(phis, sums, limit)``.  For p = 2, Lap_perp = exp(-2 psi) Lap,
     whose spectrum lies in [-rho, 0] with rho = max exp(-2 psi) max |k|^2,
     since <u, -Lap u> <= max |k|^2 <u, u> <= rho <u, exp(2 psi) u>; so
     exp(t Lap_perp) phi0 is the Chebyshev series of
     ``_chebyshev_coefficients(t, rho)``.  ``phis(times)`` sums the series
     of every time of a chain in one recurrence, as many times per chain as
-    _CHAIN_BYTES holds, and yields the t = inf limit, phi's fiber mean in
-    the leaf measure, which the flow conserves.  ``sums(times, weights)``
-    is sum_k w_k phi(t_k) from one series whose coefficients are
-    sum_k w_k c_j(t_k), at the cost of its longest time.
+    _CHAIN_BYTES holds.  ``sums(times, weights)`` is sum_k w_k phi(t_k)
+    from one series whose coefficients are sum_k w_k c_j(t_k), at the cost
+    of its longest time.  ``limit()`` is ``_mean_limit``, which the flow
+    conserves.
     """
     rho = float(np.max(initial.exp_psi(-2))) * float(np.max(fb.symbols(initial.fiber)[0]))
 
     def phis(times: list[float]) -> Iterator[np.ndarray]:
-        finite = [t for t in times if not math.isinf(t)]
         per_chain = max(1, _CHAIN_BYTES // initial.phi.nbytes)
-        for first in range(0, len(finite), per_chain):
-            rows = [_chebyshev_coefficients(t, rho) for t in finite[first:first + per_chain]]
+        for first in range(0, len(times), per_chain):
+            rows = [_chebyshev_coefficients(t, rho) for t in times[first:first + per_chain]]
             yield from _chebyshev_sums(initial, rho, rows)
-        if len(finite) < len(times):
-            limit = _mean_limit(initial)
-            yield from itertools.repeat(limit, len(times) - len(finite))
 
     def sums(times: list[float], weights: np.ndarray) -> np.ndarray:
         rows = [_chebyshev_coefficients(t, rho) for t in times]
@@ -480,7 +477,7 @@ def _chebyshev_phis(initial: ProductState
             combined[:len(row)] += weight * row
         return _chebyshev_sums(initial, rho, [combined])[0]
 
-    return phis, sums
+    return phis, sums, functools.cache(lambda: _mean_limit(initial))
 
 
 def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
@@ -544,6 +541,11 @@ def sample_flow(initial: ProductState, config: FlowConfig
     steps: on the exact path ``diagnose`` takes each again as phi_hat(0) -
     I(t)/n, from the same ``integral`` call the sampling made.
 
+    Every path, the constant one of a zero driving scalar included, gives
+    ``phis(times)`` at ascending finite times, ``sums(times, weights)`` =
+    sum_k w_k phi(t_k) (None for the p = 1 march) and ``limit()``, built
+    on its first call.  ``at`` alone maps t = inf to ``limit()``.
+
     ``diagnose(rigidity)`` also evaluates ``rigidity(fields)`` in each
     sample's pass, on the ``PhiFields`` its record was built from, and
     keeps the value as the record's ``rigidity`` (``checks`` passes the
@@ -567,13 +569,13 @@ def sample_flow(initial: ProductState, config: FlowConfig
     driving0 = driving_scalar(fields0, x)
     rate = geo.fiber_rate(initial) if geo.psi_is_fiber_constant(initial) else None
 
-    integral, sums, fields_at = None, None, geo.phi_fields
-    if rate is not None:
-        exact_phis, integral = _exact_phis(initial, driving0, rate)
+    fields_at = geo.phi_fields
     if not np.any(driving0):
-        phis = lambda times: (initial.phi for _ in times)
-    elif integral is not None:
-        phis = exact_phis
+        phis = lambda times: itertools.repeat(initial.phi, len(times))
+        sums = lambda times, weights: float(np.sum(weights)) * initial.phi
+        limit = lambda: initial.phi
+    elif rate is not None:
+        phis, sums, limit, integral = _exact_phis(initial, driving0, rate)
         phi_hat0 = fields0.spectrum
 
         def fields_at(state: ProductState) -> geo.PhiFields:
@@ -586,26 +588,23 @@ def sample_flow(initial: ProductState, config: FlowConfig
             spectrum /= -initial.n
             spectrum += phi_hat0
             return geo.PhiFields(state, spectrum)
+    elif prescribed:
+        raise UnsupportedScenarioError("the prescribed variant requires a fiber-constant psi")
+    elif initial.p == 2:
+        phis, sums, limit = _chebyshev_phis(initial)
     else:
-        if prescribed:
-            raise UnsupportedScenarioError(
-                "the prescribed variant requires a fiber-constant psi"
-            )
-        if initial.p == 2:
-            phis, sums = _chebyshev_phis(initial)
-        else:
-            phis = _plain_phis(initial, config)
+        phis, sums, limit = _plain_phis(initial, config)
     del fields0, driving0   # no phi-derived field outlives the pass that builds it
 
     normalized = config.variant == "normalized"
 
-    def plain_states(times: list[float]) -> Iterator[ProductState]:
-        """The state before projection at each time."""
-        return map(initial.replace_phi, phis(times), times)
-
     def at(times: Iterable[float]) -> Iterator[ProductState]:
-        states = plain_states(_ascending(times))
-        return map(project_unit_volume, states) if normalized else states
+        times = _ascending(times)
+        finite = bisect.bisect_left(times, math.inf)
+        plain = map(initial.replace_phi,
+                    itertools.chain(phis(times[:finite]), (limit() for _ in times[finite:])),
+                    times)
+        return map(project_unit_volume, plain) if normalized else plain
 
     def weighted_sums(times: Iterable[float],
                       weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -614,15 +613,12 @@ def sample_flow(initial: ProductState, config: FlowConfig
         if not times or weights.shape != (len(times),) or not math.isfinite(times[-1]):
             raise InputError(f"weighted_sums needs one weight per finite time, got "
                              f"{weights.shape} weights for {len(times)} times")
-        if integral is not None:
-            phi_sum = float(weights.sum()) * initial.phi - fb.nodal(
-                integral(times, weights), initial.fiber) / initial.n
+        if sums is not None:
             if not normalized:
-                return phi_sum, 0.0
-            first, last = map(geo.volume, plain_states([times[0], times[-1]]))
-            return phi_sum, (2.0 / initial.n) * math.log(last / first)
-        if sums is not None and not normalized:
-            return sums(times, weights), 0.0
+                return sums(times, weights), 0.0
+            ends = [times[0], times[-1]]
+            first, last = map(geo.volume, map(initial.replace_phi, phis(ends), ends))
+            return sums(times, weights), (2.0 / initial.n) * math.log(last / first)
         phi_sum, rate_sum = np.zeros(initial.shape), 0.0
         for t, weight, phi in zip(times, weights, phis(times)):
             phi_sum += weight * phi

@@ -483,11 +483,16 @@ class TestCodimensionOne:
 
 class TestTrajectoryAt:
     def traj(self, path):
-        psi = {(0, 1): 0.1} if path == "fd" else None
-        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, psi)
+        if path == "chebyshev":
+            state = p2_twisted_state()
+        elif path == "static":      # phi0 constant along the fibers: zero driving
+            state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(1, 0): 0.2}, {(1, 1): 0.1})
+        else:
+            psi = {(0, 1): 0.1} if path == "fd" else None
+            state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, psi)
         return ff.run_extrinsic_flow(state, plain_config())
 
-    @pytest.mark.parametrize("path", ["exact", "fd"])
+    @pytest.mark.parametrize("path", ["exact", "fd", "chebyshev", "static"])
     def test_samples_reproduce_the_states(self, path):
         traj = self.traj(path)
         for state, sample in zip(traj.at(traj.sample_times), traj.states, strict=True):
@@ -542,9 +547,16 @@ class TestSampleFlow:
         traj = diagnose()
         assert calls == [0.0, 0.5, 1.0, 2.0] and traj.states is states
 
-    def test_limit_is_built_once_after_the_pass(self, calls):
-        made = calls(fb, "time_integral_limit_spectrum")
-        _, diagnose = flows.sample_flow(single_mode_state(), plain_config())
+    @pytest.mark.parametrize("path", ["exact", "fd", "chebyshev"])
+    def test_limit_is_built_once_after_the_pass(self, calls, path):
+        """Each path builds its t = inf limit on the first request, which the pass makes."""
+        if path == "exact":
+            state, made = single_mode_state(), calls(fb, "time_integral_limit_spectrum")
+        else:
+            state = (p2_twisted_state() if path == "chebyshev" else
+                     ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, {(0, 1): 0.1}))
+            made = calls(flows, "_mean_limit")
+        _, diagnose = flows.sample_flow(state, plain_config())
         assert made == []
         traj = diagnose()
         assert len(made) == 1
@@ -799,6 +811,24 @@ class TestChebyshevPath:
                                        rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(
             traj.limit.phi, np.broadcast_to(mean.reshape(4, 1, 1), state.shape))
+
+    def test_normalized_sums_build_no_node_state(self, calls):
+        """The normalized rate integral comes from the volumes at the end nodes alone.
+
+        R = (2/n) log(vol_plain(1) / vol_plain(0)) is exact in time, so none
+        of the 513 nodes is projected and no per-node r is taken (the sum of
+        per-node r made 513 calls of each).  TestBperpScaling's
+        ``test_summed_phi_matches_per_node_speeds`` holds the exponent to the
+        per-node rates.
+        """
+        traj = ff.run_extrinsic_flow(p2_twisted_state(), plain_config(variant="normalized"))
+        nodes = np.linspace(0.0, 1.0, 513)
+        weights = checks._simpson_weights(1.0, 513)
+        made = calls(flows, "normalization_rate", "project_unit_volume")
+        phi_sum, rate_sum = traj.weighted_sums(nodes, weights)
+        assert made == [] and rate_sum < 0.0
+        plain = ff.run_extrinsic_flow(traj.initial, plain_config())
+        np.testing.assert_array_equal(phi_sum, plain.weighted_sums(nodes, weights)[0])
 
     def test_weighted_sums_take_one_series(self, calls):
         """One recurrence whose coefficients are sum_k w_k c_j(t_k) gives sum_k w_k phi(t_k)."""

@@ -108,17 +108,19 @@ def test_only_a_march_loads_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
 
 
-def test_p2_fiber_varying_run_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("variant", ["plain", "normalized"])
+def test_p2_fiber_varying_run_loads_no_scipy(tmp_path, variant):
     """``python -m foliflow.cli run`` on a p = 2 run whose psi varies along the fibers.
 
     The run takes the Chebyshev propagator, which needs numpy alone, and its
-    flow-law checks read no march.  ``-X importtime`` logs every module the
-    process imports, so scipy is not in ``sys.modules`` at exit iff no line
-    names it.
+    flow-law checks read no march; under ``normalized``, bperp_scaling takes
+    the rate integral from two volumes.  ``-X importtime`` logs every module
+    the process imports, so scipy is not in ``sys.modules`` at exit iff no
+    line names it.
     """
     cfg = {"scenario": "double_twisted", "n": 1, "p": 2, "base_points": 4, "fiber_points": 16,
            "phi0": {"0,1,0": 0.1, "1,0,1": 0.03}, "psi": {"1,0,1": 0.08},
-           "samples": [0.0, 0.25, 0.5], "t_end": 0.5,
+           "samples": [0.0, 0.25, 0.5], "t_end": 0.5, "variant": variant,
            "checks": ["divergence_identity", "preservation", "monotonicity", "volume_ode",
                       "bperp_scaling"]}
     (tmp_path / "p2.json").write_text(json.dumps(cfg), encoding="utf-8")
