@@ -580,7 +580,8 @@ CHECKERS = {
 }
 
 
-def _require_known(names: list[str]) -> None:
+def require_known(names: list[str]) -> None:
+    """Refuse, with InputError, any name that is not a key of CHECKERS."""
     for name in names:
         if name not in CHECKERS:
             raise InputError(
@@ -590,7 +591,7 @@ def _require_known(names: list[str]) -> None:
 
 def run_checks(trajectory: Trajectory, names: list[str]) -> list[CheckReport]:
     """Run the named checkers against one trajectory, in the given order."""
-    _require_known(names)
+    require_known(names)
     reports = []
     for name in names:
         reports.extend(CHECKERS[name](trajectory))
@@ -607,7 +608,7 @@ def diagnose_and_check(initial: ProductState, diagnose: Callable[..., Trajectory
     the pass builds for that sample's record, so no state's H, spectrum or
     volume weight is built twice.  Unknown names are refused before the pass.
     """
-    _require_known(names)
+    require_known(names)
     probe = _rigidity_probe(initial) if "harmonic_rigidity" in names else None
     trajectory = diagnose(probe.residual if probe else None)
     return trajectory, run_checks(trajectory, names)

@@ -425,11 +425,7 @@ def _load_config(path: Path, args) -> dict:
     if (_as_bool(cfg.get("oracle_check", False), "oracle_check")
             and "oracle_agreement" not in checks):
         checks.append("oracle_agreement")
-    for name in checks:
-        if name not in ck.CHECKERS:
-            raise InputError(
-                f"unknown check {name!r}; known: {', '.join(sorted(ck.CHECKERS))}"
-            )
+    ck.require_known(checks)
 
     out_key = cfg.get("out", "foliflow_out")
     if not isinstance(out_key, str) or not out_key:

@@ -42,10 +42,11 @@ lies in [0, max exp(-2 psi) max |k|^2], so exp(t Lap_perp) is a
 Chebyshev series in that operator (Tal-Ezer and Kosloff, J. Chem. Phys.
 81, 1984): phi is exact in time and spectral in space, one flat Laplacian
 per term, with numpy alone (``_chebyshev_phis``).  For p = 1 the
-finite-difference path of ``fdref`` still evolves phi.  It marches the
-samples as one chain of ascending times, in one ``fdref.fd_heat_run``
-call, and a request's times after one sample as one chain from it, so
-intervals of one length share one factorization per chunk of fibers.
+finite-difference path of ``fdref`` still evolves phi.  It marches each
+request, the samples included, from phi(0) as one chain of ascending
+times in one ``fdref.fd_heat_run`` call, so intervals of one length share
+one factorization per chunk of fibers and a state depends on its request
+alone.
 
 Normalized trajectories come from the rescaling equivalence with the
 plain flow: ghat~(t) = vol(g_t)^{-2/n} ghat(t) preserves volume and
@@ -173,10 +174,9 @@ class Trajectory:
     ``at(times)`` lazily yields the states at an ascending sequence of
     times in [0, inf], in closed form on the exact path.  Where psi
     varies along a fiber, a p = 2 run sums one Chebyshev series per chain
-    of requested times, and a p = 1 run (the FD path) marches the samples
-    once, at run time, as one chain in one ``fd_heat_run`` call, and the
-    requested times that follow one sample (or 0) as one chain from it;
-    no state outlives a request.  ``evaluate(t)`` asks for one.
+    of requested times, and a p = 1 run (the FD path) marches the request
+    from phi(0) as one chain in one ``fd_heat_run`` call; no state
+    outlives a request.  ``evaluate(t)`` asks for one.
     ``weighted_sums(times, weights)`` returns, for ascending finite times
     and one weight per time, (sum_k w_k phi_plain(t_k), R).  phi_plain is
     the flow before volume projection; R is the integral of r(t) that the
@@ -330,33 +330,24 @@ def _plain_phis(initial: ProductState, config: FlowConfig
                            Callable[[], np.ndarray]]:
     """phi at each ascending time under d/dt phi = Lap_perp phi, by marching.
 
-    Returns ``(phis, None, limit)``; ``limit()`` is ``_mean_limit``.  The
-    samples are marched here, as one chain of one ``fd_heat_run`` call.  A
-    request groups its times by the last anchor (0 or a sample) at or before
-    each, and marches each group as one chain from its anchor, so equal
-    intervals share one factorization per chunk.  A chain holds its states
-    at once, so a group of more than _CHAIN_BYTES of states marches as
-    several chains, each from the last state of the one before.
+    Returns ``(phis, None, limit)``; ``limit()`` is ``_mean_limit``.  Nothing
+    is marched here: ``phis(times)`` marches the request from phi(0) as one
+    chain of ``fd_heat_run``, so equal intervals share one factorization
+    per chunk and a state depends on its request alone.  A chain holds its
+    states at once, so a request of more than _CHAIN_BYTES of states
+    marches as several chains, each from the last state of the one before.
     """
     def phis(times: list[float]) -> Iterator[np.ndarray]:
         per_chain = max(1, _CHAIN_BYTES // initial.phi.nbytes)
-        for k, run in itertools.groupby(times, lambda t: bisect.bisect_right(starts, t) - 1):
-            t0, phi = anchors[k]
-            run = list(run)
-            later = [t for t in run if t != t0]
-            yield from itertools.repeat(phi, len(run) - len(later))
-            for i in range(0, len(later), per_chain):
-                part = later[i:i + per_chain]
-                chain = fd_heat_run(phi, initial.psi, initial.fiber, [t - t0 for t in part],
-                                    config.fd_scheme)
-                yield from chain
-                t0, phi = part[-1], chain[-1].copy()
-                del chain
+        t0, phi = 0.0, initial.phi
+        for first in range(0, len(times), per_chain):
+            part = times[first:first + per_chain]
+            chain = fd_heat_run(phi, initial.psi, initial.fiber, [t - t0 for t in part],
+                                config.fd_scheme)
+            yield from chain
+            t0, phi = part[-1], chain[-1].copy()
+            del chain
 
-    chain = fd_heat_run(initial.phi, initial.psi, initial.fiber, config.samples,
-                        config.fd_scheme)
-    anchors = [(0.0, initial.phi), *zip(config.samples, chain)]
-    starts = [t for t, _ in anchors]
     return phis, None, functools.cache(lambda: _mean_limit(initial))
 
 

@@ -450,15 +450,14 @@ class TestBperpScaling:
 
     @pytest.mark.parametrize("variant", ["plain", "normalized"])
     def test_fd_sums_chain_the_marched_nodes(self, calls, variant):
-        """The FD sums march the nodes as ``at`` does, one chain per sample they follow.
+        """The FD sums march the nodes as ``at`` does, as one chain from 0.
 
         The phi sum is that of the unprojected (plain) states, bit for bit;
         the normalized rate sum is the weighted per-node r of the projected
-        states.  Of the 513 nodes on [0, 1], the three that hit the samples
-        0, 0.5 and 1 are anchors; the nodes after 0 and after 0.5 are one
-        chain each.  Their intervals, 1/512, are one step key, and the one
-        psi profile is one chunk, so each chain makes one factorization
-        (one march per node made 510).
+        states.  The 513 nodes on [0, 1] are 1/512 apart, one step key, and
+        the one psi profile is one chunk, so their chain makes one
+        factorization (one march per node made 510), and the check's end
+        states 0 and 1 one more.
         """
         traj = fd_path_traj(variant)
         nodes = np.linspace(0.0, 1.0, 513)

@@ -18,32 +18,42 @@ import numpy as np
 import pytest
 
 import foliflow as ff
-from foliflow import checks, flows
+from foliflow import checks, fdref, flows
 from foliflow import fiber as fb
+from foliflow import geometry as geo
 from foliflow.errors import FlowError, InputError, UnsupportedScenarioError
 
 BASE = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
 # (fiber, phi0, psi): psi varies over the base only on the exact path and
-# along the fibers on the Chebyshev one
+# along the fibers on the finite-difference (FD) and Chebyshev ones
 PATHS = {
     "exact-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 0): 0.1}),
+    "fd-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 1): 0.1}),
     "chebyshev-p2": (ff.FiberGrid(2, (2.0 * math.pi,) * 2, (32, 32)),
                      {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 1, 0): 0.1}),
 }
 AUDITED = [name for name in checks.CHECKERS if name not in ("decay_rate", "fd_convergence_order")]
 REFUSALS = {
     "exact-p1": {},
+    "fd-p1": {"uniform_equivalence": UnsupportedScenarioError,
+              "oracle_agreement": UnsupportedScenarioError},
     "chebyshev-p2": {"codim1_identity": InputError,
                      "uniform_equivalence": UnsupportedScenarioError,
                      "oracle_agreement": UnsupportedScenarioError},
 }
 EPS = 1e-3
+# The size of the fiber_rate fault (ROADMAP item 8): below the floors of
+# monotonicity and volume_ode, so only bperp_scaling sees it.
+RATE_EPS = 1e-6
 # The seam through which each path builds its t = inf limit.
 LIMIT_SEAMS = {"exact-p1": (fb, "time_integral_limit_spectrum"),
                "chebyshev-p2": (flows, "_mean_limit")}
 LIMIT_UNAUDITED = ("no checker audits the t = inf limit (ROADMAP item 13): only "
                    "uniform_equivalence reads it, and its certificate is exact only for "
                    "plain single-mode exact runs")
+FD_UNAUDITED = ("the FD states are second-order stencils but every diagnostic is spectral "
+                "(ROADMAP item 2): the correct run fails monotonicity, volume_ode and "
+                "bperp_scaling, and the flat-operator mutant fails the same three")
 FAULTS = {
     # the normalized rate integral R of weighted_sums, times (1 + EPS)
     "rate": {("exact-p1", "normalized"): {"bperp_scaling"},
@@ -54,6 +64,11 @@ FAULTS = {
               ("exact-p1", "normalized"): LIMIT_UNAUDITED,
               ("chebyshev-p2", "plain"): LIMIT_UNAUDITED,
               ("chebyshev-p2", "normalized"): LIMIT_UNAUDITED},
+    # the per-fiber rate exp(-2 psibar) of the exact path, times (1 + RATE_EPS)
+    "fiber_rate": {("exact-p1", "plain"): {"bperp_scaling"},
+                   ("exact-p1", "normalized"): {"bperp_scaling"}},
+    # the FD march on the flat Laplacian: the operator built from psi = 0
+    "flat_operator": {("fd-p1", "plain"): FD_UNAUDITED},
 }
 
 
@@ -102,7 +117,21 @@ def limit_fault(monkeypatch, path, variant):
     return mutant
 
 
-INJECT = {"rate": rate_fault, "limit": limit_fault}
+def fiber_rate_fault(monkeypatch, path, variant):
+    rate = geo.fiber_rate
+    monkeypatch.setattr(geo, "fiber_rate", lambda state: rate(state) * (1.0 + RATE_EPS))
+    return run(path, variant)
+
+
+def flat_operator_fault(monkeypatch, path, variant):
+    build = fdref.operator_matrix
+    monkeypatch.setattr(fdref, "operator_matrix",
+                        lambda psi, grid: build(np.zeros_like(psi), grid))
+    return run(path, variant)
+
+
+INJECT = {"rate": rate_fault, "limit": limit_fault, "fiber_rate": fiber_rate_fault,
+          "flat_operator": flat_operator_fault}
 
 
 def _cells():

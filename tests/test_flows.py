@@ -613,15 +613,17 @@ class TestFiniteDifferencePath:
             np.testing.assert_array_equal(sample.phi, phi)
             t0 = sample.t
 
-    def test_request_marches_each_run_after_an_anchor_as_one_chain(self, calls):
-        """A request's times after one sample (or 0) march as one chain from it.
+    def test_request_marches_as_one_chain_from_zero(self, calls):
+        """A request's times march from phi(0) as one chain, samples among them.
 
-        64 distinct 64-point profiles are one chunk on the stepped route, so
-        a chain factors once per distinct (steps, dt) of its intervals:
-        check_bperp_scaling's 513 nodes on [0, 2], 1/256 apart, make one
-        factorization after each of the samples 0 and 1 (one march per node
-        made 510).  Spans that are exact in floating point give each state
-        bit for bit as a march of its own from the request's previous time.
+        A chain factors once per distinct (steps, dt) of its intervals and
+        chunk of fibers.  check_bperp_scaling's 513 nodes on [0, 2], 1/256
+        apart, are one chain on the stepped route, where the 64 distinct
+        64-point profiles are one chunk: one factorization (one march per
+        node made 510).  Its end states 0 and 2 are a second chain, whose
+        2000 steps take the dense route, 16 fibers per chunk: four more.
+        Spans that are exact in floating point give each state bit for bit
+        as a march of its own from the request's previous time.
         """
         base = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
         state = ff.ProductState.from_harmonics(base, CIRCLE, {(0, 1): 0.2, (1, 2): 0.05},
@@ -631,44 +633,62 @@ class TestFiniteDifferencePath:
         times = (0.125, 0.25, 0.375, 1.0, 1.5)
         phi, t0, expected = state.phi, 0.0, []
         for t in times:
-            if t == 1.0:
-                phi = traj.states[1].phi
-            else:
-                phi = ff.fd_heat_run(phi, state.psi, CIRCLE, (t - t0,), scheme)[0]
+            phi = ff.fd_heat_run(phi, state.psi, CIRCLE, (t - t0,), scheme)[0]
             expected.append(phi)
             t0 = t
 
         marches = calls(flows, "fd_heat_run",
                         key=lambda u0, psi, grid, times, scheme: np.asarray(times))
         factorizations = calls(spla, "splu")
-        for got, want in zip(traj.at(times), expected):
+        for got, want in zip(traj.at(times), expected, strict=True):
             np.testing.assert_array_equal(got.phi, want)
-        assert [m.tolist() for m in marches] == [[0.125, 0.25, 0.375], [0.5]]
+        assert [m.tolist() for m in marches] == [list(times)]
         marches.clear()
         factorizations.clear()
         checks.check_bperp_scaling(traj)   # FD fails it at second order (TestCheckerMatrix)
-        assert len(marches) == 2
+        assert [len(m) for m in marches] == [513, 2]
         keys = [{key for key in fdref._chain_steps(chain, scheme, state.psi, CIRCLE) if key}
                 for chain in marches]
         assert [len(k) for k in keys] == [1, 1]
-        assert len(factorizations) == 2
+        assert len(factorizations) == 1 + 4
 
     def test_request_chain_holds_at_most_chain_bytes_of_states(self, calls, monkeypatch):
-        """A group of times beyond flows._CHAIN_BYTES marches as chains of that many states.
+        """A request of more than flows._CHAIN_BYTES of states marches as chains of that many.
 
         Each chain starts from the last state of the one before, so with
-        exact spans the states stay those of one march per time.
+        exact spans the states stay those of one chain.
         """
         state = self.fd_state()
         traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 1.0)))
-        times = (0.125, 0.25, 0.375, 1.5)
+        times = (0.125, 0.25, 0.375, 0.5, 1.5)
         whole = [s.phi for s in traj.at(times)]
         monkeypatch.setattr(flows, "_CHAIN_BYTES", 2 * state.phi.nbytes)
         marches = calls(flows, "fd_heat_run",
                         key=lambda u0, psi, grid, times, scheme: list(times))
-        for got, want in zip(traj.at(times), whole):
+        for got, want in zip(traj.at(times), whole, strict=True):
             np.testing.assert_array_equal(got.phi, want)
-        assert marches == [[0.125, 0.25], [0.125], [0.5]]
+        assert marches == [[0.125, 0.25], [0.125, 0.25], [1.0]]
+
+    def test_a_state_depends_on_its_request_alone(self, calls):
+        """Runs that differ only in their samples give the same states, bit for bit.
+
+        No sample anchors a request: each marches from phi(0).  The run
+        marches once, its samples, and its diagnosis not at all.
+        """
+        state = ff.ProductState.from_harmonics(BASE4, CIRCLE, {(0, 1): 0.2}, {(1, 1): 0.1})
+        marches = calls(flows, "fd_heat_run",
+                        key=lambda u0, psi, grid, times, scheme: list(times))
+        runs = []
+        for samples in ((0.0, 0.5, 1.0), (0.0, 0.3, 1.0)):
+            marches.clear()
+            _, diagnose = flows.sample_flow(state, plain_config(t_end=1.0, samples=samples))
+            assert marches == [list(samples)]
+            runs.append(diagnose())
+            assert marches == [list(samples)]
+        for times in ((0.7,), (0.25, 0.7, 0.9)):
+            first, second = ([s.phi for s in traj.at(times)] for traj in runs)
+            for a, b in zip(first, second, strict=True):
+                np.testing.assert_array_equal(a, b)
 
     def test_cache_reuse_is_consistent(self):
         state = self.fd_state()
@@ -689,17 +709,21 @@ class TestFiniteDifferencePath:
         warmed.evaluate(1.0003)
         np.testing.assert_array_equal(warmed.evaluate(1.2345).phi, fresh)
 
-    def test_request_starts_from_latest_sample_or_previous_time(self):
+    def test_request_starts_from_zero_or_previous_time(self):
         state = self.fd_state()
         traj = ff.run_extrinsic_flow(state, plain_config(samples=(0.0, 0.5)))
         scheme = traj.config.fd_scheme
-        first, second, after_sample = traj.at((0.3, 0.4, 0.7))
-        np.testing.assert_array_equal(first.phi, traj.evaluate(0.3).phi)
+        first, second, third = traj.at((0.3, 0.4, 0.7))
+        np.testing.assert_array_equal(
+            first.phi, ff.fd_heat_run(state.phi, state.psi, CIRCLE, (0.3,), scheme)[0])
         np.testing.assert_array_equal(
             second.phi, ff.fd_heat_run(first.phi, state.psi, CIRCLE, (0.4 - 0.3,), scheme)[0])
         np.testing.assert_array_equal(
-            after_sample.phi,
-            ff.fd_heat_run(traj.states[1].phi, state.psi, CIRCLE, (0.7 - 0.5,), scheme)[0])
+            third.phi,
+            ff.fd_heat_run(second.phi, state.psi, CIRCLE, (0.7 - 0.4,), scheme)[0])
+        np.testing.assert_array_equal(
+            traj.evaluate(0.7).phi,
+            ff.fd_heat_run(state.phi, state.psi, CIRCLE, (0.7,), scheme)[0])
 
     def test_limit_is_weighted_fiber_average(self):
         state = self.fd_state()
