@@ -192,11 +192,12 @@ def check_preservation(trajectory: Trajectory) -> list[CheckReport]:
 
     The ``umbilical`` and ``closed_theta`` rows are structural consistency
     guards: the twisted ansatz makes the leaves umbilical by construction
-    (the record states a residual of 0), and theta_H = -n dphi is exact,
-    with a non-closed H - X refused before the run starts.  They would
-    only move if the ansatz itself were broken.  ``normal_flags`` checks
-    that the fiber distribution keeps the umbilical or totally geodesic
-    label it started with.
+    and theta_H = -n dphi exact, so the record states both residuals as 0;
+    a non-closed H - X is refused before the run starts.  A broken H is
+    caught by the checkers that read it (divergence_identity on every H
+    fault of tests/test_faults.py), not by these rows.  ``normal_flags``
+    checks that the fiber distribution keeps the umbilical or totally
+    geodesic label it started with.
     """
     if len(trajectory.states) < 3:
         raise InputError("preservation checks need at least 3 sampled states")

@@ -149,7 +149,6 @@ class DiagnosticsRecord:
     max_div_h: float         # sup |Div_perp H|
     rate: float              # r(t) of the sampled state
     max_driving: float       # sup |Div_perp (H - X)|; equals max_div_h unless prescribed
-    d_theta_sup: float
     tangent_label: str
     normal_label: str
     rigidity: float | None = None   # harmonic_rigidity residual, when the pass was asked for it
@@ -160,6 +159,16 @@ class DiagnosticsRecord:
 
         Stated, not measured (see ``geometry.SecondFundamentalData``); the
         umbilicalResidual column and the umbilical preservation rows print it.
+        """
+        return 0.0
+
+    @property
+    def d_theta_sup(self) -> float:
+        """0: theta_H = -n dphi is exact under the twisted ansatz, so it is closed.
+
+        Stated, not measured; the dThetaH column and the closed_theta
+        preservation rows print it.  The one closedness a run measures is
+        that of H - X, whose prescribed X is the user's (``sample_flow``).
         """
         return 0.0
 
@@ -499,7 +508,6 @@ def _diagnose(fields: geo.PhiFields, x: np.ndarray) -> DiagnosticsRecord:
         max_div_h=max_div_h,
         rate=_rate(state.n, int_div_h, vol),
         max_driving=max_driving,
-        d_theta_sup=geo.d_theta_sup(state, fields.h),
         tangent_label=report.tangent.label,
         normal_label=report.normal.label,
     )

@@ -434,11 +434,14 @@ def d_theta_sup(state: ProductState, h: np.ndarray) -> float:
 
     The form's covariant components are theta_i = g_perp(H, d_i) =
     exp(2 psi) H^i; for the twisted ansatz they are -n * (flat fiber
-    partials of phi), so the form is exactly closed.  Its derivative has
-    the single component d1 theta_2 - d2 theta_1, so the sup is 0 when
-    p = 1.  The two partials are combined in spectral space, each
-    component lowered and transformed in turn: two forward transforms
-    and one inverse.
+    partials of phi), so the form is exactly closed and the diagnose pass
+    states it (``DiagnosticsRecord.d_theta_sup``).  What is measured is
+    the closedness of H - X, at t = 0 of a prescribed p = 2 run
+    (``flows.sample_flow``), since the target X is the user's.  The
+    derivative has the single component d1 theta_2 - d2 theta_1, so the
+    sup is 0 when p = 1.  The two partials are combined in spectral
+    space, each component lowered and transformed in turn: two forward
+    transforms and one inverse.
     """
     h = fiber_vector(h, state, "h")
     if state.p == 1:
@@ -491,7 +494,7 @@ def classify(state: ProductState, h_sq: np.ndarray | None = None) -> Classificat
     so Hperp itself is not built, and that field only when a bound on its
     sup does not settle the flag (``_hperp_harmonic``).  The labels feed
     the ``normal_flags`` rows of ``check_preservation``; its ``umbilical``
-    and ``closed_theta`` rows are structural consistency guards, not
+    and ``closed_theta`` rows print the record's stated 0s, not
     measurements.
     """
     if h_sq is None:

@@ -712,15 +712,15 @@ class TestRunChecks:
         assert len(ffts) <= 15 * len(samples), sorted(ffts)
 
     def test_fft_budget_of_the_one_pass_run(self, calls):
-        """With the check names known before the pass, each sample takes 9 FFT calls.
+        """With the check names known before the pass, each sample takes 6 FFT calls.
 
         Its phi (1 inverse) when sampled; then in the pass H (2 inverse),
-        Div_perp H (1 inverse), d theta (2 forward, 1 inverse) and the
-        rigidity row (1 forward, 1 inverse), which takes no transform of
-        phi.  With the run's 22 fixed calls an 11-sample run takes 121 (125
-        when the rigidity probe built psi's fiber gradient and the t = inf
-        limit transformed the driving scalar again, 158 when the rows
-        rebuilt H).
+        Div_perp H (1 inverse) and the rigidity row (1 forward, 1 inverse),
+        which takes no transform of phi.  With the run's 22 fixed calls an
+        11-sample run takes 88 (121 when each record measured d theta with
+        2 forward and 1 inverse, 125 when the rigidity probe built psi's
+        fiber gradient and the t = inf limit transformed the driving scalar
+        again, 158 when the rows rebuilt H).
         """
         def run(samples):
             ffts = calls(np.fft, *self.FFT_NAMES)
@@ -733,8 +733,8 @@ class TestRunChecks:
 
         eleven = run(tuple(0.4 * k for k in range(11)))
         six = run(tuple(0.8 * k for k in range(6)))
-        assert eleven - six == 9 * (11 - 6)
-        assert eleven == 121
+        assert eleven - six == 6 * (11 - 6)
+        assert eleven == 88
 
     def test_one_pass_peak_stays_a_few_fields_above_what_the_run_keeps(self, traced_memory):
         """The one-pass run peaks less than 11 fields above the set it retains.

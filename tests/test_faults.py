@@ -29,6 +29,9 @@ BASE = ff.FiberGrid(1, (2.0 * math.pi,), (4,))
 PATHS = {
     "exact-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 0): 0.1}),
     "fd-p1": (ff.FiberGrid(1, (2.0 * math.pi,), (64,)), {(0, 1): 0.2}, {(1, 1): 0.1}),
+    # phi0 is not separable, or H's curl vanishes whatever its lowering
+    "exact-p2": (ff.FiberGrid(2, (2.0 * math.pi,) * 2, (32, 32)),
+                 {(0, 1, 1): 0.1, (0, 0, 1): 0.1}, {(1, 0, 0): 0.1}),
     "chebyshev-p2": (ff.FiberGrid(2, (2.0 * math.pi,) * 2, (32, 32)),
                      {(0, 1, 0): 0.2, (0, 0, 1): 0.1}, {(1, 1, 0): 0.1}),
 }
@@ -37,6 +40,7 @@ REFUSALS = {
     "exact-p1": {},
     "fd-p1": {"uniform_equivalence": UnsupportedScenarioError,
               "oracle_agreement": UnsupportedScenarioError},
+    "exact-p2": {"codim1_identity": InputError},
     "chebyshev-p2": {"codim1_identity": InputError,
                      "uniform_equivalence": UnsupportedScenarioError,
                      "oracle_agreement": UnsupportedScenarioError},
@@ -54,6 +58,7 @@ LIMIT_UNAUDITED = ("no checker audits the t = inf limit (ROADMAP item 13): only 
 FD_UNAUDITED = ("the FD states are second-order stencils but every diagnostic is spectral "
                 "(ROADMAP item 2): the correct run fails monotonicity, volume_ode and "
                 "bperp_scaling, and the flat-operator mutant fails the same three")
+LOWERING_CAUGHT = {"divergence_identity", "harmonic_rigidity", "monotonicity"}
 FAULTS = {
     # the normalized rate integral R of weighted_sums, times (1 + EPS)
     "rate": {("exact-p1", "normalized"): {"bperp_scaling"},
@@ -69,6 +74,19 @@ FAULTS = {
                    ("exact-p1", "normalized"): {"bperp_scaling"}},
     # the FD march on the flat Laplacian: the operator built from psi = 0
     "flat_operator": {("fd-p1", "plain"): FD_UNAUDITED},
+    # H lowered by exp(-psi) in place of exp(-2 psi), wherever it is built
+    "lowering": {("exact-p1", "plain"): LOWERING_CAUGHT,
+                 ("exact-p1", "normalized"): LOWERING_CAUGHT,
+                 ("exact-p2", "plain"): LOWERING_CAUGHT,
+                 ("exact-p2", "normalized"): LOWERING_CAUGHT,
+                 ("chebyshev-p2", "plain"): LOWERING_CAUGHT | {"bperp_scaling", "volume_ode"},
+                 ("chebyshev-p2", "normalized"): LOWERING_CAUGHT | {"bperp_scaling"}},
+    # the last component of H times (1 + EPS), wherever it is built, so
+    # theta_H is not closed; closed_theta is a stated 0 and does not see it
+    "curl": {("exact-p2", "plain"): {"divergence_identity", "monotonicity"},
+             ("exact-p2", "normalized"): {"divergence_identity", "monotonicity"},
+             ("chebyshev-p2", "plain"): {"divergence_identity", "bperp_scaling", "volume_ode"},
+             ("chebyshev-p2", "normalized"): {"divergence_identity", "bperp_scaling"}},
 }
 
 
@@ -130,8 +148,32 @@ def flat_operator_fault(monkeypatch, path, variant):
     return run(path, variant)
 
 
+def _rebuild_h(monkeypatch, change):
+    """Make every ``PhiFields.h`` built from here on ``change(fields, h)`` of the correct H."""
+    build = geo.PhiFields.h.func
+    h = functools.cached_property(lambda fields: change(fields, build(fields)))
+    h.__set_name__(geo.PhiFields, "h")
+    monkeypatch.setattr(geo.PhiFields, "h", h)
+
+
+def lowering_fault(monkeypatch, path, variant):
+    # exp(-2 psi) exp(psi) = exp(-psi)
+    _rebuild_h(monkeypatch, lambda fields, h: h * fields.state.exp_psi(1))
+    return run(path, variant)
+
+
+def curl_fault(monkeypatch, path, variant):
+    def scale_last(fields, h):
+        h[-1] *= 1.0 + EPS
+        return h
+
+    _rebuild_h(monkeypatch, scale_last)
+    return run(path, variant)
+
+
 INJECT = {"rate": rate_fault, "limit": limit_fault, "fiber_rate": fiber_rate_fault,
-          "flat_operator": flat_operator_fault}
+          "flat_operator": flat_operator_fault, "lowering": lowering_fault,
+          "curl": curl_fault}
 
 
 def _cells():

@@ -166,12 +166,13 @@ class TestPlainFlow:
         assert record.umbilical_residual < 1e-14
         assert record.d_theta_sup == 0.0
 
-    def test_umbilical_residual_is_stated(self):
+    @pytest.mark.parametrize("name", ["umbilical_residual", "d_theta_sup"])
+    def test_umbilical_residual_is_stated(self, name):
         record = ff.run_extrinsic_flow(single_mode_state(), plain_config()).diagnostics[0]
-        assert "umbilical_residual" not in {f.name for f in dataclasses.fields(record)}
-        assert record.umbilical_residual == 0.0
+        assert name not in {f.name for f in dataclasses.fields(record)}
+        assert getattr(record, name) == 0.0
         with pytest.raises(AttributeError):
-            record.umbilical_residual = 1.0
+            setattr(record, name, 1.0)
 
     def test_diagnose_takes_one_sup_norm_per_distribution(self, monkeypatch):
         """classify measures harmonicity only; umbilicity is not measured.
