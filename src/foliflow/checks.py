@@ -358,7 +358,9 @@ def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     state is built, and the normalized variant's integral of r is the closed
     form (2/n) log(vol_plain(t) / vol_plain(0)), the limit of its Simpson
     sums.  The FD path marches through the nodes and, under the normalized
-    variant, evaluates ``normalization_rate`` at each of them.  The residual
+    variant, evaluates ``normalization_rate`` at each of them.  The end
+    states at 0 and t_end are the first and last samples when the samples
+    span [0, t_end], and else come from ``trajectory.at``.  The residual
     is the sup gap over max(1, sup |b_perp(t)|), so a volume rescaling
     cannot grow it.
 
@@ -371,7 +373,11 @@ def check_bperp_scaling(trajectory: Trajectory) -> CheckReport:
     t = trajectory.config.t_end
     exponent = _bperp_exponent(trajectory, t, BPERP_NODES)
 
-    start, end = trajectory.at((0.0, t))
+    times = trajectory.sample_times
+    if times[0] == 0.0 and times[-1] == t:
+        start, end = trajectory.states[0], trajectory.states[-1]
+    else:
+        start, end = trajectory.at((0.0, t))
     b0, bt = (geo.fiber_mean_curvature(state) / state.p for state in (start, end))
     scale = max(1.0, float(np.max(np.abs(bt))))
     if trajectory.fiber_rate is not None:

@@ -28,12 +28,12 @@ file in the directory alone.
 All CSV output uses 17 significant digits and newline-only line
 endings, so reruns of one config on one version are byte-identical.
 A run of at least SPLIT_VALUES snapshot values on a host with a second
-usable CPU writes its snapshots from one forked child, with the same
-bytes, while this process diagnoses the samples and runs the checks in
-one pass per sample (``checks.diagnose_and_check``).  The child streams
+usable CPU writes its snapshots from one writer thread, with the same
+bytes, while the main thread diagnoses the samples and runs the checks in
+one pass per sample (``checks.diagnose_and_check``).  The writer streams
 each snapshot into its file block by block.  ``main`` keeps freed heap
 memory for reuse (``_tune_allocator``), so the arrays one sample frees
-serve the next without fresh page faults, in either process.
+serve the next without fresh page faults.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import os
 import re
 import shutil
 import sys
+import threading
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -79,14 +80,14 @@ CONFIG_KEYS = frozenset((
     "tol_converge", "checks", "oracle_check", "plot", "out",
 ))
 
-# Snapshot values (samples x base points x fiber points) from which a forked
-# child writes a run's snapshots while this process diagnoses and checks it,
-# when a second CPU is available.  Whole warm runs in a 100 MB process (4
-# samples of 16 base points, no checks or two; 2-core Xeon VM, median of 15):
-# forking broke even between 2^16 and 2^17 values (53-58 ms against 52-55 ms
-# from one process at 2^16, 78-85 ms against 83-84 ms at 2^17) and gained at
-# 2^18 (137-139 ms against 145-151 ms).  The bound stays at 2^16, since below
-# 2^17 either way costs at most 3 ms.
+# Snapshot values (samples x base points x fiber points) from which a writer
+# thread writes a run's snapshots while the main thread diagnoses and checks
+# it, when a second CPU is available.  Whole warm runs (4 samples of 16 base
+# points, no checks or two; 2-core Xeon VM, median of 15), whose bodies are
+# too short to overlap the writing, cost at most about 1 ms more with the
+# thread: 24.7-25.3 ms against 24.5-25.1 ms at 2^16 values, 46.4 against
+# 45.4-45.8 ms at 2^17 and 68.4-70.6 against 67.3-71.4 ms at 2^18.  So the
+# bound stays at 2^16.
 SPLIT_VALUES = 2 ** 16
 
 # glibc's mallopt(3) parameter numbers (malloc.h) and the values
@@ -94,11 +95,9 @@ SPLIT_VALUES = 2 ** 16
 # (the bound then grows to the largest one freed) and returns freed top
 # memory beyond twice that bound, so every sample's arrays, and every
 # formatter block, were faulted in afresh.  With these values a warm
-# exact-n2p2 op (2-core Xeon VM, median of 8) took 20,000 minor faults in
-# the runner, all copy-on-write while the writer lives, and 2,200 in the
-# writer, instead of 38,000 and 53,000; a warm fd-p1 op took 4 instead of
-# 4,100.  Peak RSS rose 1.5-3.5% on the bench workloads, since the heap now
-# keeps what it frees.
+# exact-n2p2 op (2-core Xeon VM, median of 10) takes 3 minor faults instead
+# of 48,500, and a warm fd-p1 op 4 instead of 4,100.  Peak RSS rose 1.5-3.5%
+# on the bench workloads, since the heap now keeps what it frees.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 * 2 ** 20      # glibc's largest accepted value on 64-bit hosts
 _TRIM_THRESHOLD = 2 ** 30
@@ -246,15 +245,6 @@ def _format_table(table: np.ndarray) -> Iterator[bytes]:
     columns = table.shape[1]
     for i in range(0, flat.size, _TABLE_BLOCK):
         yield _format_block(flat[i:i + _TABLE_BLOCK], i, columns)
-
-
-def _write_table(path: Path, table: np.ndarray) -> None:
-    """Write a snapshot table's text to ``path``, each block as it is formatted.
-
-    No block outlives its write, so the whole text is never held.
-    """
-    with open(path, "wb") as fh:
-        fh.writelines(_format_table(table))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -471,73 +461,59 @@ def _writing_snapshots(staging: Path, states: Sequence[ProductState]) -> Iterato
     """Write phi_NNN.csv per state into ``staging``, alongside the body when the run is large.
 
     A run of at least SPLIT_VALUES snapshot values, given a second usable
-    CPU, forks one child as the body starts; the child writes every
-    snapshot while this process runs the body, streaming each file block
-    by block (``_write_table``).  Leaving the body, this process waits for
-    the child and raises its failure, whose message comes back through a
-    pipe, as an OSError.  If the body raises, the child is killed; either
-    way it is reaped before this returns.  A smaller run, one usable CPU or
-    a failed fork writes every snapshot here, after the body, as one text
-    through ``_write_text`` (``Path.write_text``, whose calls the bench
-    tracer counts as written files).
+    CPU, starts one writer thread as the body starts; the thread writes
+    every snapshot while the body runs, streaming each file block by block
+    as _format_table yields it.  Leaving the body, this joins the thread
+    and raises again whatever the thread raised (an OSError, say).  If the
+    body raises, the thread stops before its next block; either way it has
+    ended before this returns or raises, so nothing is written into
+    ``staging`` after it.  A smaller run, one usable CPU or a thread that
+    cannot be started writes every snapshot here, after the body, as one
+    text through ``_write_text`` (``Path.write_text``, whose calls the
+    bench tracer counts as written files).
 
-    _run_command enters it right after the flow's sampling step, so the
-    child is forked before any diagnostics exist.  The child runs only
-    _format_table and file writes: numpy elementwise ufuncs, integer
-    division, take, copies and a transpose, with no BLAS, FFT or thread of
-    its own.  So it takes no lock that another thread (numpy's BLAS pool,
-    say) may have held at the fork.  It inherits the allocator policy of
-    ``main``.
+    _run_command enters it right after the flow's sampling step.  The body
+    reads the sampled phi arrays and never writes into them, so the thread
+    reads them while the body runs.
     """
     base_size, fiber_size = math.prod(states[0].base.shape), math.prod(states[0].fiber.shape)
+    tables = [(staging / f"phi_{i:03d}.csv", state.phi.reshape(base_size, fiber_size))
+              for i, state in enumerate(states)]
+    stop, raised = threading.Event(), []
 
-    def write(streamed: bool) -> None:
-        for i, state in enumerate(states):
-            path, table = staging / f"phi_{i:03d}.csv", state.phi.reshape(base_size, fiber_size)
-            if streamed:
-                _write_table(path, table)
-            else:
-                _write_text(path, b"".join(_format_table(table)).decode("ascii"))
+    def write() -> None:
+        try:
+            for path, table in tables:
+                with open(path, "wb") as fh:
+                    for block in _format_table(table):
+                        if stop.is_set():
+                            return
+                        fh.write(block)
+        except BaseException as exc:        # raised again in the body's thread
+            raised.append(exc)
 
-    pid = None
+    writer = None
     if (len(states) * base_size * fiber_size >= SPLIT_VALUES
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=write)
         try:
-            pid = os.fork()
-        except OSError:         # no process to be had: write every file here
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
+            writer.start()
+        except RuntimeError:    # no thread to be had: write every file here
+            writer = None
+    if writer is None:
         yield
-        write(streamed=False)
+        for path, table in tables:
+            _write_text(path, b"".join(_format_table(table)).decode("ascii"))
         return
-    if pid == 0:
-        # The child never returns into its caller's stack and never flushes
-        # the stdio it inherited: os._exit ends it whatever happens.
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                write(streamed=True)
-                status = 0
-            except BaseException as exc:    # interrupts too: report, then end
-                os.write(write_end, str(exc).encode("utf-8", "replace"))
-        finally:
-            os._exit(status)
-    os.close(write_end)
     try:
         yield
     except BaseException:
-        import signal           # only here: a run that ends normally never needs it
-        os.kill(pid, signal.SIGKILL)
+        stop.set()
         raise
     finally:
-        with open(read_end, "rb") as pipe:
-            message = pipe.read().decode("utf-8", "replace")
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise OSError(message or f"snapshot writer process ended with wait status {status}")
+        writer.join()
+    if raised:
+        raise raised[0]
 
 
 def _staging_dir(out_dir: Path) -> Path:
@@ -690,9 +666,9 @@ def _tune_allocator() -> None:
     Arrays below _MMAP_THRESHOLD come from the heap instead of fresh
     mappings, and the heap is trimmed only beyond _TRIM_THRESHOLD of free
     top memory, so the arrays each sample frees are reused by the next
-    instead of being unmapped and faulted in again.  A forked writer
-    inherits the setting.  Where no C library can be loaded, or it has no
-    mallopt (macOS, say), this does nothing.
+    instead of being unmapped and faulted in again.  The setting holds
+    for every thread, the snapshot writer's too.  Where no C library can
+    be loaded, or it has no mallopt (macOS, say), this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

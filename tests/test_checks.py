@@ -445,7 +445,7 @@ class TestBperpScaling:
             assert checks.check_bperp_scaling(traj).passed
             assert div_calls == [1.0, 1.0]  # one call per rule, on summed states stamped t = 1
             assert sums_calls == [2]        # every node of a rule in one weighted_sums call
-            assert calls == [2]            # the start and end states
+            assert calls == [0]            # the start and end states are samples
             assert rate_calls == []
 
     @pytest.mark.parametrize("variant", ["plain", "normalized"])
@@ -456,8 +456,8 @@ class TestBperpScaling:
         the normalized rate sum is the weighted per-node r of the projected
         states.  The 513 nodes on [0, 1] are 1/512 apart, one step key, and
         the one psi profile is one chunk, so their chain makes one
-        factorization (one march per node made 510), and the check's end
-        states 0 and 1 one more.
+        factorization (one march per node made 510).  The check's end
+        states 0 and 1 are samples, so they take no march.
         """
         traj = fd_path_traj(variant)
         nodes = np.linspace(0.0, 1.0, 513)
@@ -477,8 +477,8 @@ class TestBperpScaling:
         marches = calls(flows, "fd_heat_run")
         factorizations = calls(spla, "splu")
         checks.check_bperp_scaling(traj)
-        assert len(marches) == 2
-        assert len(factorizations) == 2
+        assert len(marches) == 1
+        assert len(factorizations) == 1
 
     def test_exact_sums_memory_stays_a_few_fields(self, traced_memory):
         """513 nodes on a 4^2 x 32^2 grid peak below 16 fields (128 KB each).

@@ -3,9 +3,10 @@
 Every invocation goes through ``main(argv)`` in process, with configs
 and outputs under tmp_path.  Covers the four exit codes, the
 no-partial-output guarantee on config errors, byte-identical reruns,
-the bulk snapshot formatter against one %.17g per value, the forked
-snapshot writer, an --out that every exit 2 leaves as it was, and the
-flag surface (--grid, --plot, --out).
+the bulk snapshot formatter against one %.17g per value, the snapshot
+writer thread (joined on every exit path, and never a forked process),
+an --out that every exit 2 leaves as it was, and the flag surface
+(--grid, --plot, --out).
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -31,15 +33,14 @@ from foliflow.geometry import ProductState
 
 
 @pytest.fixture
-def forks(monkeypatch, calls):
-    """Two usable CPUs, and one entry per os.fork that returned in this process."""
+def writers(monkeypatch, calls):
+    """Two usable CPUs, and each thread whose threading.Thread.start returned."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls(os, "fork")
+    return calls(threading.Thread, "start", key=lambda thread: thread)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def assert_no_writer_left(writers):
+    assert not any(thread.is_alive() for thread in writers)
 
 
 def tree_bytes(root):
@@ -505,7 +506,7 @@ class TestOutputs:
         np.testing.assert_allclose(got, 0.2 * math.exp(-1.0) * np.cos(y),
                                    atol=1e-12)
 
-    def test_snapshot_text_matches_per_value_format(self, tmp_path, forks):
+    def test_snapshot_text_matches_per_value_format(self, tmp_path, writers):
         """Row-formatted snapshots equal the per-value f"{x:.17g}" text, serial or split."""
         base = FiberGrid(1, (1.0,), (4,))
         rng = np.random.default_rng(3)
@@ -523,8 +524,8 @@ class TestOutputs:
             out.mkdir()
             with cli._writing_snapshots(out, states):
                 pass
-            assert len(forks) == split
-            assert_no_child_left()
+            assert len(writers) == split
+            assert_no_writer_left(writers)
             for i, state in enumerate(states):
                 expected = per_value_text(state.phi.reshape(4, -1))
                 assert (out / f"phi_{i:03d}.csv").read_bytes() == expected.encode()
@@ -657,21 +658,29 @@ class TestFormatTable:
             text = formatted(table)
         assert traced.peak <= 3 * len(text), (traced.peak, len(text))
 
-    def test_streamed_write_peak_does_not_grow_with_the_table(self, tmp_path, traced_memory):
-        """_write_table holds one block's temporaries at a time, never the text.
+    def test_streamed_write_peak_does_not_grow_with_the_table(self, tmp_path, traced_memory,
+                                                              writers):
+        """The writer thread holds one block's temporaries at a time, never the text.
 
         A table 4 times an 8^2 x 64^2 snapshot peaks as the snapshot does,
         below a third of its own text, and its file has the exact text.
         """
         rng = np.random.default_rng(5)
+        fiber = FiberGrid(2, (1.0, 1.0), (64, 64))
         peaks = []
         for rows in (8 ** 2, 4 * 8 ** 2):
-            table = rng.normal(scale=0.1, size=(rows, 64 ** 2))
-            path = tmp_path / f"{rows}.csv"
+            base = FiberGrid(1, (1.0,), (rows,))
+            phi = rng.normal(scale=0.1, size=(rows, 64, 64))
+            state = ProductState(base, fiber, phi, np.zeros(phi.shape))
+            out = tmp_path / str(rows)
+            out.mkdir()
             with traced_memory() as traced:
-                cli._write_table(path, table)
+                with cli._writing_snapshots(out, [state]):
+                    pass
             peaks.append(traced.peak)
-        assert path.read_bytes().decode("ascii") == per_value_text(table)
+        assert len(writers) == 2
+        path = out / "phi_000.csv"
+        assert path.read_bytes().decode("ascii") == per_value_text(phi.reshape(rows, -1))
         assert peaks[1] <= 1.2 * peaks[0] and 3 * peaks[1] < path.stat().st_size, peaks
 
 
@@ -680,23 +689,64 @@ SPLIT_RUN = {"base_points": 16, "fiber_points": 1024, "checks": []}
 
 
 class TestSnapshotSplit:
-    def test_split_run_matches_serial_run(self, tmp_path, forks, monkeypatch):
+    def test_split_run_matches_serial_run(self, tmp_path, writers, monkeypatch):
+        """The same bytes from two threads as from one, however finely they interleave."""
         cfg = write_config(tmp_path, **SPLIT_RUN)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "split")]) == 0
-        assert len(forks) == 1
-        assert_no_child_left()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["run", str(cfg), "--out", str(tmp_path / "split")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(writers) == 1
+        assert_no_writer_left(writers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(["run", str(cfg), "--out", str(tmp_path / "serial")]) == 0
-        assert len(forks) == 1                  # one usable CPU: no split
+        assert len(writers) == 1                # one usable CPU: no split
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "split").iterdir())
         for name in names:
             assert ((tmp_path / "split" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"variant": "normalized"},
+        {"scenario": "double_twisted", "psi": {"1,0": 0.1}, "variant": "prescribed",
+         "x_field": [{"1,1": 0.05}]},
+        # psi varies along the fibers: the finite-difference march
+        {"scenario": "double_twisted", "psi": {"1,1": 0.1}, "dt": 0.01},
+        {"scenario": "double_twisted", "p": 2, "fiber_points": 32, "phi0": {"0,1,1": 0.1},
+         "psi": {"1,0,0": 0.1}},
+        # psi varies along the fibers: the Chebyshev series
+        {"scenario": "double_twisted", "p": 2, "fiber_points": 32, "phi0": {"0,1,1": 0.1},
+         "psi": {"1,1,0": 0.1}},
+    ], ids=["exact-p1", "normalized", "prescribed", "fd-p1", "exact-p2", "chebyshev-p2"])
+    def test_body_leaves_the_sampled_phi_as_it_was(self, tmp_path, writers, monkeypatch,
+                                                   overrides):
+        """The writer thread reads each sampled phi while the diagnostics and checks run.
+
+        So the body must not write into them: every array holds the same
+        bytes after ``main`` as when the flow sampled it.
+        """
+        sample_flow, sampled = cli.fl.sample_flow, []
+
+        def recording_sample_flow(initial, config):
+            states, diagnose = sample_flow(initial, config)
+            sampled.extend((state.phi, state.phi.tobytes()) for state in states)
+            return states, diagnose
+
+        monkeypatch.setattr(cli.fl, "sample_flow", recording_sample_flow)
+        cfg = write_config(tmp_path, **{**SPLIT_RUN, **overrides, "checks": [
+            "divergence_identity", "harmonic_rigidity", "preservation", "monotonicity",
+            "volume_ode", "bperp_scaling"]})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+        assert len(writers) == 1 and len(sampled) == 4
+        assert all(phi.tobytes() == before for phi, before in sampled)
+
     @pytest.mark.parametrize("blocked", ["phi_001.csv", "checks.csv"])
-    def test_unwritable_snapshot_exits_two(self, tmp_path, capsys, forks, blocked):
-        """A target taken by a directory: one the child staged, or one this process did."""
+    def test_unwritable_snapshot_exits_two(self, tmp_path, capsys, writers, blocked):
+        """A target taken by a directory: one the writer thread staged, or one the main thread did."""
         cfg = write_config(tmp_path, **SPLIT_RUN)
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
@@ -704,17 +754,28 @@ class TestSnapshotSplit:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and blocked in err, err
         assert "Traceback" not in err
-        assert len(forks) == 1
-        assert_no_child_left()
+        assert len(writers) == 1
+        assert_no_writer_left(writers)
         assert tree_bytes(out) == {blocked: "dir"} and staging_left(tmp_path) == []
 
-    def test_checker_refusal_after_the_fork_exits_two(self, tmp_path, capsys, forks,
-                                                      monkeypatch):
-        """decay_rate refuses one distinct time while the child writes; the child is killed.
+    def test_checker_refusal_while_the_writer_runs_exits_two(self, tmp_path, capsys, writers,
+                                                            monkeypatch):
+        """decay_rate refuses one distinct time while the writer writes; the writer stops.
 
-        The child's writes stall for a minute here, so only a kill ends it in time.
+        Each of the writer's 64 blocks takes a second here, so only a writer
+        that stops between blocks lets ``main`` end in time.  It is joined
+        before ``main`` returns, so nothing is written after the staging
+        directory is removed.
         """
-        monkeypatch.setattr(cli, "_write_table", lambda path, table: time.sleep(60))
+        format_block, blocks = cli._format_block, []
+
+        def slow_format_block(values, first, columns):
+            time.sleep(1.0)
+            blocks.append(first)
+            return format_block(values, first, columns)
+
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 2 ** 10)
+        monkeypatch.setattr(cli, "_format_block", slow_format_block)
         cfg = write_config(tmp_path, **{**SPLIT_RUN, "samples": [0.5] * 4,
                                         "checks": ["decay_rate"]})
         out = tmp_path / "out"
@@ -723,24 +784,29 @@ class TestSnapshotSplit:
         assert time.monotonic() - start < 30
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "decay_rate" in err and "2 distinct" in err
-        assert len(forks) == 1
-        assert_no_child_left()
+        assert len(writers) == 1
+        assert_no_writer_left(writers)
+        assert len(blocks) < 4 * 16 * 1024 // 2 ** 10
         assert not out.exists() and staging_left(tmp_path) == []
 
-    @pytest.mark.parametrize("writer, failing", [("_write_table", "phi_002.csv"),
+    @pytest.mark.parametrize("writer, failing", [("open", "phi_002.csv"),
                                                  ("_write_text", "diagnostics.csv")],
                              ids=["child", "parent"])
-    def test_write_failure_exits_two(self, tmp_path, capsys, forks, monkeypatch, writer,
+    def test_write_failure_exits_two(self, tmp_path, capsys, writers, monkeypatch, writer,
                                      failing):
-        """A write that fails in the child, or in this process, leaves --out as it was."""
-        write = getattr(cli, writer)
+        """A write that fails in the writer thread, or in the main thread, leaves --out as it was.
 
-        def failing_write(path, content):
-            if path.name == failing:
-                raise OSError(f"no space left writing {path.name}")
-            write(path, content)
+        On a split run only the writer thread opens snapshots through
+        ``cli``'s ``open``.
+        """
+        write = vars(cli).get(writer, open)
 
-        monkeypatch.setattr(cli, writer, failing_write)    # the fork inherits it
+        def failing_write(path, *args, **kwargs):
+            if Path(path).name == failing:
+                raise OSError(f"no space left writing {failing}")
+            return write(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, writer, failing_write, raising=False)
         cfg = write_config(tmp_path, **SPLIT_RUN)
         out = tmp_path / "out"
         out.mkdir()
@@ -748,67 +814,87 @@ class TestSnapshotSplit:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"output error: no space left writing {failing}\n", err
-        assert len(forks) == 1
-        assert_no_child_left()
+        assert len(writers) == 1
+        assert_no_writer_left(writers)
         assert tree_bytes(out) == {"notes.txt": b"keep\n"} and staging_left(tmp_path) == []
 
-    def test_fork_failure_writes_every_file_here(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise OSError("no process to be had")
+    def test_thread_start_failure_writes_every_file_here(self, tmp_path, monkeypatch, calls):
+        def no_thread(thread):
+            raise RuntimeError("can't start new thread")
 
         cfg = write_config(tmp_path, **SPLIT_RUN)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        written = calls(cli, "_write_text", key=lambda path, text: path.name)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.glob("phi_*.csv")) == [
-            f"phi_{i:03d}.csv" for i in range(4)]
+        snapshots = [f"phi_{i:03d}.csv" for i in range(4)]
+        assert sorted(p.name for p in out.glob("phi_*.csv")) == snapshots
+        assert written == ["diagnostics.csv", "checks.csv"] + snapshots
 
-    def test_small_run_never_forks(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("a run below cli.SPLIT_VALUES forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    def test_small_run_starts_no_writer(self, tmp_path, writers):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert writers == []
 
 
-# A fresh interpreter that runs main and reports on stderr how many forks returned.
+# A fresh interpreter that runs main, where os.fork raises, and reports on
+# stderr how many threads it started.  Its first argument "untuned" skips
+# mallopt, and "serial" allows one CPU.
 FRESH_RUN = """
-import os, sys
+import os, sys, threading
 import foliflow.cli as cli
 assert cli._tune_allocator.cache_info().currsize == 0   # importing never tunes
-forks, fork = [], os.fork
-def counting_fork():
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-os.fork = counting_fork
+def no_fork():
+    raise AssertionError("foliflow forked")
+os.fork = no_fork
+writers, start = [], threading.Thread.start
+def counting_start(thread):
+    start(thread)
+    writers.append(thread)
+threading.Thread.start = counting_start
 if sys.argv[1] == "untuned":
     cli._tune_allocator = lambda: None
+if sys.argv[1] == "serial":
+    os.sched_getaffinity = lambda pid: {0}
 code = cli.main(sys.argv[2:])
-print(len(forks), file=sys.stderr)
+print(len(writers), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def fresh_runs(tmp_path, *modes):
+    """Run SPLIT_RUN in one fresh interpreter per mode; each output tree and writer count."""
+    cfg = write_config(tmp_path, **SPLIT_RUN)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    runs = []
+    for mode in modes:
+        proc = subprocess.run([sys.executable, "-c", FRESH_RUN, mode, "run", str(cfg),
+                               "--out", str(tmp_path / mode)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((tree_bytes(tmp_path / mode), int(proc.stderr)))
+    return runs
 
 
 class TestAllocator:
     def test_split_run_bytes_do_not_depend_on_the_allocator(self, tmp_path):
         """A split run in a fresh process writes the same bytes with and without mallopt."""
-        cfg = write_config(tmp_path, **SPLIT_RUN)
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        split = len(os.sched_getaffinity(0)) >= 2
-        for name in ("tuned", "untuned"):
-            proc = subprocess.run([sys.executable, "-c", FRESH_RUN, name, "run", str(cfg),
-                                   "--out", str(tmp_path / name)],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stderr == f"{int(split)}\n"
-        tuned, untuned = (tree_bytes(tmp_path / name) for name in ("tuned", "untuned"))
+        split = int(len(os.sched_getaffinity(0)) >= 2)
+        (tuned, tuned_writers), (untuned, untuned_writers) = fresh_runs(
+            tmp_path, "tuned", "untuned")
+        assert tuned_writers == untuned_writers == split
         assert sorted(tuned) == ["checks.csv", "diagnostics.csv"] + [
             f"phi_{i:03d}.csv" for i in range(4)]
         assert tuned == untuned
+
+    def test_split_run_never_forks(self, tmp_path):
+        """A fresh split run whose os.fork raises exits 0 with the serial run's bytes."""
+        split = int(len(os.sched_getaffinity(0)) >= 2)
+        (tuned, tuned_writers), (serial, serial_writers) = fresh_runs(
+            tmp_path, "tuned", "serial")
+        assert (tuned_writers, serial_writers) == (split, 0)
+        assert tuned == serial
 
     def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch):
         import ctypes

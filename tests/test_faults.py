@@ -1,8 +1,9 @@
 """Fault table: each row injects one fault at one solver seam and pins every checker's verdict.
 
 A row gives the fault, the (path, variant) runs it applies to and, for
-each, the checkers that fail on the mutant, or why none does yet (a
-strict xfail).  For each cell the correct run's verdicts are pinned (a
+each, the checkers that fail on the mutant, or why the cell cannot pass
+yet (a strict xfail): a reason alone when no checker catches the fault,
+or a reason and the checkers that do when the correct run fails some.  For each cell the correct run's verdicts are pinned (a
 pass, or a refusal by error type) and the mutant's must differ from them
 exactly in the catching checkers.  ``decay_rate`` is left out: it fails
 correct base-twisted exact runs (``TestCheckerMatrix``), so it would
@@ -55,9 +56,12 @@ LIMIT_SEAMS = {"exact-p1": (fb, "time_integral_limit_spectrum"),
 LIMIT_UNAUDITED = ("no checker audits the t = inf limit (ROADMAP item 13): only "
                    "uniform_equivalence reads it, and its certificate is exact only for "
                    "plain single-mode exact runs")
-FD_UNAUDITED = ("the FD states are second-order stencils but every diagnostic is spectral "
-                "(ROADMAP item 2): the correct run fails monotonicity, volume_ode and "
-                "bperp_scaling, and the flat-operator mutant fails the same three")
+FD_FAILS = ("the FD states are second-order stencils but every diagnostic is spectral "
+            "(ROADMAP item 18): the correct run fails monotonicity, volume_ode and "
+            "bperp_scaling")
+FD_UNAUDITED = FD_FAILS + ", and the flat-operator mutant fails the same three"
+H_EPS = 1e-2
+H_CAUGHT = {"divergence_identity", "harmonic_rigidity"}
 LOWERING_CAUGHT = {"divergence_identity", "harmonic_rigidity", "monotonicity"}
 FAULTS = {
     # the normalized rate integral R of weighted_sums, times (1 + EPS)
@@ -87,6 +91,14 @@ FAULTS = {
              ("exact-p2", "normalized"): {"divergence_identity", "monotonicity"},
              ("chebyshev-p2", "plain"): {"divergence_identity", "bperp_scaling", "volume_ode"},
              ("chebyshev-p2", "normalized"): {"divergence_identity", "bperp_scaling"}},
+    # H times (1 + H_EPS), wherever it is built (ROADMAP item 11)
+    "h": {("exact-p1", "plain"): H_CAUGHT | {"monotonicity"},
+          ("exact-p1", "normalized"): H_CAUGHT | {"monotonicity"},
+          ("fd-p1", "plain"): (FD_FAILS, H_CAUGHT),
+          ("exact-p2", "plain"): H_CAUGHT | {"monotonicity"},
+          ("exact-p2", "normalized"): H_CAUGHT | {"monotonicity"},
+          ("chebyshev-p2", "plain"): H_CAUGHT | {"bperp_scaling", "volume_ode"},
+          ("chebyshev-p2", "normalized"): H_CAUGHT | {"bperp_scaling"}},
 }
 
 
@@ -171,18 +183,23 @@ def curl_fault(monkeypatch, path, variant):
     return run(path, variant)
 
 
+def h_fault(monkeypatch, path, variant):
+    _rebuild_h(monkeypatch, lambda fields, h: h * (1.0 + H_EPS))
+    return run(path, variant)
+
+
 INJECT = {"rate": rate_fault, "limit": limit_fault, "fiber_rate": fiber_rate_fault,
           "flat_operator": flat_operator_fault, "lowering": lowering_fault,
-          "curl": curl_fault}
+          "curl": curl_fault, "h": h_fault}
 
 
 def _cells():
     for fault, cells in FAULTS.items():
         for (path, variant), catches in cells.items():
             marks = ()
-            if isinstance(catches, str):
-                marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=catches)
-                catches = set()
+            if not isinstance(catches, set):
+                reason, catches = (catches, set()) if isinstance(catches, str) else catches
+                marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
             yield pytest.param(fault, path, variant, catches, marks=marks,
                                id=f"{fault}-{path}-{variant}")
 

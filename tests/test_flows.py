@@ -621,9 +621,8 @@ class TestFiniteDifferencePath:
         chunk of fibers.  check_bperp_scaling's 513 nodes on [0, 2], 1/256
         apart, are one chain on the stepped route, where the 64 distinct
         64-point profiles are one chunk: one factorization (one march per
-        node made 510).  Its end states 0 and 2 are a second chain, whose
-        2000 steps take the dense route, 16 fibers per chunk: four more.
-        Spans that are exact in floating point give each state bit for bit
+        node made 510).  Its end states 0 and 2 are samples, so they take
+        no march.  Spans that are exact in floating point give each state bit for bit
         as a march of its own from the request's previous time.
         """
         base = ff.FiberGrid(1, (2.0 * math.pi,), (64,))
@@ -647,11 +646,11 @@ class TestFiniteDifferencePath:
         marches.clear()
         factorizations.clear()
         checks.check_bperp_scaling(traj)   # FD fails it at second order (TestCheckerMatrix)
-        assert [len(m) for m in marches] == [513, 2]
+        assert [len(m) for m in marches] == [513]
         keys = [{key for key in fdref._chain_steps(chain, scheme, state.psi, CIRCLE) if key}
                 for chain in marches]
-        assert [len(k) for k in keys] == [1, 1]
-        assert len(factorizations) == 1 + 4
+        assert [len(k) for k in keys] == [1]
+        assert len(factorizations) == 1
 
     def test_request_chain_holds_at_most_chain_bytes_of_states(self, calls, monkeypatch):
         """A request of more than flows._CHAIN_BYTES of states marches as chains of that many.
